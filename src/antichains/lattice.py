@@ -79,7 +79,7 @@ class PointSet:
             t = tuple(p)
             if len(t) != dim:
                 raise ValueError(f"point {t} has dimension {len(t)}, expected {dim}")
-            if not all(isinstance(c, int) for c in t):
+            if not all(isinstance(c, int) and not isinstance(c, bool) for c in t):
                 raise ValueError(f"point {t} has non-integer coordinates")
             if t in seen:
                 raise ValueError(f"duplicate point {t}")
@@ -87,6 +87,19 @@ class PointSet:
         self.dim = dim
         self._index = frozenset(seen)
         self.points = tuple(sorted(seen))
+
+    @classmethod
+    def _trusted(cls, dim: int, points: Iterable[Point]) -> "PointSet":
+        """Build from distinct ``dim``-tuples of ints without re-checking them.
+
+        Only for sets the library derived from valid input; everything from
+        outside goes through ``__init__``.
+        """
+        self = cls.__new__(cls)
+        self.dim = dim
+        self._index = frozenset(points)
+        self.points = tuple(sorted(self._index))
+        return self
 
     @classmethod
     def in_box(cls, dim: int, k: int, points: Iterable[Sequence[int]] = ()) -> "PointSet":
@@ -143,7 +156,6 @@ def classify(points) -> Classification:
         if pts and any(len(p) != len(pts[0]) for p in pts):
             raise ValueError("points of mixed dimension")
     anti = True
-    weak = True
     for x, y in combinations(pts, 2):
         le_xy = le_yx = True
         lt_xy = lt_yx = True
@@ -158,7 +170,7 @@ def classify(points) -> Classification:
             return Classification(False, False)
         if le_xy or le_yx:
             anti = False
-    return Classification(anti, weak)
+    return Classification(anti, True)
 
 
 def project(points: PointSet, axis: int) -> PointSet:
@@ -169,7 +181,7 @@ def project(points: PointSet, axis: int) -> PointSet:
         raise ValueError(f"axis {axis} out of range 1..{points.dim}")
     i = axis - 1
     image = {p[:i] + p[i + 1 :] for p in points}
-    return PointSet(points.dim - 1, image)
+    return PointSet._trusted(points.dim - 1, image)
 
 
 def skew_split(points: PointSet) -> tuple[PointSet, ...]:

@@ -9,7 +9,9 @@ reports projection gaps, and searches boxes for minimum-gap witnesses.
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
+from operator import lt
 
 from .lattice import Point, PointSet, project
 
@@ -61,13 +63,55 @@ def projection_size(points: PointSet, axis: int) -> int:
 
 
 def _find_strong_pair(pts):
-    """Return (x, y) with x strictly below y in every coordinate, or None."""
+    """Return the first (x, y) with x strictly below y in every coordinate, or None.
+
+    ``pts`` must be sorted lexicographically: a later point can never lie
+    strongly below an earlier one, so only one direction is tested.
+    """
     for x, y in combinations(pts, 2):
-        if all(a < b for a, b in zip(x, y)):
+        if all(map(lt, x, y)):
             return x, y
-        if all(b < a for a, b in zip(x, y)):
-            return y, x
     return None
+
+
+# Bitset kernel.  Cell j of the box [0,k)^n is box_points(n, k)[j], the
+# mixed-radix (row-major) numbering, and a set of cells is an int with bit j
+# set for cell j.  Along axis i a coordinate step moves the index by
+# run = k**(n-1-i), so the cells with coordinate < v form, in every period of
+# k*run bits, a block of v*run bits: (R << v*run) - R, where R has one bit at
+# the start of each period, R = (2**(k**n) - 1) // (2**(k*run) - 1).  The
+# cells strongly comparable to a point are the AND over the axes of these
+# masks, or of their upper counterparts, so a table of n*k masks per side
+# serves every point; there is no per-cell table.
+
+#: largest mask table, in bits, that the sampler builds; in bigger boxes it
+#: tests candidates pairwise, in memory that does not grow with the box
+_TABLE_CAP = 1 << 22
+
+
+@lru_cache(maxsize=8)
+def _axis_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per axis, the cells with coordinate < v and those with coordinate > v, v in range(k)."""
+    full = (1 << k**n) - 1
+    axes = []
+    for i in range(n):
+        run = k ** (n - 1 - i)
+        period = k * run
+        r = full // ((1 << period) - 1)
+        top = r << period
+        below = tuple((r << v * run) - r for v in range(k))
+        above = tuple(top - (r << (v + 1) * run) for v in range(k))
+        axes.append((below, above))
+    return tuple(axes)
+
+
+def _strong_mask(p: Point, axes) -> int:
+    """Cells strictly below or strictly above ``p`` in every coordinate."""
+    below = above = -1
+    for c, (lo, hi) in zip(p, axes):
+        below &= lo[c]
+        above &= hi[c]
+    return below | above
 
 
 @dataclass(frozen=True)
@@ -132,7 +176,7 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
         if bad is None:
             raise RuntimeError("leftover points without a strongly ordered pair")
         raise NotWeakAntichainError(*bad)
-    parts = tuple(PointSet(n, part) for part in raw_parts)
+    parts = tuple(PointSet._trusted(n, part) for part in raw_parts)
     sizes = tuple(projection_size(part, i + 1) for i, part in enumerate(parts))
     return PartitionCertificate(source=A, parts=parts, per_part_projection_sizes=sizes)
 
@@ -168,20 +212,46 @@ class GapScanResult:
     weak_count: int
 
 
-def _gap_of(subset, n: int) -> int:
-    if n == 1:
-        return (1 if subset else 0) - len(subset)
-    total = 0
-    for i in range(n):
-        total += len({p[:i] + p[i + 1 :] for p in subset})
-    return total - len(subset)
+def _weak_subsets(pool, n: int, k: int, size: int):
+    """Weak antichains of ``size >= 1`` cells of ``pool = box_points(n, k)``.
+
+    Yields ``(head, last)``: ``head`` holds the first size-1 cell indices in
+    increasing order and the bitset ``last`` every cell that completes it.
+    This is a depth-first search over increasing cell indices that extends
+    only by cells not strongly comparable with those already taken and
+    backtracks once fewer free cells remain than are still needed.  Read
+    head by head and bit by bit, the sets come in ``combinations`` order.
+    """
+    axes = _axis_masks(n, k) if size > 1 else None
+    head: list[int] = []
+    frees = [(1 << len(pool)) - 1]
+    while frees:
+        free = frees[-1]
+        need = size - len(head)
+        if free.bit_count() < need:
+            frees.pop()
+            if head:
+                head.pop()
+            continue
+        if need == 1:
+            yield tuple(head), free
+            frees[-1] = 0
+            continue
+        low = free & -free
+        free ^= low
+        frees[-1] = free
+        idx = low.bit_length() - 1
+        head.append(idx)
+        frees.append(free & ~_strong_mask(pool[idx], axes))
 
 
 def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> GapScanResult:
     """Minimum projection gap over every weak antichain of ``size`` points in [0,k)^n.
 
-    Subsets are enumerated lexicographically and only strict improvements
-    are kept, so the reported witness is the lexicographically least one.
+    Weak antichains are enumerated lexicographically and only strict
+    improvements are kept, so the reported witness is the lexicographically
+    least one.  ``budget`` bounds the number of subsets, C(k^n, size),
+    although the search skips every subset that is not a weak antichain.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
@@ -192,19 +262,69 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
             f"{total} subsets of size {size} exceed budget {budget}; "
             "use random_gap_scan instead"
         )
+    if size == 0:
+        return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
     best_gap: int | None = None
     best_witness = None
     weak_count = 0
-    for subset in combinations(pool, size):
-        if _find_strong_pair(subset) is not None:
-            continue
-        weak_count += 1
-        g = _gap_of(subset, n)
-        if best_gap is None or g < best_gap:
-            best_gap = g
-            best_witness = subset
-    witness = PointSet(n, best_witness) if best_witness is not None else None
+    for head, last in _weak_subsets(pool, n, k, size):
+        weak_count += last.bit_count()
+        points = [pool[j] for j in head]
+        seen = [{p[:i] + p[i + 1 :] for p in points} for i in range(n)]
+        # gap of head + (q,) is base minus the axes where q's image is not new
+        base = sum(map(len, seen)) + n - size
+        while last:
+            low = last & -last
+            last ^= low
+            q = pool[low.bit_length() - 1]
+            g = base - sum(q[:i] + q[i + 1 :] in s for i, s in enumerate(seen))
+            if best_gap is None or g < best_gap:
+                best_gap = g
+                best_witness = (*points, q)
+    witness = PointSet._trusted(n, best_witness) if best_witness is not None else None
     return GapScanResult(n, k, size, best_gap, witness, weak_count)
+
+
+def _random_weak_antichain(
+    n: int, k: int, size: int, seed: int, max_tries: int | None, table_cap: int
+) -> PointSet:
+    """:func:`random_weak_antichain` with the mask-table cap as an argument."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    capacity = k**n - (k - 1) ** n
+    if not 0 <= size <= capacity:
+        raise ValueError(f"size {size} outside 0..{capacity} for this box")
+    if max_tries is None:
+        max_tries = 400 * (size + 1)
+    rng = random.Random(seed)
+    # the table holds 2*n*k masks of k**n bits
+    axes = _axis_masks(n, k) if 2 * n * k ** (n + 1) <= table_cap else None
+    blocked = 0  # bitset path: cells taken or strongly comparable to one
+    have: set[Point] = set()  # pairwise path
+    chosen: list[Point] = []
+    tries = 0
+    while len(chosen) < size:
+        if tries >= max_tries:
+            raise TargetUnreachableError(
+                f"size {size} not reached within {max_tries} samples (seed {seed})"
+            )
+        tries += 1
+        cand = tuple(rng.randrange(k) for _ in range(n))
+        if axes is not None:
+            idx = 0
+            for c in cand:
+                idx = idx * k + c
+            if blocked >> idx & 1:
+                continue
+            blocked |= _strong_mask(cand, axes) | 1 << idx
+        else:
+            if cand in have or any(
+                all(map(lt, p, cand)) or all(map(lt, cand, p)) for p in chosen
+            ):
+                continue
+            have.add(cand)
+        chosen.append(cand)
+    return PointSet._trusted(n, chosen)
 
 
 def random_weak_antichain(
@@ -215,37 +335,11 @@ def random_weak_antichain(
     Candidates are drawn uniformly from the box and kept whenever they are
     not strongly comparable with any accepted point.  Deterministic for a
     given seed.  The size cannot exceed k^n - (k-1)^n, the box's maximum
-    weak antichain size.
+    weak antichain size.  Unless the box is too large for its mask table
+    (``_TABLE_CAP``), the cells ruled out so far are kept as a bitset, so a
+    candidate costs one bit test.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    capacity = k**n - (k - 1) ** n
-    if not 0 <= size <= capacity:
-        raise ValueError(f"size {size} outside 0..{capacity} for this box")
-    if max_tries is None:
-        max_tries = 400 * (size + 1)
-    rng = random.Random(seed)
-    chosen: list[Point] = []
-    have: set[Point] = set()
-    tries = 0
-    while len(chosen) < size:
-        if tries >= max_tries:
-            raise TargetUnreachableError(
-                f"size {size} not reached within {max_tries} samples (seed {seed})"
-            )
-        tries += 1
-        cand = tuple(rng.randrange(k) for _ in range(n))
-        if cand in have:
-            continue
-        ok = True
-        for p in chosen:
-            if all(a < b for a, b in zip(p, cand)) or all(b < a for a, b in zip(p, cand)):
-                ok = False
-                break
-        if ok:
-            chosen.append(cand)
-            have.add(cand)
-    return PointSet(n, chosen)
+    return _random_weak_antichain(n, k, size, seed, max_tries, _TABLE_CAP)
 
 
 def random_gap_scan(n: int, k: int, size: int, samples: int, seed: int = 0) -> GapScanResult:

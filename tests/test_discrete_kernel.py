@@ -1,0 +1,248 @@
+"""Differential tests: the bitset kernel against the pairwise code it replaced.
+
+The oracles below are the earlier implementations of the sampler, the
+strong-pair check and the exhaustive gap scan, kept verbatim apart from
+their names.  The kernel must reproduce their results exactly: the same
+sampled sets for the same seeds, the same retry failures, and the same
+minimum gap, witness and weak count for every scanned box.
+"""
+
+import math
+import random
+from itertools import combinations, product
+
+import pytest
+
+from antichains import (
+    BudgetExceededError,
+    PointSet,
+    TargetUnreachableError,
+    exhaustive_gap_scan,
+    greedy_partition,
+    random_weak_antichain,
+)
+from antichains import partition
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _oracle_find_strong_pair(pts):
+    for x, y in combinations(pts, 2):
+        if all(a < b for a, b in zip(x, y)):
+            return x, y
+        if all(b < a for a, b in zip(x, y)):
+            return y, x
+    return None
+
+
+def _oracle_random_weak_antichain(n, k, size, seed=0, max_tries=None):
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    capacity = k**n - (k - 1) ** n
+    if not 0 <= size <= capacity:
+        raise ValueError(f"size {size} outside 0..{capacity} for this box")
+    if max_tries is None:
+        max_tries = 400 * (size + 1)
+    rng = random.Random(seed)
+    chosen = []
+    have = set()
+    tries = 0
+    while len(chosen) < size:
+        if tries >= max_tries:
+            raise TargetUnreachableError(
+                f"size {size} not reached within {max_tries} samples (seed {seed})"
+            )
+        tries += 1
+        cand = tuple(rng.randrange(k) for _ in range(n))
+        if cand in have:
+            continue
+        ok = True
+        for p in chosen:
+            if all(a < b for a, b in zip(p, cand)) or all(b < a for a, b in zip(p, cand)):
+                ok = False
+                break
+        if ok:
+            chosen.append(cand)
+            have.add(cand)
+    return PointSet(n, chosen)
+
+
+def _oracle_gap_of(subset, n):
+    if n == 1:
+        return (1 if subset else 0) - len(subset)
+    total = 0
+    for i in range(n):
+        total += len({p[:i] + p[i + 1 :] for p in subset})
+    return total - len(subset)
+
+
+def _oracle_exhaustive_gap_scan(n, k, size):
+    pool = tuple(product(range(k), repeat=n))
+    best_gap = None
+    best_witness = None
+    weak_count = 0
+    for subset in combinations(pool, size):
+        if _oracle_find_strong_pair(subset) is not None:
+            continue
+        weak_count += 1
+        g = _oracle_gap_of(subset, n)
+        if best_gap is None or g < best_gap:
+            best_gap = g
+            best_witness = subset
+    witness = PointSet(n, best_witness) if best_witness is not None else None
+    return best_gap, witness, weak_count
+
+
+def _outcome(fn, *args):
+    """A sampler's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (TargetUnreachableError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+BOXES = [(n, k) for n in range(1, 5) for k in range(1, 9)]
+
+# ---------------------------------------------------------------------------
+# sampler
+
+
+def _sampler_sizes(n, k):
+    """Every feasible size in small boxes; the criterion-2 range 0..16 in large ones."""
+    capacity = k**n - (k - 1) ** n
+    return range(min(capacity, 16) + 1)
+
+
+@pytest.mark.parametrize("n,k", BOXES)
+def test_sampler_matches_oracle(n, k):
+    for size in _sampler_sizes(n, k):
+        for seed in range(200):
+            expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
+            assert _outcome(random_weak_antichain, n, k, size, seed) == expected, (size, seed)
+
+
+@pytest.mark.parametrize("n,k", [(1, 6), (2, 3), (2, 8), (3, 5), (4, 8)])
+def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k):
+    # the bitset path runs under any cap the box fits, the pairwise path under cap 0
+    fits = 2 * n * k ** (n + 1)
+    assert fits <= partition._TABLE_CAP
+    for size in _sampler_sizes(n, k):
+        for seed in range(50):
+            expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
+            for cap in (fits, fits - 1, 0):
+                got = _outcome(partition._random_weak_antichain, n, k, size, seed, None, cap)
+                assert got == expected, (size, seed, cap)
+
+
+def test_sampler_above_the_table_cap_uses_no_masks():
+    partition._axis_masks.cache_clear()
+    n, k = 2, 1_000_000
+    assert 2 * n * k ** (n + 1) > partition._TABLE_CAP
+    for seed in range(20):
+        assert random_weak_antichain(n, k, 12, seed) == _oracle_random_weak_antichain(
+            n, k, 12, seed
+        )
+    assert partition._axis_masks.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 8)])
+def test_sampler_retry_failures_match_oracle(n, k):
+    capacity = k**n - (k - 1) ** n
+    for size in range(min(capacity, 12) + 1):
+        for max_tries in (0, 1, size, size + 2, 2 * size + 1):
+            for seed in range(60):
+                args = (n, k, size, seed, max_tries)
+                expected = _outcome(_oracle_random_weak_antichain, *args)
+                assert _outcome(random_weak_antichain, *args) == expected, args
+
+
+def test_sampler_rejects_bad_boxes_like_oracle():
+    for args in [(0, 3, 0), (2, 0, 0), (2, 2, 4), (1, 5, 2), (2, 3, -1)]:
+        assert _outcome(random_weak_antichain, *args) == _outcome(
+            _oracle_random_weak_antichain, *args
+        )
+
+
+# ---------------------------------------------------------------------------
+# bitset primitive and strong-pair check
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3), (4, 2), (3, 5)])
+def test_strong_mask_matches_definition(n, k):
+    pool = partition.box_points(n, k)
+    axes = partition._axis_masks(n, k)
+    for p in pool:
+        expected = sum(
+            1 << j
+            for j, q in enumerate(pool)
+            if all(a < b for a, b in zip(p, q)) or all(b < a for a, b in zip(p, q))
+        )
+        assert partition._strong_mask(p, axes) == expected, p
+
+
+def test_find_strong_pair_matches_oracle_on_sorted_input():
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        pts = sorted({tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(0, 7))})
+        assert partition._find_strong_pair(pts) == _oracle_find_strong_pair(pts), pts
+
+
+def test_greedy_partition_still_screens_its_input():
+    # the screen runs on library-built sets too, since it is a correctness check
+    A = random_weak_antichain(3, 4, 6, seed=3)
+    bad = PointSet(3, [*A, (9, 9, 9)])
+    with pytest.raises(partition.NotWeakAntichainError) as err:
+        greedy_partition(bad)
+    assert (err.value.lower, err.value.upper) == _oracle_find_strong_pair(bad.points)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive gap scan
+
+
+def _scan_cases(oracle: bool):
+    # every scan within 50k subsets; the oracle runs up to one past the
+    # capacity k^n - (k-1)^n, above which no weak antichain exists and its
+    # answer is (None, None, 0) at the price of C(k^n, size) strong-pair checks
+    for n in range(1, 5):
+        for k in range(1, 6):
+            cells = k**n
+            capacity = cells - (k - 1) ** n
+            for size in range(cells + 2):
+                if math.comb(cells, size) <= 50_000 and (size <= capacity + 1) == oracle:
+                    yield n, k, size
+
+
+@pytest.mark.parametrize("n,k,size", list(_scan_cases(oracle=True)))
+def test_gap_scan_matches_oracle(n, k, size):
+    res = exhaustive_gap_scan(n, k, size)
+    assert (res.n, res.k, res.size) == (n, k, size)
+    assert (res.min_gap, res.witness, res.weak_count) == _oracle_exhaustive_gap_scan(n, k, size)
+
+
+def test_gap_scan_above_capacity_finds_nothing():
+    cases = list(_scan_cases(oracle=False))
+    assert len(cases) > 10
+    for n, k, size in cases:
+        res = exhaustive_gap_scan(n, k, size)
+        assert (res.min_gap, res.witness, res.weak_count) == (None, None, 0), (n, k, size)
+
+
+def test_gap_scan_edge_cases():
+    empty = exhaustive_gap_scan(3, 4, 0)
+    assert (empty.min_gap, empty.witness, empty.weak_count) == (0, PointSet(3), 1)
+    over = exhaustive_gap_scan(2, 2, 5)
+    assert (over.min_gap, over.witness, over.weak_count) == (None, None, 0)
+    line = exhaustive_gap_scan(1, 7, 2)
+    assert (line.min_gap, line.witness, line.weak_count) == (None, None, 0)
+    point = exhaustive_gap_scan(4, 1, 1)
+    assert (point.min_gap, point.witness, point.weak_count) == (3, PointSet(4, [(0,) * 4]), 1)
+
+
+def test_gap_scan_budget_still_counts_all_subsets():
+    # C(27, 4) = 17550: one under the count fails, the count itself passes
+    with pytest.raises(BudgetExceededError, match="17550 subsets of size 4 exceed budget 17549"):
+        exhaustive_gap_scan(3, 3, 4, budget=17549)
+    assert exhaustive_gap_scan(3, 3, 4, budget=17550).weak_count == 11660

@@ -168,6 +168,13 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(2, [(0.5, 1)])
 
+    def test_rejects_bool_coordinates(self):
+        # bools are ints to Python, but "True,0" would not parse back
+        for p in [(True, 0), (0, False)]:
+            with pytest.raises(ValueError, match="non-integer"):
+                PointSet(2, [p])
+        assert format_point_set(PointSet(2, [(1, 0)])) == "dim=2\n1,0\n"
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             PointSet(0)
