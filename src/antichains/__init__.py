@@ -7,7 +7,7 @@ covering bounds, surface and projection measures of order-reversing graphs,
 the shear map, skewed projections in the plane, and the singular staircase.
 """
 
-from .estimate import CLOSED_FORM, COVERING, QUADRATURE, MeasureEstimate
+from .estimate import CLOSED_FORM, COVERING, QUADRATURE, MeasureEstimate, NonFiniteError
 from .extremal import (
     GridPoset,
     WidthResult,

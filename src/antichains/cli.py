@@ -10,11 +10,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from .estimate import MeasureEstimate
+from .estimate import MeasureEstimate, NonFiniteError
 from .extremal import GridPoset, layer_construct, layer_size, max_antichain, middle_layer_index, wn_construct
 from .gridcover import covering_bound, grid_cover
 from .lattice import Order, PointSet, classify, load_point_set
@@ -69,8 +70,9 @@ def _parse_float_list(text: str) -> list[float]:
 def _surface_from_args(args) -> object:
     """Build a surface from --surface: a family name plus flags, or a descriptor path.
 
-    Invalid inline parameters are usage errors; a broken descriptor file is
-    a data problem and surfaces as an operation error instead.
+    Invalid inline parameters are usage errors, except non-finite numbers,
+    which the family rejects as an operation error; a broken descriptor
+    file is a data problem and surfaces as an operation error too.
     """
     name = args.surface
     try:
@@ -115,6 +117,8 @@ def _surface_from_args(args) -> object:
             if args.depth is None:
                 raise UsageError("staircase needs --depth")
             return SingularStaircase(depth=args.depth)
+    except NonFiniteError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     # otherwise treat as a descriptor file path
@@ -145,7 +149,7 @@ def _emit(args, payload, rows=None, header=None) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -429,6 +433,8 @@ def _cmd_p_sweep(args):
     for p in ps:
         try:
             sphere = LpSphere(n=args.n, p=p)
+        except NonFiniteError:
+            raise
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         est = surface_measure(sphere, args.tol)
@@ -588,8 +594,8 @@ def _validate_preconditions(args) -> None:
     """Range checks before dispatch, so bad parameters are usage errors."""
     if getattr(args, "threads", 1) < 1:
         raise UsageError("--threads must be >= 1")
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
     if args.command == "slab" and not 0 <= args.c <= args.n:
         raise UsageError(f"--c must lie in [0, {args.n}]")
     if args.command == "shear":

@@ -1,14 +1,25 @@
 """Numeric measure estimates tagged with how they were produced."""
 
+import math
 from dataclasses import dataclass
 
-__all__ = ["MeasureEstimate", "CLOSED_FORM", "QUADRATURE", "COVERING"]
+__all__ = ["MeasureEstimate", "NonFiniteError", "CLOSED_FORM", "QUADRATURE", "COVERING"]
 
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 COVERING = "covering"
 
 _METHODS = (CLOSED_FORM, QUADRATURE, COVERING)
+
+
+class NonFiniteError(ValueError):
+    """A parameter or a computed value is NaN or infinite."""
+
+
+def require_finite(name: str, *values: float) -> None:
+    """Raise NonFiniteError unless every value is a finite number."""
+    if not all(math.isfinite(v) for v in values):
+        raise NonFiniteError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -27,6 +38,7 @@ class MeasureEstimate:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        require_finite("measure estimates", self.value, self.error_bound)
         if self.value < 0:
             raise ValueError("measure values are non-negative")
         if self.error_bound < 0:

@@ -6,6 +6,11 @@ target can be an explicit point list, one of the analytic surface families,
 or an arbitrary membership predicate sampled on a per-cell grid.  Covers of
 the analytic families are exact; predicate covers under-approximate and
 are flagged as such.
+
+Every analytic family is the graph of a function of the first n-1
+coordinates, so its cover visits each of the m^(n-1) base cells once and
+walks that column of cells only where the graph passes, applying the
+family's exact per-cell test there.
 """
 
 import math
@@ -128,28 +133,84 @@ def _cell_indices(m: int, dim: int):
     return product(range(1, m + 1), repeat=dim)
 
 
-def _hyperplane_cells(s: Hyperplane, m: int):
+def _start_row(value: float, m: int) -> int:
+    """The row whose half-open value range holds ``value``, once clamped into [0, 1]."""
+    return int(min(max(value, 0.0), 1.0) * m) + 1
+
+
+def _walk_run(side, start: int, m: int) -> range:
+    """The rows j in 1..m with ``side(j) == 0``, found by walking from ``start``.
+
+    ``side`` must be non-decreasing in j: -1 for cells below the run, 0 on
+    it, +1 above it.  The start only decides where the walk begins, so a
+    poor one costs steps but never changes the run.
+    """
+    j = min(max(start, 1), m)
+    s = side(j)
+    while s < 0 and j < m:
+        j += 1
+        s = side(j)
+    while s > 0 and j > 1:
+        j -= 1
+        s = side(j)
+    if s:
+        return range(0)
+    lo = hi = j
+    while lo > 1 and side(lo - 1) == 0:
+        lo -= 1
+    while hi < m and side(hi + 1) == 0:
+        hi += 1
+    return range(lo, hi + 1)
+
+
+def _column_cells(rows, m: int, d_base: int):
+    """Cells of a graph over the base: each base cell's hit rows, from ``rows(base)``."""
+    for base in _cell_indices(m, d_base):
+        for j in rows(base):
+            yield (*base, j)
+
+
+def _hyperplane_rows(s: Hyperplane, m: int):
     # integer arithmetic keeps the half-open test exact: the cell meets the
     # slice iff sum(lower) <= n/2 and (n/2 < sum(upper) or the cell is the
     # closed top corner with equality, which cannot occur for n >= 2)
     n = s.n
-    for d in _cell_indices(m, n):
-        sd = sum(d)
-        if 2 * (sd - n) <= m * n < 2 * sd:
-            yield d
+    mn = m * n
+
+    def rows(base):
+        sb = sum(base)
+
+        def side(j):
+            sd = sb + j
+            if mn >= 2 * sd:
+                return -1
+            return 1 if 2 * (sd - n) > mn else 0
+
+        return _walk_run(side, (mn - 2 * sb) // 2 + 1, m)
+
+    return rows
 
 
-def _lpsphere_cells(s: LpSphere, m: int):
+def _lpsphere_rows(s: LpSphere, m: int):
     # the p-norm power sum is strictly increasing in every coordinate, so the
-    # sphere meets the half-open cell iff g(lower) <= 1 < g(upper)
-    n, p = s.n, s.p
-    for d in _cell_indices(m, n):
-        g_hi = sum((c / m) ** p for c in d)
-        if g_hi <= 1.0:
-            continue
-        g_lo = sum(((c - 1) / m) ** p for c in d)
-        if g_lo <= 1.0:
-            yield d
+    # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
+    # powers are tabulated once and summed in the cell's coordinate order
+    p = s.p
+    power = [(c / m) ** p for c in range(m + 1)]
+
+    def rows(base):
+        s_hi = sum(power[c] for c in base)
+        s_lo = sum(power[c - 1] for c in base)
+
+        def side(j):
+            if s_hi + power[j] <= 1.0:
+                return -1
+            return 1 if s_lo + power[j - 1] > 1.0 else 0
+
+        start = _start_row((1.0 - s_hi) ** (1.0 / p), m) if s_hi < 1.0 else 1
+        return _walk_run(side, start, m)
+
+    return rows
 
 
 def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> bool:
@@ -165,78 +226,95 @@ def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> boo
     return in_first and in_second
 
 
-def _linear_cells(s: LinearGraph, m: int):
-    grad = s.gradient
-    d_base = len(grad)
-    for d in _cell_indices(m, d_base + 1):
-        base_idx, j = d[:-1], d[-1]
-        val_lo = (j - 1) / m
-        val_hi = j / m
-        val_hi_closed = j == m
-        hit = False
+def _linear_box_values(s: LinearGraph, box, base, m: int):
+    """Graph values over the base cell's part inside ``box``, or None if it is empty.
+
+    The values form the interval from ``f_lo`` to ``f_hi``; the flags say
+    whether each end is attained, as the cell's upper faces are open.
+    """
+    f_lo = s.offset
+    f_hi = s.offset
+    lo_attained = True
+    hi_attained = True
+    for (box_lo, box_hi), di, c in zip(box, base, s.gradient):
+        cell_lo = (di - 1) / m
+        cell_hi = di / m
+        lo_x = max(cell_lo, box_lo)
+        hi_x = min(cell_hi, box_hi)
+        hi_x_closed = hi_x < cell_hi or di == m
+        if lo_x > hi_x or (lo_x == hi_x and not hi_x_closed):
+            return None
+        if c >= 0:
+            f_lo += c * lo_x
+            f_hi += c * hi_x
+            if c > 0:
+                hi_attained = hi_attained and hi_x_closed
+        else:
+            f_lo += c * hi_x
+            f_hi += c * lo_x
+            lo_attained = lo_attained and hi_x_closed
+    return f_lo, lo_attained, f_hi, hi_attained
+
+
+def _linear_rows(s: LinearGraph, m: int):
+    # over each base box the values attained on a base cell form one
+    # interval, so the rows meeting it are one run; the column is the union
+    # of the runs of the boxes that meet the base cell
+    def rows(base):
+        hit = set()
         for box in s.base:
-            f_lo = s.offset
-            f_hi = s.offset
-            lo_attained = True
-            hi_attained = True
-            empty = False
-            for (box_lo, box_hi), di, c in zip(box, base_idx, grad):
-                cell_lo = (di - 1) / m
-                cell_hi = di / m
-                lo_x = max(cell_lo, box_lo)
-                hi_x = min(cell_hi, box_hi)
-                hi_x_closed = hi_x < cell_hi or di == m
-                if lo_x > hi_x or (lo_x == hi_x and not hi_x_closed):
-                    empty = True
-                    break
-                if c >= 0:
-                    f_lo += c * lo_x
-                    f_hi += c * hi_x
-                    if c > 0:
-                        hi_attained = hi_attained and hi_x_closed
-                else:
-                    f_lo += c * hi_x
-                    f_hi += c * lo_x
-                    lo_attained = lo_attained and hi_x_closed
-            if empty:
+            values = _linear_box_values(s, box, base, m)
+            if values is None:
                 continue
-            if _interval_overlap(
-                f_lo, lo_attained, f_hi, hi_attained, val_lo, True, val_hi, val_hi_closed
-            ):
-                hit = True
-                break
-        if hit:
-            yield d
+            f_lo, lo_attained, f_hi, hi_attained = values
+
+            def side(j):
+                val_hi = j / m
+                if _interval_overlap(
+                    f_lo, lo_attained, f_hi, hi_attained, (j - 1) / m, True, val_hi, j == m
+                ):
+                    return 0
+                return -1 if val_hi <= f_lo else 1
+
+            hit.update(_walk_run(side, _start_row(f_lo, m), m))
+        return hit
+
+    return rows
 
 
-def _tabulated_cells(s: TabulatedMonotone, m: int):
+def _tabulated_rows(s: TabulatedMonotone, m: int):
     # the step extension is constant on the arrangement pieces cut by the
     # sample coordinates, and each piece's value appears at its lower
-    # corner, so the values attained on a cell are exactly the extension at
-    # the candidate corners below
-    d_base = s.dim - 1
-    axis_cuts = [sorted({pt[i] for pt, _ in s.samples}) for i in range(d_base)]
-    for d in _cell_indices(m, s.dim):
-        base_idx, j = d[:-1], d[-1]
-        val_lo = (j - 1) / m
-        positions = []
-        for i, di in enumerate(base_idx):
+    # corner, so the values attained on a base cell are exactly the
+    # extension at the candidate corners below; each value lies in one row
+    positions = []
+    for i in range(s.dim - 1):
+        cuts = sorted({pt[i] for pt, _ in s.samples})
+        per_cell = [None]
+        for di in range(1, m + 1):
             cell_lo = (di - 1) / m
             cell_hi = di / m
             closed_top = di == m
-            pos = [cell_lo]
-            for cut in axis_cuts[i]:
-                if cell_lo < cut < cell_hi or (closed_top and cut == cell_hi):
-                    pos.append(cut)
-            positions.append(pos)
-        hit = False
-        for corner in product(*positions):
-            v = monotone_extension(s, corner)
-            if v >= val_lo and (v < j / m or (j == m and v <= 1.0)):
-                hit = True
-                break
-        if hit:
-            yield d
+            per_cell.append(
+                [cell_lo]
+                + [c for c in cuts if cell_lo < c < cell_hi or (closed_top and c == cell_hi)]
+            )
+        positions.append(per_cell)
+
+    def rows(base):
+        hit = set()
+        corners = product(*(pos[di] for pos, di in zip(positions, base)))
+        for v in {monotone_extension(s, corner) for corner in corners}:
+
+            def side(j):
+                if v >= (j - 1) / m and (v < j / m or (j == m and v <= 1.0)):
+                    return 0
+                return -1 if v >= j / m else 1
+
+            hit.update(_walk_run(side, _start_row(v, m), m))
+        return hit
+
+    return rows
 
 
 def _segment_hits_cell(p, q, d, m: int) -> bool:
@@ -275,12 +353,17 @@ def _segment_hits_cell(p, q, d, m: int) -> bool:
 
 def _staircase_cells(s: SingularStaircase, m: int):
     verts = staircase_polyline(s.depth)
+    idx = [cube_index(v, m) for v in verts]
     hits: set[tuple[int, int]] = set()
-    for p, q in zip(verts, verts[1:]):
-        i_lo, i_hi = sorted((cube_index((p[0],), m)[0], cube_index((q[0],), m)[0]))
-        j_lo, j_hi = sorted((cube_index((p[1],), m)[0], cube_index((q[1],), m)[0]))
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
+    for p, q, a, b in zip(verts, verts[1:], idx, idx[1:]):
+        if a == b:
+            # most segments of a deep staircase lie inside one cell
+            if a not in hits and _segment_hits_cell(p, q, a, m):
+                hits.add(a)
+            continue
+        (pi, pj), (qi, qj) = a, b
+        for i in range(min(pi, qi), max(pi, qi) + 1):
+            for j in range(min(pj, qj), max(pj, qj) + 1):
                 d = (i, j)
                 if d not in hits and _segment_hits_cell(p, q, d, m):
                     hits.add(d)
@@ -290,8 +373,11 @@ def _staircase_cells(s: SingularStaircase, m: int):
 def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     """The set of grid cells meeting the target at resolution m.
 
-    Point clouds index directly; the analytic families run an exact
-    per-cell intersection test; predicates are sampled and flagged inexact.
+    Point clouds index directly; the analytic families walk the column of
+    cells over each base cell with an exact per-cell intersection test;
+    predicates are sampled and flagged inexact.  ``budget`` bounds the m^n
+    cells of the grid on every route, although a column walk tests far
+    fewer.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -316,19 +402,19 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     dim = surface_dim(target)
     if m**dim > budget:
         raise BudgetExceededError(f"{m**dim} cells exceed budget {budget}")
+    if isinstance(target, SingularStaircase):
+        return GridCover(m, dim, frozenset(_staircase_cells(target, m)))
     if isinstance(target, Hyperplane):
-        cells = _hyperplane_cells(target, m)
+        rows = _hyperplane_rows(target, m)
     elif isinstance(target, LpSphere):
-        cells = _lpsphere_cells(target, m)
+        rows = _lpsphere_rows(target, m)
     elif isinstance(target, LinearGraph):
-        cells = _linear_cells(target, m)
+        rows = _linear_rows(target, m)
     elif isinstance(target, TabulatedMonotone):
-        cells = _tabulated_cells(target, m)
-    elif isinstance(target, SingularStaircase):
-        cells = _staircase_cells(target, m)
+        rows = _tabulated_rows(target, m)
     else:
         raise TypeError(f"cannot cover {target!r}")
-    return GridCover(m, dim, frozenset(cells))
+    return GridCover(m, dim, frozenset(_column_cells(rows, m, dim - 1)))
 
 
 def covering_bound(cover: GridCover, s: int | None = None) -> MeasureEstimate:

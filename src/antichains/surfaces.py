@@ -11,7 +11,7 @@ measure, its projection measures, and enough analytic structure for the
 import math
 from dataclasses import dataclass
 
-from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate
+from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite
 from .quadrature import INSIDE, OUTSIDE, STRADDLE, integrate_adaptive
 
 __all__ = [
@@ -63,6 +63,7 @@ class LpSphere:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("sphere surface needs n >= 2")
+        require_finite("p", self.p)
         if self.p < 1:
             raise ValueError("p must be >= 1")
 
@@ -83,6 +84,8 @@ class LinearGraph:
     def __post_init__(self):
         if not self.gradient:
             raise ValueError("gradient must have at least one component")
+        require_finite("gradient components", *self.gradient)
+        require_finite("offset", self.offset)
         d = len(self.gradient)
         if self.base is None:
             object.__setattr__(self, "base", (((0.0, 1.0),) * d,))

@@ -216,6 +216,8 @@ def test_usage_errors_exit_64(points_file, capsys):
     assert main([]) == 64
     assert main(["measure", "--surface", "hyperplane"]) == 64  # missing --n
     assert main(["measure", "--surface", "lpsphere", "--n", "2", "--p", "0.5"]) == 64
+    assert main(["verify", "--surface", "hyperplane", "--n", "2", "--tol", "nan"]) == 64
+    assert main(["measure", "--surface", "hyperplane", "--n", "2", "--tol", "inf"]) == 64
     assert main(["shear", "--points", points_file(AB), "--epsilon", "0.4"]) == 64
     capsys.readouterr()
 
@@ -231,6 +233,33 @@ def test_operation_errors_exit_1(points_file, capsys):
     assert main(["gap", "--points", "/nonexistent/path.txt"]) == 1
     assert main(["width", "--n", "6", "--m", "6", "--budget", "100"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--surface", "linear", "--gradient=-0.5,nan", "--offset", "0.9", "--m", "4"],
+        ["verify", "--surface", "linear", "--gradient", "inf", "--offset", "0.5"],
+        ["measure", "--surface", "linear", "--gradient", "nan"],
+        ["measure", "--surface", "lpsphere", "--n", "2", "--p", "nan"],
+        ["verify", "--surface", "linear", "--gradient=-0.5", "--offset", "inf"],
+        ["p-sweep", "--p-list", "2,inf", "--format", "json"],
+    ],
+)
+def test_non_finite_inputs_are_operation_errors(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "NaN" not in out and "Infinity" not in out
+
+
+def test_non_finite_descriptor_is_operation_error(tmp_path, capsys):
+    desc = tmp_path / "nan.txt"
+    desc.write_text("family=linear\ngradient=-0.5,nan\noffset=0.9\n")
+    assert main(["cover", "--surface", str(desc), "--m", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_byte_identical_outputs(tmp_path, capsys):

@@ -1,0 +1,262 @@
+"""Differential tests: the column-walk grid covers against the per-cell code they replaced.
+
+The oracles below are the earlier cell routines, which test every one of
+the m^n cells, kept verbatim apart from their names.  The column walks
+visit each base cell once and must give exactly the same cell sets.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from antichains import (
+    BudgetExceededError,
+    Hyperplane,
+    LinearGraph,
+    LpSphere,
+    SingularStaircase,
+    TabulatedMonotone,
+    cube_index,
+    grid_cover,
+    monotone_extension,
+    staircase_polyline,
+    surface_dim,
+)
+from antichains.gridcover import _interval_overlap, _segment_hits_cell
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _cell_indices(m, dim):
+    return product(range(1, m + 1), repeat=dim)
+
+
+def _oracle_hyperplane_cells(s, m):
+    n = s.n
+    for d in _cell_indices(m, n):
+        sd = sum(d)
+        if 2 * (sd - n) <= m * n < 2 * sd:
+            yield d
+
+
+def _oracle_lpsphere_cells(s, m):
+    n, p = s.n, s.p
+    for d in _cell_indices(m, n):
+        g_hi = sum((c / m) ** p for c in d)
+        if g_hi <= 1.0:
+            continue
+        g_lo = sum(((c - 1) / m) ** p for c in d)
+        if g_lo <= 1.0:
+            yield d
+
+
+def _oracle_linear_cells(s, m):
+    grad = s.gradient
+    d_base = len(grad)
+    for d in _cell_indices(m, d_base + 1):
+        base_idx, j = d[:-1], d[-1]
+        val_lo = (j - 1) / m
+        val_hi = j / m
+        val_hi_closed = j == m
+        hit = False
+        for box in s.base:
+            f_lo = s.offset
+            f_hi = s.offset
+            lo_attained = True
+            hi_attained = True
+            empty = False
+            for (box_lo, box_hi), di, c in zip(box, base_idx, grad):
+                cell_lo = (di - 1) / m
+                cell_hi = di / m
+                lo_x = max(cell_lo, box_lo)
+                hi_x = min(cell_hi, box_hi)
+                hi_x_closed = hi_x < cell_hi or di == m
+                if lo_x > hi_x or (lo_x == hi_x and not hi_x_closed):
+                    empty = True
+                    break
+                if c >= 0:
+                    f_lo += c * lo_x
+                    f_hi += c * hi_x
+                    if c > 0:
+                        hi_attained = hi_attained and hi_x_closed
+                else:
+                    f_lo += c * hi_x
+                    f_hi += c * lo_x
+                    lo_attained = lo_attained and hi_x_closed
+            if empty:
+                continue
+            if _interval_overlap(
+                f_lo, lo_attained, f_hi, hi_attained, val_lo, True, val_hi, val_hi_closed
+            ):
+                hit = True
+                break
+        if hit:
+            yield d
+
+
+def _oracle_tabulated_cells(s, m):
+    d_base = s.dim - 1
+    axis_cuts = [sorted({pt[i] for pt, _ in s.samples}) for i in range(d_base)]
+    for d in _cell_indices(m, s.dim):
+        base_idx, j = d[:-1], d[-1]
+        val_lo = (j - 1) / m
+        positions = []
+        for i, di in enumerate(base_idx):
+            cell_lo = (di - 1) / m
+            cell_hi = di / m
+            closed_top = di == m
+            pos = [cell_lo]
+            for cut in axis_cuts[i]:
+                if cell_lo < cut < cell_hi or (closed_top and cut == cell_hi):
+                    pos.append(cut)
+            positions.append(pos)
+        hit = False
+        for corner in product(*positions):
+            v = monotone_extension(s, corner)
+            if v >= val_lo and (v < j / m or (j == m and v <= 1.0)):
+                hit = True
+                break
+        if hit:
+            yield d
+
+
+def _oracle_staircase_cells(s, m):
+    verts = staircase_polyline(s.depth)
+    hits = set()
+    for p, q in zip(verts, verts[1:]):
+        i_lo, i_hi = sorted((cube_index((p[0],), m)[0], cube_index((q[0],), m)[0]))
+        j_lo, j_hi = sorted((cube_index((p[1],), m)[0], cube_index((q[1],), m)[0]))
+        for i in range(i_lo, i_hi + 1):
+            for j in range(j_lo, j_hi + 1):
+                d = (i, j)
+                if d not in hits and _segment_hits_cell(p, q, d, m):
+                    hits.add(d)
+    return hits
+
+
+_ORACLES = {
+    Hyperplane: _oracle_hyperplane_cells,
+    LpSphere: _oracle_lpsphere_cells,
+    LinearGraph: _oracle_linear_cells,
+    TabulatedMonotone: _oracle_tabulated_cells,
+    SingularStaircase: _oracle_staircase_cells,
+}
+
+# ---------------------------------------------------------------------------
+# cases
+
+
+def _bench_table():
+    # the 4x4 order-reversing table the cover benchmark runs
+    return TabulatedMonotone(
+        3,
+        tuple(
+            ((i / 4, j / 4), round(max(0.0, 0.95 - (i + j) / 8), 6))
+            for i in range(4)
+            for j in range(4)
+        ),
+    )
+
+
+# sample cuts and values on the faces of every grid whose m is a multiple of 4
+_FACE_TABLE = TabulatedMonotone(
+    3,
+    (
+        ((0.0, 0.0), 0.75),
+        ((0.5, 0.0), 0.5),
+        ((0.0, 0.5), 0.5),
+        ((0.25, 0.75), 0.25),
+        ((0.5, 0.5), 0.25),
+        ((1.0, 1.0), 0.0),
+    ),
+)
+
+CASES = [
+    *(Hyperplane(n) for n in (2, 3, 4)),
+    LpSphere(2, 1),
+    LpSphere(3, 2),
+    LpSphere(3, 7.5),
+    LpSphere(4, 3),
+    # negative, zero and positive gradient components; the graph leaves the
+    # cube on part of the base
+    LinearGraph((-0.5, -0.3), offset=0.9),
+    LinearGraph((-0.5, 0.0), offset=0.6),
+    LinearGraph((0.4, -0.7), offset=0.5),
+    LinearGraph((1.5,), offset=-0.3),
+    LinearGraph((0.0,), offset=0.5),
+    LinearGraph((-2.0,), offset=1.5),
+    LinearGraph((-0.3, 0.2, -0.6), offset=0.7),
+    # two boxes whose faces lie on grid faces for even m
+    LinearGraph(
+        (-0.5, 0.25),
+        base=(((0.0, 0.5), (0.0, 0.25)), ((0.5, 1.0), (0.25, 0.75))),
+        offset=0.5,
+    ),
+    _bench_table(),
+    _FACE_TABLE,
+    TabulatedMonotone(2, (((0.25,), 0.5), ((0.5,), 0.25), ((0.75,), 0.0))),
+    *(SingularStaircase(depth) for depth in range(9)),
+]
+
+
+def _case_id(s):
+    if isinstance(s, TabulatedMonotone):
+        return f"TabulatedMonotone(dim={s.dim}, {len(s.samples)} samples)"
+    return repr(s)
+
+
+@pytest.mark.parametrize("surface", CASES, ids=_case_id)
+def test_cover_matches_oracle(surface):
+    oracle = _ORACLES[type(surface)]
+    top = 12 if surface_dim(surface) == 4 else 32
+    for m in range(1, top + 1):
+        cov = grid_cover(surface, m)
+        assert cov.exact
+        assert cov.indices == frozenset(oracle(surface, m)), m
+
+
+def _random_linear_graph(rng):
+    def coord():
+        # half of the box faces sit on the faces of small grids
+        return rng.choice((rng.random(), rng.randrange(13) / 12))
+
+    gradient = tuple(rng.choice((0.0, rng.uniform(-2.0, 2.0))) for _ in range(2))
+    if rng.random() < 0.5:
+        base = None
+    else:
+        cut = coord()
+        lo = tuple(sorted((coord(), coord())))
+        hi = tuple(sorted((coord(), coord())))
+        base = (((0.0, cut), lo), ((cut, 1.0), hi))
+    return LinearGraph(gradient, base=base, offset=rng.uniform(-0.5, 1.5))
+
+
+def test_random_surfaces_match_oracle():
+    rng = random.Random(7)
+    for _ in range(40):
+        surface = _random_linear_graph(rng)
+        for m in range(1, 13):
+            assert grid_cover(surface, m).indices == frozenset(
+                _oracle_linear_cells(surface, m)
+            ), (surface, m)
+    for _ in range(20):
+        surface = LpSphere(rng.choice((2, 3)), rng.uniform(1.0, 10.0))
+        for m in range(1, 17):
+            assert grid_cover(surface, m).indices == frozenset(
+                _oracle_lpsphere_cells(surface, m)
+            ), (surface, m)
+
+
+def test_antidiagonal_counts_up_to_200():
+    for m in range(1, 201):
+        assert len(grid_cover(Hyperplane(2), m)) == 2 * m - 1, m
+
+
+def test_budget_still_bounds_all_cells():
+    with pytest.raises(BudgetExceededError, match="^2097152 cells exceed budget 2000000$"):
+        grid_cover(LinearGraph((-0.5, -0.3), offset=0.9), 128)
+    assert len(grid_cover(Hyperplane(3), 8, budget=512)) > 0
+    with pytest.raises(BudgetExceededError, match="^512 cells exceed budget 511$"):
+        grid_cover(Hyperplane(3), 8, budget=511)

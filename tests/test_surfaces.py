@@ -9,6 +9,8 @@ from antichains import (
     Hyperplane,
     LinearGraph,
     LpSphere,
+    MeasureEstimate,
+    NonFiniteError,
     SingularStaircase,
     TabulatedMonotone,
     facet_union_measure,
@@ -143,6 +145,20 @@ def test_linear_graph_multi_box_base():
 def test_linear_graph_overlapping_base_rejected():
     with pytest.raises(ValueError):
         LinearGraph(gradient=(1.0,), base=(((0.0, 0.6),), ((0.5, 1.0),)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(NonFiniteError, match="gradient components must be finite"):
+        LinearGraph(gradient=(-0.5, bad), offset=0.9)
+    with pytest.raises(NonFiniteError, match="offset must be finite"):
+        LinearGraph(gradient=(-0.5,), offset=bad)
+    with pytest.raises(NonFiniteError, match="p must be finite"):
+        LpSphere(2, bad)
+    with pytest.raises(NonFiniteError):
+        MeasureEstimate(bad, "closed-form")
+    with pytest.raises(NonFiniteError):
+        MeasureEstimate(1.0, "quadrature", bad)
 
 
 def test_quarter_circle_arc_length():
