@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .estimate import MeasureEstimate, NonFiniteError
 from .extremal import GridPoset, layer_construct, layer_size, max_antichain, middle_layer_index, wn_construct
-from .gridcover import covering_bound, grid_cover
+from .gridcover import PointCloud, covering_bound, grid_cover
 from .lattice import Order, PointSet, classify, load_point_set
 from .partition import (
     exhaustive_gap_scan,
@@ -27,11 +27,10 @@ from .partition import (
 )
 from .shear import ShearParams, shear_points
 from .surfaces import (
-    Hyperplane,
-    LinearGraph,
+    _FAMILIES,
     LpSphere,
     SingularStaircase,
-    TabulatedMonotone,
+    _surface_from_fields,
     parse_surface_descriptor,
     projection_measure,
     skew_measures_2d,
@@ -70,63 +69,34 @@ def _parse_float_list(text: str) -> list[float]:
 def _surface_from_args(args) -> object:
     """Build a surface from --surface: a family name plus flags, or a descriptor path.
 
+    The surface flags are named after the descriptor keys, so an inline
+    surface becomes descriptor entries for the one descriptor parser.
     Invalid inline parameters are usage errors, except non-finite numbers,
     which the family rejects as an operation error; a broken descriptor
     file is a data problem and surfaces as an operation error too.
     """
     name = args.surface
+    family = _FAMILIES.get(name)
+    if family is None:
+        try:
+            with open(name, "r", encoding="utf-8") as fh:
+                return parse_surface_descriptor(fh.read())
+        except OSError as exc:
+            raise UsageError(f"cannot read surface descriptor {name!r}: {exc}") from exc
+    if any(getattr(args, key) in (None, "") for key in family._required):
+        raise UsageError(f"{name} needs " + " and ".join(f"--{k}" for k in family._required))
+    entries = [("family", name)]
+    for key in _SURFACE_FLAGS:
+        value = getattr(args, key)
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None:
+                entries.append((key, item if isinstance(item, str) else repr(item)))
     try:
-        if name == "hyperplane":
-            if args.n is None:
-                raise UsageError("hyperplane needs --n")
-            return Hyperplane(n=args.n)
-        if name == "lpsphere":
-            if args.n is None or args.p is None:
-                raise UsageError("lpsphere needs --n and --p")
-            return LpSphere(n=args.n, p=args.p)
-        if name == "linear":
-            if not args.gradient:
-                raise UsageError("linear needs --gradient")
-            gradient = tuple(_parse_float_list(args.gradient))
-            boxes = []
-            for spec in args.box or []:
-                box = []
-                for axis in spec.split(","):
-                    try:
-                        lo, hi = axis.split(":")
-                        box.append((float(lo), float(hi)))
-                    except ValueError:
-                        raise UsageError(f"bad box axis {axis!r}") from None
-                boxes.append(tuple(box))
-            return LinearGraph(
-                gradient=gradient, base=tuple(boxes) or None, offset=args.offset
-            )
-        if name == "tabulated":
-            if args.n is None or not args.sample:
-                raise UsageError("tabulated needs --n and at least one --sample")
-            samples = []
-            for spec in args.sample:
-                nums = _parse_float_list(spec)
-                if len(nums) != args.n:
-                    raise UsageError(
-                        f"sample {spec!r} needs {args.n - 1} coordinates and a value"
-                    )
-                samples.append((tuple(nums[:-1]), nums[-1]))
-            return TabulatedMonotone(dim=args.n, samples=tuple(samples))
-        if name == "staircase":
-            if args.depth is None:
-                raise UsageError("staircase needs --depth")
-            return SingularStaircase(depth=args.depth)
+        return _surface_from_fields(entries)
     except NonFiniteError:
         raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # otherwise treat as a descriptor file path
-    try:
-        with open(name, "r", encoding="utf-8") as fh:
-            return parse_surface_descriptor(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read surface descriptor {name!r}: {exc}") from exc
 
 
 def _estimate_json(est: MeasureEstimate) -> dict:
@@ -312,8 +282,6 @@ def _cover_target(args):
     if args.points:
         ps = load_point_set(args.points)
         k = max((max(p) for p in ps), default=0) + 1
-        from .gridcover import PointCloud
-
         return PointCloud(ps.dim, tuple(tuple(c / k for c in p) for p in ps))
     if args.surface:
         return _surface_from_args(args)
@@ -574,6 +542,10 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_p_sweep)
 
     return parser
+
+
+# the descriptor keys of the surface families, each given by the flag of its name
+_SURFACE_FLAGS = ("n", "p", "gradient", "offset", "box", "sample", "depth")
 
 
 def _surface_flags(p) -> None:

@@ -170,7 +170,7 @@ def _column_cells(rows, m: int, d_base: int):
             yield (*base, j)
 
 
-def _hyperplane_rows(s: Hyperplane, m: int):
+def _hyperplane_cells(s: Hyperplane, m: int):
     # integer arithmetic keeps the half-open test exact: the cell meets the
     # slice iff sum(lower) <= n/2 and (n/2 < sum(upper) or the cell is the
     # closed top corner with equality, which cannot occur for n >= 2)
@@ -188,10 +188,10 @@ def _hyperplane_rows(s: Hyperplane, m: int):
 
         return _walk_run(side, (mn - 2 * sb) // 2 + 1, m)
 
-    return rows
+    return _column_cells(rows, m, n - 1)
 
 
-def _lpsphere_rows(s: LpSphere, m: int):
+def _lpsphere_cells(s: LpSphere, m: int):
     # the p-norm power sum is strictly increasing in every coordinate, so the
     # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
     # powers are tabulated once and summed in the cell's coordinate order
@@ -210,7 +210,7 @@ def _lpsphere_rows(s: LpSphere, m: int):
         start = _start_row((1.0 - s_hi) ** (1.0 / p), m) if s_hi < 1.0 else 1
         return _walk_run(side, start, m)
 
-    return rows
+    return _column_cells(rows, m, s.n - 1)
 
 
 def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> bool:
@@ -256,7 +256,7 @@ def _linear_box_values(s: LinearGraph, box, base, m: int):
     return f_lo, lo_attained, f_hi, hi_attained
 
 
-def _linear_rows(s: LinearGraph, m: int):
+def _linear_cells(s: LinearGraph, m: int):
     # over each base box the values attained on a base cell form one
     # interval, so the rows meeting it are one run; the column is the union
     # of the runs of the boxes that meet the base cell
@@ -279,10 +279,10 @@ def _linear_rows(s: LinearGraph, m: int):
             hit.update(_walk_run(side, _start_row(f_lo, m), m))
         return hit
 
-    return rows
+    return _column_cells(rows, m, len(s.gradient))
 
 
-def _tabulated_rows(s: TabulatedMonotone, m: int):
+def _tabulated_cells(s: TabulatedMonotone, m: int):
     # the step extension is constant on the arrangement pieces cut by the
     # sample coordinates, and each piece's value appears at its lower
     # corner, so the values attained on a base cell are exactly the
@@ -314,7 +314,7 @@ def _tabulated_rows(s: TabulatedMonotone, m: int):
             hit.update(_walk_run(side, _start_row(v, m), m))
         return hit
 
-    return rows
+    return _column_cells(rows, m, s.dim - 1)
 
 
 def _segment_hits_cell(p, q, d, m: int) -> bool:
@@ -370,6 +370,15 @@ def _staircase_cells(s: SingularStaircase, m: int):
     return hits
 
 
+_FAMILY_CELLS = {
+    Hyperplane: _hyperplane_cells,
+    LpSphere: _lpsphere_cells,
+    LinearGraph: _linear_cells,
+    TabulatedMonotone: _tabulated_cells,
+    SingularStaircase: _staircase_cells,
+}
+
+
 def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     """The set of grid cells meeting the target at resolution m.
 
@@ -402,19 +411,7 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     dim = surface_dim(target)
     if m**dim > budget:
         raise BudgetExceededError(f"{m**dim} cells exceed budget {budget}")
-    if isinstance(target, SingularStaircase):
-        return GridCover(m, dim, frozenset(_staircase_cells(target, m)))
-    if isinstance(target, Hyperplane):
-        rows = _hyperplane_rows(target, m)
-    elif isinstance(target, LpSphere):
-        rows = _lpsphere_rows(target, m)
-    elif isinstance(target, LinearGraph):
-        rows = _linear_rows(target, m)
-    elif isinstance(target, TabulatedMonotone):
-        rows = _tabulated_rows(target, m)
-    else:
-        raise TypeError(f"cannot cover {target!r}")
-    return GridCover(m, dim, frozenset(_column_cells(rows, m, dim - 1)))
+    return GridCover(m, dim, frozenset(_FAMILY_CELLS[type(target)](target, m)))
 
 
 def covering_bound(cover: GridCover, s: int | None = None) -> MeasureEstimate:
@@ -435,16 +432,10 @@ def covering_bound(cover: GridCover, s: int | None = None) -> MeasureEstimate:
     return MeasureEstimate(value, COVERING, 0.0, upper_bound_only=True)
 
 
-def _target_dim(target) -> int:
-    if isinstance(target, (PointCloud, PredicateRegion)):
-        return target.dim
-    return surface_dim(target)
-
-
 def volume_ratio_curve(target, m_list: Sequence[int]) -> list[float]:
     """Covered-cell fraction |G_m| / m^n per resolution; tends to the volume for closed sets."""
-    dim = _target_dim(target)
-    return [len(grid_cover(target, m)) / m**dim for m in m_list]
+    covers = (grid_cover(target, m) for m in m_list)
+    return [len(c) / c.m**c.dim for c in covers]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ measure, its projection measures, and enough analytic structure for the
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import get_args
 
 from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite
 from .quadrature import INSIDE, OUTSIDE, STRADDLE, integrate_adaptive
@@ -42,21 +44,92 @@ __all__ = [
 Boxes = tuple[tuple[tuple[float, float], ...], ...]
 
 
+def _numbers(text: str) -> list[float]:
+    """A comma-separated number list; empty items are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"bad number list {text!r}") from None
+
+
+def _box(text: str) -> tuple[tuple[float, float], ...]:
+    """A base box written as lo:hi per axis, comma separated."""
+    box = []
+    for axis in text.split(","):
+        try:
+            lo, hi = axis.split(":")
+            box.append((float(lo), float(hi)))
+        except ValueError:
+            raise ValueError(f"bad box axis {axis!r}") from None
+    return tuple(box)
+
+
+# Each family names its descriptor family and the keys its command-line
+# flags must give, and implements what the public functions delegate to:
+# _dim, _value, _measure, _quadrature, _projection, _fields, _from_fields.
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """The slice {x in [0,1]^n : x_1 + ... + x_n = n/2}."""
 
+    _family = "hyperplane"
+    _required = ("n",)
     n: int
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("hyperplane surface needs n >= 2")
 
+    def _dim(self) -> int:
+        return self.n
+
+    def _value(self, x) -> float:
+        return self.n / 2 - sum(x)
+
+    def _measure(self, tol: float) -> MeasureEstimate:
+        return MeasureEstimate(math.sqrt(self.n) * _hyperplane_base_measure(self.n), CLOSED_FORM)
+
+    def _quadrature(self, tol: float) -> MeasureEstimate:
+        """Direct graph-form quadrature of the diagonal slice, for cross-checking."""
+        n = self.n
+        d = n - 1
+        lo_b, hi_b = n / 2 - 1, n / 2
+        rt = math.sqrt(n)
+
+        def integrand(x):
+            ssum = sum(x)
+            return rt if lo_b <= ssum <= hi_b else 0.0
+
+        def classify(lo, hi):
+            if sum(lo) >= lo_b and sum(hi) <= hi_b:
+                return INSIDE
+            if sum(hi) < lo_b or sum(lo) > hi_b:
+                return OUTSIDE
+            return STRADDLE
+
+        box = tuple(((0.0, 1.0),) * d)
+        res = integrate_adaptive(integrand, box, tol, cell_classify=classify, sup_bound=rt)
+        return MeasureEstimate(res.value, QUADRATURE, res.error_bound)
+
+    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+        # all partial derivatives are -1, so every projection has the base measure
+        return MeasureEstimate(_hyperplane_base_measure(self.n), CLOSED_FORM)
+
+    def _fields(self) -> list[tuple[str, str]]:
+        return [("n", f"{self.n}")]
+
+    @classmethod
+    def _from_fields(cls, fields: dict, entries: list) -> "Hyperplane":
+        return cls(n=int(fields["n"]))
+
 
 @dataclass(frozen=True)
 class LpSphere:
     """The positive part {x in [0,1]^n : ||x||_p = 1} of an l^p sphere."""
 
+    _family = "lpsphere"
+    _required = ("n", "p")
     n: int
     p: float
 
@@ -66,6 +139,69 @@ class LpSphere:
         require_finite("p", self.p)
         if self.p < 1:
             raise ValueError("p must be >= 1")
+
+    def _dim(self) -> int:
+        return self.n
+
+    def _value(self, x) -> float:
+        rest = 1.0 - sum(c**self.p for c in x)
+        return rest ** (1.0 / self.p) if rest > 0 else 0.0
+
+    def _measure(self, tol: float) -> MeasureEstimate:
+        """Quadrature over the symmetric piece where the graph coordinate is largest.
+
+        The sphere splits into n congruent pieces by which coordinate is
+        maximal; on the graph piece the integrand stays below sqrt(n) and the
+        rim singularity never enters, so the integral converges cleanly.
+        """
+        n, p = self.n, self.p
+        d = n - 1
+
+        def integrand(x):
+            ssum = sum(c**p for c in x)
+            mx = max(x)
+            if ssum + mx**p > 1.0:
+                return 0.0
+            fval = (1.0 - ssum) ** (1.0 / p)
+            acc = 1.0
+            for c in x:
+                if c > 0.0:
+                    acc += (c / fval) ** (2.0 * (p - 1.0))
+            return math.sqrt(acc)
+
+        edge = 0.5 ** (1.0 / p)
+        if d == 1:
+            # the piece region is exactly [0, 2^(-1/p)]
+            res = integrate_adaptive(integrand, ((0.0, edge),), tol / n)
+        else:
+
+            def classify(lo, hi):
+                g_hi = sum(c**p for c in hi) + max(hi) ** p
+                if g_hi <= 1.0:
+                    return INSIDE
+                g_lo = sum(c**p for c in lo) + max(lo) ** p
+                if g_lo > 1.0:
+                    return OUTSIDE
+                return STRADDLE
+
+            box = tuple(((0.0, edge),) * d)
+            res = integrate_adaptive(
+                integrand, box, tol / n, cell_classify=classify, sup_bound=math.sqrt(n)
+            )
+        return MeasureEstimate(n * res.value, QUADRATURE, n * res.error_bound)
+
+    _quadrature = _measure
+
+    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+        # every projection fills the positive-orthant unit ball in n-1 dims
+        return MeasureEstimate(_orthant_ball_volume(self.n - 1, self.p), CLOSED_FORM)
+
+    def _fields(self) -> list[tuple[str, str]]:
+        return [("n", f"{self.n}"), ("p", repr(self.p))]
+
+    @classmethod
+    def _from_fields(cls, fields: dict, entries: list) -> "LpSphere":
+        return cls(n=int(fields["n"]), p=float(fields["p"]))
 
 
 @dataclass(frozen=True)
@@ -77,6 +213,8 @@ class LinearGraph:
     arbitrary gradient sign is allowed; the offset only positions the graph.
     """
 
+    _family = "linear"
+    _required = ("gradient",)
     gradient: tuple[float, ...]
     base: Boxes | None = None
     offset: float = 0.0
@@ -100,6 +238,40 @@ class LinearGraph:
                 if all(max(al, bl) < min(ah, bh) for (al, ah), (bl, bh) in zip(a, b)):
                     raise ValueError("base boxes overlap")
 
+    def _dim(self) -> int:
+        return len(self.gradient) + 1
+
+    def _value(self, x) -> float:
+        return self.offset + sum(c * v for c, v in zip(self.gradient, x))
+
+    def _base_volume(self) -> float:
+        return sum(math.prod(hi - lo for lo, hi in box) for box in self.base)
+
+    def _measure(self, tol: float) -> MeasureEstimate:
+        slope = math.sqrt(1.0 + sum(c * c for c in self.gradient))
+        return MeasureEstimate(slope * self._base_volume(), CLOSED_FORM)
+
+    def _quadrature(self, tol: float) -> MeasureEstimate:
+        return surface_measure(self, tol)
+
+    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+        weight = 1.0 if axis == self._dim() else abs(self.gradient[axis - 1])
+        return MeasureEstimate(weight * self._base_volume(), CLOSED_FORM)
+
+    def _fields(self) -> list[tuple[str, str]]:
+        return [
+            ("gradient", ",".join(repr(c) for c in self.gradient)),
+            ("offset", repr(self.offset)),
+            *(("box", ",".join(f"{lo!r}:{hi!r}" for lo, hi in box)) for box in self.base),
+        ]
+
+    @classmethod
+    def _from_fields(cls, fields: dict, entries: list) -> "LinearGraph":
+        gradient = tuple(_numbers(fields["gradient"]))
+        offset = float(fields.get("offset", "0"))
+        boxes = tuple(_box(value) for key, value in entries if key == "box")
+        return cls(gradient=gradient, base=boxes or None, offset=offset)
+
 
 @dataclass(frozen=True)
 class TabulatedMonotone:
@@ -110,6 +282,8 @@ class TabulatedMonotone:
     the samples and is order-reversing everywhere.
     """
 
+    _family = "tabulated"
+    _required = ("n", "sample")
     dim: int
     samples: tuple[tuple[tuple[float, ...], float], ...]
 
@@ -133,6 +307,42 @@ class TabulatedMonotone:
             if all(x <= y for x, y in zip(a, b)) and fa < fb:
                 raise ValueError(f"samples at {a} and {b} are not order-reversing")
 
+    def _dim(self) -> int:
+        return self.dim
+
+    def _value(self, x) -> float:
+        return monotone_extension(self, x)
+
+    def _measure(self, tol: float) -> MeasureEstimate:
+        # the step extension is flat off a null set, so the graph measures
+        # exactly as its base
+        return MeasureEstimate(1.0, CLOSED_FORM)
+
+    def _quadrature(self, tol: float) -> MeasureEstimate:
+        return surface_measure(self, tol)
+
+    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+        # step extension: base projections are null, the base itself is full
+        return MeasureEstimate(1.0 if axis == self.dim else 0.0, CLOSED_FORM)
+
+    def _fields(self) -> list[tuple[str, str]]:
+        return [
+            ("n", f"{self.dim}"),
+            *(("sample", ",".join(repr(c) for c in (*pt, val))) for pt, val in self.samples),
+        ]
+
+    @classmethod
+    def _from_fields(cls, fields: dict, entries: list) -> "TabulatedMonotone":
+        dim = int(fields["n"])
+        samples = []
+        for key, value in entries:
+            if key == "sample":
+                nums = _numbers(value)
+                if len(nums) != dim:
+                    raise ValueError(f"sample {value!r} needs {dim - 1} coordinates and a value")
+                samples.append((tuple(nums[:-1]), nums[-1]))
+        return cls(dim=dim, samples=tuple(samples))
+
 
 @dataclass(frozen=True)
 class SingularStaircase:
@@ -142,31 +352,72 @@ class SingularStaircase:
     carry the steep linear pieces.  Depth 0 is the plain anti-diagonal.
     """
 
+    _family = "staircase"
+    _required = ("depth",)
     depth: int
 
     def __post_init__(self):
         if not 0 <= self.depth <= 20:
             raise ValueError("depth must be in 0..20")
 
+    def _dim(self) -> int:
+        return 2
+
+    def _value(self, x) -> float:
+        verts = staircase_polyline(self.depth)
+        x = x[0]
+        if not 0.0 <= x <= 1.0:
+            raise ValueError("staircase argument outside [0,1]")
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if x0 <= x <= x1:
+                if x1 == x0:
+                    return min(y0, y1)
+                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return verts[-1][1]
+
+    def _measure(self, tol: float) -> MeasureEstimate:
+        return MeasureEstimate(_polyline_length(staircase_polyline(self.depth)), CLOSED_FORM)
+
+    def _quadrature(self, tol: float) -> MeasureEstimate:
+        raise TypeError(f"no quadrature route for {type(self).__name__}")
+
+    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+        # continuous and onto in both coordinates
+        return MeasureEstimate(1.0, CLOSED_FORM)
+
+    def _fields(self) -> list[tuple[str, str]]:
+        return [("depth", f"{self.depth}")]
+
+    @classmethod
+    def _from_fields(cls, fields: dict, entries: list) -> "SingularStaircase":
+        return cls(depth=int(fields["depth"]))
+
 
 Surface = Hyperplane | LpSphere | LinearGraph | TabulatedMonotone | SingularStaircase
 
+_FAMILIES = {cls._family: cls for cls in get_args(Surface)}
+
+
+def _surface(s) -> Surface:
+    """``s`` itself, once checked to be a surface of one of the families."""
+    if not isinstance(s, Surface):
+        raise TypeError(f"not a surface: {s!r}")
+    return s
+
 
 def surface_dim(s: Surface) -> int:
-    if isinstance(s, (Hyperplane, LpSphere)):
-        return s.n
-    if isinstance(s, LinearGraph):
-        return len(s.gradient) + 1
-    if isinstance(s, TabulatedMonotone):
-        return s.dim
-    if isinstance(s, SingularStaircase):
-        return 2
-    raise TypeError(f"not a surface: {s!r}")
+    return _surface(s)._dim()
 
 
 def default_tolerance(n: int) -> float:
     """Default absolute quadrature tolerance by ambient dimension."""
     return {2: 1e-6, 3: 1e-3}.get(n, 5e-2)
+
+
+def _tolerance(s: Surface, tol: float | None) -> float:
+    """``tol``, or the default for the dimension of ``s``, once ``s`` is checked to be a surface."""
+    n = surface_dim(s)
+    return default_tolerance(n) if tol is None else tol
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +468,13 @@ def _hyperplane_base_measure(n: int) -> float:
     return irwin_hall_cdf(n - 1, n / 2) - irwin_hall_cdf(n - 1, n / 2 - 1)
 
 
-def _linear_base_volume(s: LinearGraph) -> float:
-    return sum(math.prod(hi - lo for lo, hi in box) for box in s.base)
-
-
 # ---------------------------------------------------------------------------
 # staircase polyline
 
 
-def staircase_polyline(depth: int) -> list[tuple[float, float]]:
-    """Vertices of the decreasing depth-k staircase from (0,1) to (1,0)."""
-    if not 0 <= depth <= 20:
-        raise ValueError("depth must be in 0..20")
+@lru_cache(maxsize=1)
+def _staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
+    # one depth at a time: a depth-20 polyline holds about two million vertices
     steep = [(0.0, 0.0, 1.0, 1.0)]
     for _ in range(depth):
         nxt = []
@@ -243,7 +489,14 @@ def staircase_polyline(depth: int) -> list[tuple[float, float]]:
         if (x0, y0) != rising[-1]:
             rising.append((x0, y0))
         rising.append((x1, y1))
-    return [(x, 1.0 - y) for x, y in rising]
+    return tuple((x, 1.0 - y) for x, y in rising)
+
+
+def staircase_polyline(depth: int) -> list[tuple[float, float]]:
+    """Vertices of the decreasing depth-k staircase from (0,1) to (1,0)."""
+    if not 0 <= depth <= 20:
+        raise ValueError("depth must be in 0..20")
+    return list(_staircase_vertices(depth))
 
 
 def _polyline_length(vertices) -> float:
@@ -276,102 +529,11 @@ def monotone_extension(samples: TabulatedMonotone, x) -> float:
 
 def graph_value(s: Surface, x) -> float:
     """Value of the base-to-last-coordinate function of a graph-type surface."""
-    x = tuple(x)
-    if isinstance(s, Hyperplane):
-        return s.n / 2 - sum(x)
-    if isinstance(s, LpSphere):
-        rest = 1.0 - sum(c**s.p for c in x)
-        return rest ** (1.0 / s.p) if rest > 0 else 0.0
-    if isinstance(s, LinearGraph):
-        return s.offset + sum(c * v for c, v in zip(s.gradient, x))
-    if isinstance(s, TabulatedMonotone):
-        return monotone_extension(s, x)
-    if isinstance(s, SingularStaircase):
-        return _staircase_value(s, x[0])
-    raise TypeError(f"not a surface: {s!r}")
-
-
-def _staircase_value(s: SingularStaircase, x: float) -> float:
-    verts = staircase_polyline(s.depth)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("staircase argument outside [0,1]")
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        if x0 <= x <= x1:
-            if x1 == x0:
-                return min(y0, y1)
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    return verts[-1][1]
+    return _surface(s)._value(tuple(x))
 
 
 # ---------------------------------------------------------------------------
 # surface measures
-
-
-def _lpsphere_quadrature(s: LpSphere, tol: float) -> MeasureEstimate:
-    """Quadrature over the symmetric piece where the graph coordinate is largest.
-
-    The sphere splits into n congruent pieces by which coordinate is
-    maximal; on the graph piece the integrand stays below sqrt(n) and the
-    rim singularity never enters, so the integral converges cleanly.
-    """
-    n, p = s.n, s.p
-    d = n - 1
-
-    def integrand(x):
-        ssum = sum(c**p for c in x)
-        mx = max(x)
-        if ssum + mx**p > 1.0:
-            return 0.0
-        fval = (1.0 - ssum) ** (1.0 / p)
-        acc = 1.0
-        for c in x:
-            if c > 0.0:
-                acc += (c / fval) ** (2.0 * (p - 1.0))
-        return math.sqrt(acc)
-
-    edge = 0.5 ** (1.0 / p)
-    if d == 1:
-        # the piece region is exactly [0, 2^(-1/p)]
-        res = integrate_adaptive(integrand, ((0.0, edge),), tol / n)
-    else:
-
-        def classify(lo, hi):
-            g_hi = sum(c**p for c in hi) + max(hi) ** p
-            if g_hi <= 1.0:
-                return INSIDE
-            g_lo = sum(c**p for c in lo) + max(lo) ** p
-            if g_lo > 1.0:
-                return OUTSIDE
-            return STRADDLE
-
-        box = tuple(((0.0, edge),) * d)
-        res = integrate_adaptive(
-            integrand, box, tol / n, cell_classify=classify, sup_bound=math.sqrt(n)
-        )
-    return MeasureEstimate(n * res.value, QUADRATURE, n * res.error_bound)
-
-
-def _hyperplane_quadrature(s: Hyperplane, tol: float) -> MeasureEstimate:
-    """Direct graph-form quadrature of the diagonal slice, for cross-checking."""
-    n = s.n
-    d = n - 1
-    lo_b, hi_b = n / 2 - 1, n / 2
-    rt = math.sqrt(n)
-
-    def integrand(x):
-        ssum = sum(x)
-        return rt if lo_b <= ssum <= hi_b else 0.0
-
-    def classify(lo, hi):
-        if sum(lo) >= lo_b and sum(hi) <= hi_b:
-            return INSIDE
-        if sum(hi) < lo_b or sum(lo) > hi_b:
-            return OUTSIDE
-        return STRADDLE
-
-    box = tuple(((0.0, 1.0),) * d)
-    res = integrate_adaptive(integrand, box, tol, cell_classify=classify, sup_bound=rt)
-    return MeasureEstimate(res.value, QUADRATURE, res.error_bound)
 
 
 def surface_measure(s: Surface, tol: float | None = None) -> MeasureEstimate:
@@ -382,37 +544,14 @@ def surface_measure(s: Surface, tol: float | None = None) -> MeasureEstimate:
     quadrature estimate is the achieved one, which may exceed the requested
     tolerance when the budget runs out.
     """
-    n = surface_dim(s)
-    if tol is None:
-        tol = default_tolerance(n)
-    if isinstance(s, Hyperplane):
-        return MeasureEstimate(math.sqrt(n) * _hyperplane_base_measure(n), CLOSED_FORM)
-    if isinstance(s, LpSphere):
-        return _lpsphere_quadrature(s, tol)
-    if isinstance(s, LinearGraph):
-        slope = math.sqrt(1.0 + sum(c * c for c in s.gradient))
-        return MeasureEstimate(slope * _linear_base_volume(s), CLOSED_FORM)
-    if isinstance(s, TabulatedMonotone):
-        # the step extension is flat off a null set, so the graph measures
-        # exactly as its base
-        return MeasureEstimate(1.0, CLOSED_FORM)
-    if isinstance(s, SingularStaircase):
-        return MeasureEstimate(_polyline_length(staircase_polyline(s.depth)), CLOSED_FORM)
-    raise TypeError(f"not a surface: {s!r}")
+    tol = _tolerance(s, tol)
+    return s._measure(tol)
 
 
 def surface_measure_quadrature(s: Surface, tol: float | None = None) -> MeasureEstimate:
     """Force the quadrature route where one exists; used to cross-check closed forms."""
-    n = surface_dim(s)
-    if tol is None:
-        tol = default_tolerance(n)
-    if isinstance(s, Hyperplane):
-        return _hyperplane_quadrature(s, tol)
-    if isinstance(s, LpSphere):
-        return _lpsphere_quadrature(s, tol)
-    if isinstance(s, (LinearGraph, TabulatedMonotone)):
-        return surface_measure(s, tol)
-    raise TypeError(f"no quadrature route for {type(s).__name__}")
+    tol = _tolerance(s, tol)
+    return s._quadrature(tol)
 
 
 def projection_measure(s: Surface, axis: int, tol: float | None = None) -> MeasureEstimate:
@@ -425,26 +564,7 @@ def projection_measure(s: Surface, axis: int, tol: float | None = None) -> Measu
     n = surface_dim(s)
     if not 1 <= axis <= n:
         raise ValueError(f"axis {axis} out of range 1..{n}")
-    if tol is None:
-        tol = default_tolerance(n)
-    if isinstance(s, Hyperplane):
-        # all partial derivatives are -1, so every projection has the base measure
-        return MeasureEstimate(_hyperplane_base_measure(n), CLOSED_FORM)
-    if isinstance(s, LpSphere):
-        # every projection fills the positive-orthant unit ball in n-1 dims
-        return MeasureEstimate(_orthant_ball_volume(n - 1, s.p), CLOSED_FORM)
-    if isinstance(s, LinearGraph):
-        vol = _linear_base_volume(s)
-        if axis == n:
-            return MeasureEstimate(vol, CLOSED_FORM)
-        return MeasureEstimate(abs(s.gradient[axis - 1]) * vol, CLOSED_FORM)
-    if isinstance(s, TabulatedMonotone):
-        # step extension: base projections are null, the base itself is full
-        return MeasureEstimate(1.0 if axis == n else 0.0, CLOSED_FORM)
-    if isinstance(s, SingularStaircase):
-        # continuous and onto in both coordinates
-        return MeasureEstimate(1.0, CLOSED_FORM)
-    raise TypeError(f"not a surface: {s!r}")
+    return s._projection(axis, _tolerance(s, tol))
 
 
 @dataclass(frozen=True)
@@ -468,8 +588,7 @@ def verify_projection_inequality(s: Surface, tol: float | None = None) -> Inequa
     universal bound for weak antichains in the unit cube.
     """
     n = surface_dim(s)
-    if tol is None:
-        tol = default_tolerance(n)
+    tol = _tolerance(s, tol)
     left = surface_measure(s, tol)
     projections = tuple(projection_measure(s, i, tol) for i in range(1, n + 1))
     right_total = sum(p.value for p in projections)
@@ -585,35 +704,27 @@ def skew_measures_2d(s: Surface, tol: float | None = None) -> SkewReport:
 # descriptor files
 
 
-_FAMILY_NAMES = {
-    Hyperplane: "hyperplane",
-    LpSphere: "lpsphere",
-    LinearGraph: "linear",
-    TabulatedMonotone: "tabulated",
-    SingularStaircase: "staircase",
-}
-
-
 def format_surface_descriptor(s: Surface) -> str:
     """Serialise a surface to the key=value descriptor format."""
-    lines = [f"family={_FAMILY_NAMES[type(s)]}"]
-    if isinstance(s, Hyperplane):
-        lines.append(f"n={s.n}")
-    elif isinstance(s, LpSphere):
-        lines.append(f"n={s.n}")
-        lines.append(f"p={s.p!r}")
-    elif isinstance(s, LinearGraph):
-        lines.append("gradient=" + ",".join(repr(c) for c in s.gradient))
-        lines.append(f"offset={s.offset!r}")
-        for box in s.base:
-            lines.append("box=" + ",".join(f"{lo!r}:{hi!r}" for lo, hi in box))
-    elif isinstance(s, TabulatedMonotone):
-        lines.append(f"n={s.dim}")
-        for pt, val in s.samples:
-            lines.append("sample=" + ",".join(repr(c) for c in (*pt, val)))
-    elif isinstance(s, SingularStaircase):
-        lines.append(f"depth={s.depth}")
-    return "\n".join(lines) + "\n"
+    fields = [("family", _surface(s)._family), *s._fields()]
+    return "".join(f"{key}={value}\n" for key, value in fields)
+
+
+def _surface_from_fields(entries: list[tuple[str, str]]) -> Surface:
+    """Build a surface from descriptor (key, value) pairs; ``box`` and ``sample`` repeat.
+
+    Descriptor files and the inline command-line flags both come here.
+    """
+    fields = dict(entries)
+    family = fields.get("family")
+    if family is None:
+        raise ValueError("descriptor is missing the family line")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown surface family {family!r}")
+    try:
+        return _FAMILIES[family]._from_fields(fields, entries)
+    except KeyError as exc:
+        raise ValueError(f"descriptor is missing field {exc.args[0]!r}") from None
 
 
 def parse_surface_descriptor(text: str) -> Surface:
@@ -627,43 +738,4 @@ def parse_surface_descriptor(text: str) -> Surface:
             raise ValueError(f"bad descriptor line {line!r}")
         key, value = line.split("=", 1)
         entries.append((key.strip(), value.strip()))
-    fields = dict(entries)
-    family = fields.get("family")
-    if family is None:
-        raise ValueError("descriptor is missing the family line")
-    try:
-        if family == "hyperplane":
-            return Hyperplane(n=int(fields["n"]))
-        if family == "lpsphere":
-            return LpSphere(n=int(fields["n"]), p=float(fields["p"]))
-        if family == "linear":
-            gradient = tuple(float(c) for c in fields["gradient"].split(","))
-            offset = float(fields.get("offset", "0"))
-            boxes = []
-            for key, value in entries:
-                if key == "box":
-                    box = []
-                    for axis in value.split(","):
-                        lo, hi = axis.split(":")
-                        box.append((float(lo), float(hi)))
-                    boxes.append(tuple(box))
-            if not boxes:
-                boxes = [((0.0, 1.0),) * len(gradient)]
-            return LinearGraph(gradient=gradient, base=tuple(boxes), offset=offset)
-        if family == "tabulated":
-            dim = int(fields["n"])
-            samples = []
-            for key, value in entries:
-                if key == "sample":
-                    nums = [float(c) for c in value.split(",")]
-                    if len(nums) != dim:
-                        raise ValueError(
-                            f"sample {value!r} needs {dim - 1} coordinates and a value"
-                        )
-                    samples.append((tuple(nums[:-1]), nums[-1]))
-            return TabulatedMonotone(dim=dim, samples=tuple(samples))
-        if family == "staircase":
-            return SingularStaircase(depth=int(fields["depth"]))
-    except KeyError as exc:
-        raise ValueError(f"descriptor is missing field {exc.args[0]!r}") from None
-    raise ValueError(f"unknown surface family {family!r}")
+    return _surface_from_fields(entries)

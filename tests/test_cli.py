@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from antichains.cli import main
+from antichains import (
+    Hyperplane,
+    LinearGraph,
+    LpSphere,
+    SingularStaircase,
+    TabulatedMonotone,
+    format_surface_descriptor,
+)
+from antichains.cli import _surface_from_args, build_parser, main
 
 AB = "dim=2\n0,1\n1,0\n"  # a two-point antichain
 FULL_BOX = "dim=2\n0,0\n0,1\n1,0\n1,1\n"  # not a weak antichain
@@ -270,3 +278,34 @@ def test_byte_identical_outputs(tmp_path, capsys):
     assert main(argv + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, surface",
+    [
+        (["--surface", "hyperplane", "--n", "4"], Hyperplane(4)),
+        (["--surface", "lpsphere", "--n", "3", "--p", "2.5"], LpSphere(3, 2.5)),
+        (["--surface", "linear", "--gradient=-0.5,0.25,"], LinearGraph((-0.5, 0.25))),
+        (
+            ["--surface", "linear", "--gradient=-1,0.5", "--offset", "0.75",
+             "--box", "0:0.5,0:1", "--box", "0.5:1,0.25:0.75"],
+            LinearGraph(
+                (-1.0, 0.5), (((0.0, 0.5), (0.0, 1.0)), ((0.5, 1.0), (0.25, 0.75))), 0.75
+            ),
+        ),
+        (
+            ["--surface", "tabulated", "--n", "3", "--sample", "0.2,0.3,0.7",
+             "--sample", "0.6,0.1,0.4"],
+            TabulatedMonotone(3, (((0.2, 0.3), 0.7), ((0.6, 0.1), 0.4))),
+        ),
+        (["--surface", "staircase", "--depth", "5"], SingularStaircase(5)),
+    ],
+)
+def test_inline_flags_and_descriptor_file_build_equal_surfaces(flags, surface, tmp_path):
+    desc = tmp_path / "surface.txt"
+    desc.write_text(format_surface_descriptor(surface))
+    parser = build_parser()
+    inline = _surface_from_args(parser.parse_args(["measure", *flags]))
+    from_file = _surface_from_args(parser.parse_args(["measure", "--surface", str(desc)]))
+    assert inline == surface
+    assert from_file == surface

@@ -1,5 +1,7 @@
 """Surface families: measures, projections, the inequality, and skewed projections."""
 
+import dataclasses
+import inspect
 import math
 import random
 
@@ -13,9 +15,11 @@ from antichains import (
     NonFiniteError,
     SingularStaircase,
     TabulatedMonotone,
+    box_dimension,
     facet_union_measure,
     format_surface_descriptor,
     graph_value,
+    grid_cover,
     irwin_hall_cdf,
     monotone_extension,
     parse_surface_descriptor,
@@ -23,10 +27,13 @@ from antichains import (
     skew_measures_2d,
     slab_volume,
     staircase_polyline,
+    surface_dim,
     surface_measure,
     surface_measure_quadrature,
     verify_projection_inequality,
+    volume_ratio_curve,
 )
+from antichains.surfaces import _staircase_vertices
 
 
 # frozen staircase-length oracle: 2^k steep pieces of size (3^-k, 2^-k) plus
@@ -261,6 +268,25 @@ def test_staircase_length_monotone_toward_two():
     assert all(v < 2.0 for v in lengths)
 
 
+def test_staircase_polyline_is_a_fresh_list():
+    expected = staircase_polyline(3)
+    verts = staircase_polyline(3)
+    verts[0] = (0.5, 0.5)
+    verts.append((2.0, 2.0))
+    assert staircase_polyline(3) == expected
+    assert staircase_polyline(3) is not staircase_polyline(3)
+
+
+def test_staircase_vertices_built_once_per_depth():
+    # the cache keeps one depth, so a box-dimension fit builds its polyline once
+    _staircase_vertices.cache_clear()
+    box_dimension(SingularStaircase(6), (4, 8, 16, 32))
+    surface_measure(SingularStaircase(6))
+    assert _staircase_vertices.cache_info().misses == 1
+    staircase_polyline(2)
+    assert _staircase_vertices.cache_info().currsize == 1
+
+
 def test_staircase_graph_value():
     s = SingularStaircase(4)
     assert graph_value(s, (0.0,)) == pytest.approx(1.0)
@@ -346,6 +372,18 @@ def test_surface_descriptor_round_trip():
         LinearGraph(gradient=(-1.0, 0.5), base=(((0.0, 1.0), (0.0, 0.5)),), offset=0.75),
         TabulatedMonotone(2, (((0.2,), 0.8), ((0.6,), 0.3))),
         SingularStaircase(7),
+        LinearGraph(
+            gradient=(-0.5, 0.25, -0.125),
+            base=(
+                ((0.0, 0.5), (0.0, 1.0), (0.25, 0.75)),
+                ((0.5, 1.0), (0.0, 0.5), (0.0, 1.0)),
+                ((0.5, 1.0), (0.5, 1.0), (0.1, 0.2)),
+            ),
+            offset=0.9,
+        ),
+        TabulatedMonotone(
+            3, (((0.2, 0.3), 0.7), ((0.6, 0.1), 0.4), ((0.5, 0.5), 0.2), ((1.0, 1.0), 0.0))
+        ),
     ]
     for s in surfaces:
         assert parse_surface_descriptor(format_surface_descriptor(s)) == s
@@ -358,3 +396,69 @@ def test_surface_descriptor_errors():
         parse_surface_descriptor("family=moebius\nn=2\n")
     with pytest.raises(ValueError):
         parse_surface_descriptor("family=lpsphere\nn=2\n")
+    with pytest.raises(ValueError, match="bad box axis '0:x'"):
+        parse_surface_descriptor("family=linear\ngradient=-0.5\nbox=0:x\n")
+    with pytest.raises(ValueError, match="bad box axis ''"):
+        parse_surface_descriptor("family=linear\ngradient=-0.5\nbox=0:1,\n")
+    with pytest.raises(ValueError, match="bad number list '-0.5,a'"):
+        parse_surface_descriptor("family=linear\ngradient=-0.5,a\n")
+
+
+def test_descriptor_number_lists_skip_empty_items():
+    # as the inline --gradient and --sample flags always have
+    linear = parse_surface_descriptor("family=linear\ngradient=-0.5,\noffset=0.9\n")
+    assert linear == LinearGraph((-0.5,), offset=0.9)
+    tab = parse_surface_descriptor("family=tabulated\nn=2\nsample=0.2,,0.8,\n")
+    assert tab == TabulatedMonotone(2, (((0.2,), 0.8),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: surface_dim(s),
+        lambda s: graph_value(s, (0.5,)),
+        lambda s: surface_measure(s),
+        lambda s: surface_measure_quadrature(s),
+        lambda s: projection_measure(s, 1),
+        lambda s: format_surface_descriptor(s),
+        lambda s: grid_cover(s, 4),
+        lambda s: volume_ratio_curve(s, [2, 4]),
+    ],
+)
+@pytest.mark.parametrize("bogus", [object(), None, (0.5, 0.5)])
+def test_non_surfaces_raise_type_error(call, bogus):
+    with pytest.raises(TypeError):
+        call(bogus)
+
+
+# the dataclass shape of each family: fields, constructor, repr
+_FAMILY_SHAPES = [
+    (Hyperplane(3), "(n: int) -> None", "Hyperplane(n=3)"),
+    (LpSphere(2, 8.0), "(n: int, p: float) -> None", "LpSphere(n=2, p=8.0)"),
+    (
+        LinearGraph((-0.5, 0.25), (((0.0, 0.5), (0.0, 1.0)),), 0.9),
+        "(gradient: tuple[float, ...], base: tuple[tuple[tuple[float, float], ...], ...]"
+        " | None = None, offset: float = 0.0) -> None",
+        "LinearGraph(gradient=(-0.5, 0.25), base=(((0.0, 0.5), (0.0, 1.0)),), offset=0.9)",
+    ),
+    (
+        TabulatedMonotone(3, (((0.2, 0.3), 0.7),)),
+        "(dim: int, samples: tuple[tuple[tuple[float, ...], float], ...]) -> None",
+        "TabulatedMonotone(dim=3, samples=(((0.2, 0.3), 0.7),))",
+    ),
+    (SingularStaircase(4), "(depth: int) -> None", "SingularStaircase(depth=4)"),
+]
+
+
+@pytest.mark.parametrize("surface, signature, text", _FAMILY_SHAPES)
+def test_family_dataclass_shape(surface, signature, text):
+    cls = type(surface)
+    assert str(inspect.signature(cls)) == signature
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == list(inspect.signature(cls).parameters)
+    assert repr(surface) == text
+    twin = parse_surface_descriptor(format_surface_descriptor(surface))
+    assert twin == surface and hash(twin) == hash(surface) and twin is not surface
+    assert all(surface != other for other, _, _ in _FAMILY_SHAPES if other is not surface)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(surface, names[0], None)
