@@ -22,18 +22,29 @@ def require_finite(name: str, *values: float) -> None:
         raise NonFiniteError(f"{name} must be finite")
 
 
+def require_tolerance(tol: float) -> None:
+    """Raise NonFiniteError unless ``tol`` is finite, ValueError unless it is positive."""
+    require_finite("tolerance", tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+
+
 @dataclass(frozen=True)
 class MeasureEstimate:
     """A non-negative measure value with an error bound and a method tag.
 
     Covering estimates are one-sided upper bounds and must never be compared
     as two-sided values; the flag keeps the two kinds apart in reports.
+    Quadrature estimates also record whether the error bound met the
+    requested tolerance and how many integrand evaluations they cost.
     """
 
     value: float
     method: str
     error_bound: float = 0.0
     upper_bound_only: bool = False
+    converged: bool = True
+    evaluations: int = 0
 
     def __post_init__(self):
         if self.method not in _METHODS:

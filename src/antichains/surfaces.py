@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import get_args
 
-from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite
+from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite, require_tolerance
 from .quadrature import INSIDE, OUTSIDE, STRADDLE, integrate_adaptive
 
 __all__ = [
@@ -110,7 +110,10 @@ class Hyperplane:
 
         box = tuple(((0.0, 1.0),) * d)
         res = integrate_adaptive(integrand, box, tol, cell_classify=classify, sup_bound=rt)
-        return MeasureEstimate(res.value, QUADRATURE, res.error_bound)
+        return MeasureEstimate(
+            res.value, QUADRATURE, res.error_bound,
+            converged=res.converged, evaluations=res.evaluations,
+        )
 
     def _projection(self, axis: int, tol: float) -> MeasureEstimate:
         # all partial derivatives are -1, so every projection has the base measure
@@ -188,7 +191,10 @@ class LpSphere:
             res = integrate_adaptive(
                 integrand, box, tol / n, cell_classify=classify, sup_bound=math.sqrt(n)
             )
-        return MeasureEstimate(n * res.value, QUADRATURE, n * res.error_bound)
+        return MeasureEstimate(
+            n * res.value, QUADRATURE, n * res.error_bound,
+            converged=res.converged, evaluations=res.evaluations,
+        )
 
     _quadrature = _measure
 
@@ -415,9 +421,15 @@ def default_tolerance(n: int) -> float:
 
 
 def _tolerance(s: Surface, tol: float | None) -> float:
-    """``tol``, or the default for the dimension of ``s``, once ``s`` is checked to be a surface."""
+    """``tol``, or the default for the dimension of ``s``, once ``s`` is checked to be a surface.
+
+    A given ``tol`` must be finite (else NonFiniteError) and positive (else ValueError).
+    """
     n = surface_dim(s)
-    return default_tolerance(n) if tol is None else tol
+    if tol is None:
+        return default_tolerance(n)
+    require_tolerance(tol)
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +687,7 @@ def skew_measures_2d(s: Surface, tol: float | None = None) -> SkewReport:
     """
     if surface_dim(s) != 2:
         raise ValueError("skewed-projection measures are implemented for n = 2")
-    if tol is None:
-        tol = default_tolerance(2)
+    tol = _tolerance(s, tol)
     if isinstance(s, LinearGraph):
         if s.base != (((0.0, 1.0),),):
             raise ValueError("skewed measures need the full unit base")

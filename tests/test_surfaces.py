@@ -33,6 +33,8 @@ from antichains import (
     verify_projection_inequality,
     volume_ratio_curve,
 )
+from antichains import surfaces
+from antichains.quadrature import integrate_adaptive
 from antichains.surfaces import _staircase_vertices
 
 
@@ -166,6 +168,59 @@ def test_non_finite_parameters_rejected(bad):
         MeasureEstimate(bad, "closed-form")
     with pytest.raises(NonFiniteError):
         MeasureEstimate(1.0, "quadrature", bad)
+
+
+_TOLERANCE_CALLS = [
+    lambda tol: surface_measure(LpSphere(3, 2), tol),
+    lambda tol: surface_measure(Hyperplane(3), tol),
+    lambda tol: surface_measure_quadrature(Hyperplane(3), tol),
+    lambda tol: projection_measure(LpSphere(3, 2), 1, tol),
+    lambda tol: verify_projection_inequality(LpSphere(3, 2), tol),
+    lambda tol: skew_measures_2d(LpSphere(2, 2), tol),
+    lambda tol: integrate_adaptive(lambda x: 1.0, ((0.0, 1.0),), tol),
+    lambda tol: integrate_adaptive(
+        lambda x: 1.0, ((0.0, 1.0), (0.0, 1.0)), tol, cell_classify=lambda lo, hi: 1
+    ),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", _TOLERANCE_CALLS)
+def test_non_finite_tolerances_rejected(call, bad):
+    # a NaN used to run the sphere to the evaluation budget, and an infinite
+    # tolerance let verification pass on an unbounded error
+    with pytest.raises(NonFiniteError, match="tolerance must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-3])
+@pytest.mark.parametrize("call", _TOLERANCE_CALLS)
+def test_non_positive_tolerances_rejected(call, bad):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        call(bad)
+
+
+def test_quadrature_estimates_carry_convergence_and_work():
+    est = surface_measure(LpSphere(3, 2), 1e-2)
+    assert est.converged and est.evaluations > 0
+    quad = surface_measure_quadrature(Hyperplane(3), 1e-2)
+    assert quad.converged and quad.evaluations > 0
+    arc = surface_measure(LpSphere(2, 2), 1e-6)
+    assert arc.converged and arc.evaluations > 0
+    closed = surface_measure(Hyperplane(3))
+    assert closed.converged and closed.evaluations == 0
+
+
+def test_unconverged_quadrature_is_flagged(monkeypatch):
+    def starved(*args, **kwargs):
+        return integrate_adaptive(*args, **kwargs, max_evals=200)
+
+    monkeypatch.setattr(surfaces, "integrate_adaptive", starved)
+    est = surface_measure(LpSphere(3, 2), 1e-3)
+    assert not est.converged and est.error_bound > 1e-3
+    assert 200 <= est.evaluations
+    report = verify_projection_inequality(LpSphere(3, 2), 1e-3)
+    assert not report.surface.converged
 
 
 def test_quarter_circle_arc_length():
