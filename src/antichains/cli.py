@@ -3,7 +3,8 @@
 Output is machine readable: JSON objects (sorted keys) or CSV tables with a
 header row, written to stdout or to ``--output``.  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 operation error,
-2 computed fine but a verification did not pass, 64 bad usage.
+2 computed fine but a verification did not pass (also when its surface
+measure missed the tolerance), 64 bad usage.
 """
 
 import argparse
@@ -11,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -100,12 +100,19 @@ def _surface_from_args(args) -> object:
 
 
 def _estimate_json(est: MeasureEstimate) -> dict:
-    return {
+    """An estimate's JSON; ``"converged": false`` marks one that missed its tolerance.
+
+    Converged estimates carry no flag, so their output stays as it was.
+    """
+    payload = {
         "value": est.value,
         "errorBound": est.error_bound,
         "method": est.method,
         "upperBoundOnly": est.upper_bound_only,
     }
+    if not est.converged:
+        payload["converged"] = False
+    return payload
 
 
 def _emit(args, payload, rows=None, header=None) -> None:
@@ -425,12 +432,6 @@ def build_parser() -> _Parser:
     def common(p, fmt_default="json"):
         p.add_argument("--output", help="write to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("ANTICHAINS_THREADS", "1")),
-            help="worker cap (current operations run single-threaded)",
-        )
 
     p = sub.add_parser("check", help="classify a point set")
     p.add_argument("--points", required=True)
@@ -564,8 +565,6 @@ def _surface_flags(p) -> None:
 
 def _validate_preconditions(args) -> None:
     """Range checks before dispatch, so bad parameters are usage errors."""
-    if getattr(args, "threads", 1) < 1:
-        raise UsageError("--threads must be >= 1")
     if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
     if args.command == "slab" and not 0 <= args.c <= args.n:

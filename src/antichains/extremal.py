@@ -1,16 +1,20 @@
 """Extremal antichain constructions on grid posets and exact width search.
 
-Widths go through the minimum-chain-cover route: the strict comparability
-relation of the grid is a bipartite graph whose maximum matching determines
-how many chains cover the poset, and the standard alternating-reachability
-construction turns that matching into a maximum antichain witness.
+Widths come from a chain decomposition instead of a matching search.  A grid
+is a product of chains, so under the strict order it splits into symmetric
+chains, one per point of the middle layer (de Bruijn, van Ebbenhorst
+Tengbergen & Kruyswijk, 1951); under the strong order the diagonals through
+the zero-coordinate points partition it.  Consecutive chain elements form a
+maximum matching of the comparability graph, and the König witness
+built from a maximum matching does not depend on which one is used
+(Dulmage & Mendelsohn, 1958), so one alternating search over unit steps
+yields the width and a maximum antichain without building any edges.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import Order, Point, PointSet
+from .lattice import Order, PointSet
 from .partition import BudgetExceededError
 
 __all__ = [
@@ -97,114 +101,86 @@ class WidthResult:
     method: str  # "matching" or "construction"
 
 
-def _strictly_above(p: Point, m: int, order: Order):
-    """Points of the grid strictly above ``p`` in the given order."""
-    if order is Order.STRONG:
-        yield from product(*(range(c + 1, m) for c in p))
-    else:
-        for q in product(*(range(c, m) for c in p)):
-            if q != p:
-                yield q
+def _chains(poset: GridPoset) -> list[list[int]]:
+    """A chain decomposition of the grid whose consecutive pairs are a maximum matching.
 
-
-def _max_matching(adj: dict) -> tuple[int, dict, dict]:
-    """Hopcroft-Karp maximum matching on a bipartite graph given as left adjacency.
-
-    The DFS phase is iterative because augmenting paths can be as long as a
-    chain through the whole poset.
+    Points are mixed-radix indices, coordinate 0 most significant, so index
+    order is lexicographic order.  Each chain runs bottom to top by single
+    steps: unit steps for the strict order, (1,...,1) for the strong one.
     """
-    lefts = sorted(adj)
-    pair_u: dict = {}
-    pair_v: dict = {}
-    dist: dict = {}
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in lefts:
-            if u not in pair_u:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = -1
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = pair_v.get(v)
-                if w is None:
-                    found = True
-                elif dist.get(w, -1) < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(root) -> bool:
-        stack = [[root, iter(adj[root]), None]]
-        while stack:
-            frame = stack[-1]
-            u, edges = frame[0], frame[1]
-            moved = False
-            for v in edges:
-                w = pair_v.get(v)
-                if w is None:
-                    frame[2] = v
-                    for fu, _, fv in stack:
-                        pair_u[fu] = fv
-                        pair_v[fv] = fu
-                    return True
-                if dist.get(w, -1) == dist[u] + 1:
-                    frame[2] = v
-                    stack.append([w, iter(adj[w]), None])
-                    moved = True
-                    break
-            if not moved:
-                dist[u] = -1
-                stack.pop()
-        return False
-
-    matching = 0
-    while bfs():
-        for u in lefts:
-            if u not in pair_u and dfs(u):
-                matching += 1
-    return matching, pair_u, pair_v
+    n, m = poset.n, poset.m
+    if poset.order is Order.STRONG:
+        diag = sum(m**i for i in range(n))
+        return [
+            [idx + t * diag for t in range(m - max(p))]
+            for idx, p in enumerate(product(range(m), repeat=n))
+            if 0 in p
+        ]
+    # product of a chain c_0 < ... < c_h with [m]: hook j is (c_i, j) for
+    # i <= h - j, followed by (c_(h-j), t) for t > j
+    chains = [list(range(m))]
+    for _ in range(n - 1):
+        chains = [
+            [c * m + j for c in chain[: len(chain) - j]]
+            + [chain[-1 - j] * m + t for t in range(j + 1, m)]
+            for chain in chains
+            for j in range(min(len(chain), m))
+        ]
+    return chains
 
 
 def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
-    """Exact maximum antichain of a grid poset via minimum chain cover.
+    """Exact maximum antichain of a grid poset via a minimum chain cover.
 
-    The width equals m^n minus the maximum matching of the comparability
-    graph; the witness collects the points whose left copy is reachable by
-    an alternating path from an unmatched left vertex while the right copy
-    is not, which selects one element from each chain of the cover.
+    The chains of ``_chains`` are a minimum chain cover, so the width is
+    their number.  The witness is the König set of their matching: the
+    points whose left copy an alternating path from a chain top reaches
+    while the right copy stays unreached.  The right copies reached are the
+    strict up-set of the left points reached, so the search walks unit
+    steps, and each right point reached leads back to its chain predecessor.
     """
     if poset.size > budget:
         raise BudgetExceededError(
             f"grid has {poset.size} points, budget is {budget}"
         )
-    pts = sorted(product(range(poset.m), repeat=poset.n))
-    adj = {p: sorted(_strictly_above(p, poset.m, poset.order)) for p in pts}
-    matching, pair_u, pair_v = _max_matching(adj)
+    n, m, size = poset.n, poset.m, poset.size
+    strides = [m ** (n - 1 - i) for i in range(n)]
+    chains = _chains(poset)
+    left = bytearray(size)
+    right = bytearray(size)
+    for chain in chains:
+        left[chain[-1]] = 1
+    # under the strong order nothing lies strictly above a chain top, which
+    # has a coordinate m - 1, so there the search reaches nothing
+    if poset.order is Order.STRICT:
+        pred = [-1] * size
+        for chain in chains:
+            for lo, hi in zip(chain, chain[1:]):
+                pred[hi] = lo
+        # every point taken from the stack is a reached left or right copy,
+        # and either way its unit steps up are reached right copies
+        stack = [chain[-1] for chain in chains]
+        while stack:
+            u = stack.pop()
+            for s in strides:
+                v = u + s
+                if u // s % m < m - 1 and not right[v]:
+                    right[v] = 1
+                    stack.append(v)
+                    w = pred[v]
+                    if w >= 0 and not left[w]:
+                        left[w] = 1
+                        stack.append(w)
 
-    reachable_left: set[Point] = set()
-    reachable_right: set[Point] = set()
-    queue = deque(u for u in pts if u not in pair_u)
-    reachable_left.update(queue)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reachable_right:
-                reachable_right.add(v)
-                w = pair_v.get(v)
-                if w is not None and w not in reachable_left:
-                    reachable_left.add(w)
-                    queue.append(w)
-
-    witness = [p for p in pts if p in reachable_left and p not in reachable_right]
-    width = poset.size - matching
+    witness = [
+        tuple(idx // s % m for s in strides)
+        for idx in range(size)
+        if left[idx] and not right[idx]
+    ]
+    width = len(chains)
     if len(witness) != width:
         raise RuntimeError("witness extraction disagrees with the matching size")
-    return WidthResult(width=width, witness=PointSet(poset.n, witness), method="matching")
+    return WidthResult(width=width, witness=PointSet._trusted(n, witness), method="matching")
 
 
 def best_construction(poset: GridPoset) -> WidthResult:

@@ -597,7 +597,9 @@ def verify_projection_inequality(s: Surface, tol: float | None = None) -> Inequa
     """Check that the surface measure is at most the sum of its projections.
 
     Also reports whether each side stays below the ambient dimension, the
-    universal bound for weak antichains in the unit cube.
+    universal bound for weak antichains in the unit cube.  A surface
+    measure that missed its tolerance establishes nothing, so the report
+    does not pass.
     """
     n = surface_dim(s)
     tol = _tolerance(s, tol)
@@ -610,7 +612,7 @@ def verify_projection_inequality(s: Surface, tol: float | None = None) -> Inequa
         projections=projections,
         right_total=right_total,
         tolerance=tol,
-        passes=left.value <= right_total + slack,
+        passes=left.converged and left.value <= right_total + slack,
         dim=n,
         left_within_dim_bound=left.value <= n + left.error_bound + tol,
         right_within_dim_bound=right_total <= n + slack,
@@ -683,7 +685,9 @@ def skew_measures_2d(s: Surface, tol: float | None = None) -> SkewReport:
     The surface must be the graph of a weakly decreasing function over the
     full unit base.  For continuous families the two skewed images are the
     intervals [0, f(0)] and [0, 1 - f(1)]; tabulated step functions get an
-    exact interval-union computation instead.
+    exact interval-union computation instead.  As in
+    ``verify_projection_inequality``, an unconverged surface measure does
+    not pass.
     """
     if surface_dim(s) != 2:
         raise ValueError("skewed-projection measures are implemented for n = 2")
@@ -707,7 +711,7 @@ def skew_measures_2d(s: Surface, tol: float | None = None) -> SkewReport:
         MeasureEstimate(v2, CLOSED_FORM),
     )
     total = v1 + v2
-    passes = left.value <= total + left.error_bound + tol
+    passes = left.converged and left.value <= total + left.error_bound + tol
     return SkewReport(left, parts, total, tol, passes)
 
 

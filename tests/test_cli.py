@@ -13,7 +13,9 @@ from antichains import (
     TabulatedMonotone,
     format_surface_descriptor,
 )
+from antichains import surfaces
 from antichains.cli import _surface_from_args, build_parser, main
+from antichains.quadrature import integrate_adaptive
 
 AB = "dim=2\n0,1\n1,0\n"  # a two-point antichain
 FULL_BOX = "dim=2\n0,0\n0,1\n1,0\n1,1\n"  # not a weak antichain
@@ -103,6 +105,23 @@ def test_verify_lpsphere_passes(capsys):
     assert code == 0
     assert payload["passes"] and payload["right_total"] == pytest.approx(2.0)
     assert payload["surface"]["value"] < 2.0
+
+
+def test_unconverged_surface_never_passes(monkeypatch, capsys):
+    def starved(*args, **kwargs):
+        return integrate_adaptive(*args, **kwargs, max_evals=200)
+
+    monkeypatch.setattr(surfaces, "integrate_adaptive", starved)
+    argv = ["verify", "--surface", "lpsphere", "--n", "3", "--p", "2", "--tol", "1e-3"]
+    code, payload = run_json(capsys, argv)
+    assert code == 2 and payload["passes"] is False
+    assert payload["surface"]["converged"] is False
+    assert payload["surface"]["errorBound"] > payload["tolerance"]
+    assert all("converged" not in p for p in payload["projections"])
+    argv = ["skew2d", "--surface", "lpsphere", "--n", "2", "--p", "2", "--tol", "1e-6"]
+    code, payload = run_json(capsys, argv)
+    assert code == 2 and payload["passes"] is False
+    assert payload["surface"]["converged"] is False
 
 
 def test_skew2d_pass(capsys):
@@ -227,7 +246,15 @@ def test_usage_errors_exit_64(points_file, capsys):
     assert main(["verify", "--surface", "hyperplane", "--n", "2", "--tol", "nan"]) == 64
     assert main(["measure", "--surface", "hyperplane", "--n", "2", "--tol", "inf"]) == 64
     assert main(["shear", "--points", points_file(AB), "--epsilon", "0.4"]) == 64
+    assert main(["width", "--n", "2", "--m", "3", "--threads", "2"]) == 64  # no such flag
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_threads_environment_is_ignored(value, monkeypatch, capsys):
+    monkeypatch.setenv("ANTICHAINS_THREADS", value)
+    code, payload = run_json(capsys, ["width", "--n", "2", "--m", "3"])
+    assert code == 0 and payload["width"] == 3
 
 
 def test_bad_descriptor_file_is_operation_error(tmp_path, capsys):

@@ -221,6 +221,10 @@ def test_unconverged_quadrature_is_flagged(monkeypatch):
     assert 200 <= est.evaluations
     report = verify_projection_inequality(LpSphere(3, 2), 1e-3)
     assert not report.surface.converged
+    assert not report.passes  # the left side would otherwise pass by its value
+    assert report.surface.value <= report.right_total
+    skew = skew_measures_2d(LpSphere(2, 2), 1e-6)
+    assert not skew.surface.converged and not skew.passes
 
 
 def test_quarter_circle_arc_length():
