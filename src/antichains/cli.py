@@ -467,7 +467,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n-list", dest="n_list", help="sweep dimensions (CSV output)")
     p.add_argument("--m-list", dest="m_list", help="sweep chain lengths (CSV output)")
     p.add_argument("--order", choices=("antichain", "weak"), default="antichain")
-    p.add_argument("--budget", type=int, default=4096)
+    # the slowest grids within the default, (16,2) and (10,3) under the weak
+    # order, take about 1 s each, most of it printing a 60k-point witness
+    p.add_argument("--budget", type=int, default=65_536)
     common(p)
     p.set_defaults(handler=_cmd_width)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import get_args
 
 from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite, require_tolerance
-from .quadrature import INSIDE, OUTSIDE, STRADDLE, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 __all__ = [
     "Hyperplane",
@@ -91,25 +91,26 @@ class Hyperplane:
         return MeasureEstimate(math.sqrt(self.n) * _hyperplane_base_measure(self.n), CLOSED_FORM)
 
     def _quadrature(self, tol: float) -> MeasureEstimate:
-        """Direct graph-form quadrature of the diagonal slice, for cross-checking."""
+        """Graph-form quadrature of the diagonal slice, for cross-checking.
+
+        The last base coordinate is integrated out: over the other n - 2 it
+        ranges over [max(0, n/2 - 1 - s), min(1, n/2 - s)], s their sum, so
+        the integrand is sqrt(n) times that length, continuous and
+        piecewise linear on the full cube.  For n = 2 no base coordinate
+        is left, and the constant sqrt(2) is integrated over [0, 1].
+        """
         n = self.n
-        d = n - 1
-        lo_b, hi_b = n / 2 - 1, n / 2
         rt = math.sqrt(n)
+        hi_b, lo_b = n / 2, n / 2 - 1
 
         def integrand(x):
             ssum = sum(x)
-            return rt if lo_b <= ssum <= hi_b else 0.0
+            return rt * max(0.0, min(1.0, hi_b - ssum) - max(0.0, lo_b - ssum))
 
-        def classify(lo, hi):
-            if sum(lo) >= lo_b and sum(hi) <= hi_b:
-                return INSIDE
-            if sum(hi) < lo_b or sum(lo) > hi_b:
-                return OUTSIDE
-            return STRADDLE
-
-        box = tuple(((0.0, 1.0),) * d)
-        res = integrate_adaptive(integrand, box, tol, cell_classify=classify, sup_bound=rt)
+        if n == 2:
+            res = integrate_adaptive(lambda x: rt, ((0.0, 1.0),), tol)
+        else:
+            res = integrate_adaptive(integrand, ((0.0, 1.0),) * (n - 2), tol)
         return MeasureEstimate(
             res.value, QUADRATURE, res.error_bound,
             converged=res.converged, evaluations=res.evaluations,
@@ -151,48 +152,51 @@ class LpSphere:
         return rest ** (1.0 / self.p) if rest > 0 else 0.0
 
     def _measure(self, tol: float) -> MeasureEstimate:
-        """Quadrature over the symmetric piece where the graph coordinate is largest.
+        """Quadrature of a bounded, continuous integrand over a full box.
 
-        The sphere splits into n congruent pieces by which coordinate is
-        maximal; on the graph piece the integrand stays below sqrt(n) and the
-        rim singularity never enters, so the integral converges cleanly.
+        For n >= 3 the standard simplex {v >= 0, sum v = 1} is projected
+        radially onto the sphere, x = v / ||v||_p (the cone-measure view of
+        Naor & Romik, 2003), and its first n - 1 coordinates are mapped to
+        the cube [0,1]^(n-1) by the Duffy transform: v_1 = t_1, v_j = t_j *
+        prod_{i<j} (1 - t_i), v_n = prod_i (1 - t_i), with Jacobian prod_i
+        (1 - t_i)^(n-1-i).  The surface element is sqrt(sum_i (v_i /
+        ||v||_p)^(2p-2)) / ||v||_p^n, which is bounded because ||v||_p >=
+        n^(1/p - 1) on the simplex.  For n = 2 the arc splits into two
+        congruent graph pieces about x = y, and the piece over [0,
+        2^(-1/p)] is integrated.
         """
         n, p = self.n, self.p
-        d = n - 1
+        q, inv_p = 2.0 * (p - 1.0), 1.0 / p
+        if n == 2:
+            pieces, box = 2, ((0.0, 0.5**inv_p),)
 
-        def integrand(x):
-            ssum = sum(c**p for c in x)
-            mx = max(x)
-            if ssum + mx**p > 1.0:
-                return 0.0
-            fval = (1.0 - ssum) ** (1.0 / p)
-            acc = 1.0
-            for c in x:
-                if c > 0.0:
-                    acc += (c / fval) ** (2.0 * (p - 1.0))
-            return math.sqrt(acc)
+            def integrand(x):
+                (c,) = x
+                return math.sqrt(1.0 + (c / (1.0 - c**p) ** inv_p) ** q)
 
-        edge = 0.5 ** (1.0 / p)
-        if d == 1:
-            # the piece region is exactly [0, 2^(-1/p)]
-            res = integrate_adaptive(integrand, ((0.0, edge),), tol / n)
         else:
+            pieces, box = 1, ((0.0, 1.0),) * (n - 1)
+            scale = -(n + p - 1.0) * inv_p
 
-            def classify(lo, hi):
-                g_hi = sum(c**p for c in hi) + max(hi) ** p
-                if g_hi <= 1.0:
-                    return INSIDE
-                g_lo = sum(c**p for c in lo) + max(lo) ** p
-                if g_lo > 1.0:
-                    return OUTSIDE
-                return STRADDLE
+            def integrand(t):
+                # jac collects prod_{i<j} (1 - t_i) for every j, which is the
+                # Duffy Jacobian.  With w = v / max(v), so that no power of a
+                # coordinate underflows for large p, the surface element is
+                # sqrt(sum w^(2p-2)) * (sum w^p)^(-(n+p-1)/p) / max(v)^n.
+                rest = jac = 1.0
+                v = []
+                for c in t:
+                    v.append(c * rest)
+                    jac *= rest
+                    rest *= 1.0 - c
+                v.append(rest)
+                top = max(v)
+                w = [c / top for c in v]
+                return jac * math.sqrt(sum(c**q for c in w)) * sum(c**p for c in w) ** scale / top**n
 
-            box = tuple(((0.0, edge),) * d)
-            res = integrate_adaptive(
-                integrand, box, tol / n, cell_classify=classify, sup_bound=math.sqrt(n)
-            )
+        res = integrate_adaptive(integrand, box, tol / pieces)
         return MeasureEstimate(
-            n * res.value, QUADRATURE, n * res.error_bound,
+            pieces * res.value, QUADRATURE, pieces * res.error_bound,
             converged=res.converged, evaluations=res.evaluations,
         )
 

@@ -144,6 +144,12 @@ def test_width_layer_wn(capsys):
     assert code == 0 and payload["size"] == 5
 
 
+def test_width_default_budget_admits_mid_size_grids(capsys):
+    # 13,824 points take about 30 ms, well within the default budget
+    code, payload = run_json(capsys, ["width", "--n", "3", "--m", "24"])
+    assert code == 0 and payload["width"] == 432  # the middle layer of [24]^3
+
+
 def test_width_sweep_csv(capsys):
     code = main(["width", "--n", "2", "--m-list", "2,3,4", "--format", "csv"])
     assert code == 0

@@ -178,9 +178,7 @@ _TOLERANCE_CALLS = [
     lambda tol: verify_projection_inequality(LpSphere(3, 2), tol),
     lambda tol: skew_measures_2d(LpSphere(2, 2), tol),
     lambda tol: integrate_adaptive(lambda x: 1.0, ((0.0, 1.0),), tol),
-    lambda tol: integrate_adaptive(
-        lambda x: 1.0, ((0.0, 1.0), (0.0, 1.0)), tol, cell_classify=lambda lo, hi: 1
-    ),
+    lambda tol: integrate_adaptive(lambda x: 1.0, ((0.0, 1.0), (0.0, 1.0)), tol),
 ]
 
 
