@@ -26,6 +26,7 @@ from antichains import surfaces
 from antichains.estimate import require_tolerance
 from antichains.quadrature import QuadratureResult, integrate_adaptive
 
+# the region labels of the previous classifiers, defined here so the oracle stands alone
 INSIDE, OUTSIDE, STRADDLE = 1, -1, 0
 
 Box = tuple[tuple[float, float], ...]
