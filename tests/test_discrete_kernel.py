@@ -1,27 +1,40 @@
-"""Differential tests: the bitset kernel against the pairwise code it replaced.
+"""Differential tests: the discrete kernel against the code it replaced.
 
 The oracles below are the earlier implementations of the sampler, the
-strong-pair check and the exhaustive gap scan, kept verbatim apart from
-their names.  The kernel must reproduce their results exactly: the same
-sampled sets for the same seeds, the same retry failures, and the same
-minimum gap, witness and weak count for every scanned box.
+strong-pair check, the exhaustive gap scan, the greedy partition, the
+certificate check and the projection sizes, kept verbatim apart from their
+names.  The kernel must reproduce their results exactly: the same sampled
+sets for the same seeds, the same retry failures, the same minimum gap,
+witness and weak count for every scanned box, the same certificates and
+gap reports, and the same errors with the same messages.
+
+Run as a script, ``python tests/test_discrete_kernel.py TRIALS`` compares
+the first TRIALS certificates of the criterion-2 stream (100,000 in the
+acceptance suite) against the oracles.
 """
 
 import math
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
 
 from antichains import (
     BudgetExceededError,
+    GapReport,
+    NotWeakAntichainError,
+    PartitionCertificate,
     PointSet,
     TargetUnreachableError,
     exhaustive_gap_scan,
     greedy_partition,
+    projection_gap,
+    projection_size,
     random_weak_antichain,
 )
 from antichains import partition
+from antichains.lattice import Point, project
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -94,6 +107,69 @@ def _oracle_exhaustive_gap_scan(n, k, size):
     return best_gap, witness, weak_count
 
 
+def _oracle_projection_size(points: PointSet, axis: int) -> int:
+    if points.dim == 1:
+        if axis != 1:
+            raise ValueError(f"axis {axis} out of range 1..1")
+        return 1 if len(points) else 0
+    return len(project(points, axis))
+
+
+def _oracle_validate(self) -> None:
+    n = self.source.dim
+    if len(self.parts) != n or len(self.per_part_projection_sizes) != n:
+        raise ValueError("certificate must carry one part per coordinate")
+    seen: set[Point] = set()
+    total = 0
+    for i, part in enumerate(self.parts, start=1):
+        total += len(part)
+        for p in part:
+            if p not in self.source:
+                raise ValueError(f"part {i} contains {p} not in the source")
+            if p in seen:
+                raise ValueError(f"point {p} appears in two parts")
+            seen.add(p)
+        if _oracle_projection_size(part, i) != len(part):
+            raise ValueError(f"deleting coordinate {i} is not injective on part {i}")
+        if self.per_part_projection_sizes[i - 1] != len(part):
+            raise ValueError("recorded projection sizes disagree with the parts")
+    if total != len(self.source):
+        raise ValueError("parts do not cover the source set")
+
+
+def _oracle_greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
+    if check:
+        bad = _oracle_find_strong_pair(A.points)
+        if bad is not None:
+            raise NotWeakAntichainError(*bad)
+    n = A.dim
+    remaining = set(A.points)
+    raw_parts: list[set[Point]] = []
+    for i in range(n):
+        fiber_min: dict[tuple, Point] = {}
+        for p in remaining:
+            fiber = p[:i] + p[i + 1 :]
+            best = fiber_min.get(fiber)
+            if best is None or p[i] < best[i]:
+                fiber_min[fiber] = p
+        chosen = set(fiber_min.values())
+        raw_parts.append(chosen)
+        remaining -= chosen
+    if remaining:
+        bad = _oracle_find_strong_pair(A.points)
+        if bad is None:
+            raise RuntimeError("leftover points without a strongly ordered pair")
+        raise NotWeakAntichainError(*bad)
+    parts = tuple(PointSet._trusted(n, part) for part in raw_parts)
+    sizes = tuple(_oracle_projection_size(part, i + 1) for i, part in enumerate(parts))
+    return PartitionCertificate(source=A, parts=parts, per_part_projection_sizes=sizes)
+
+
+def _oracle_projection_gap(A: PointSet) -> GapReport:
+    sizes = tuple(_oracle_projection_size(A, i) for i in range(1, A.dim + 1))
+    return GapReport(len(A), sizes, sum(sizes) - len(A))
+
+
 def _outcome(fn, *args):
     """A sampler's result, or the type and message of the error it raised."""
     try:
@@ -164,6 +240,19 @@ def test_sampler_rejects_bad_boxes_like_oracle():
         )
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_sampler_stream_on_both_paths(n, k):
+    # the seeded stream is n randrange(k) draws per candidate, coordinate by
+    # coordinate, on the bitset path (the full cap) and the pairwise one (cap 0)
+    for size in _sampler_sizes(n, k):
+        for seed in range(25):
+            expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
+            for cap in (partition._TABLE_CAP, 0):
+                got = _outcome(partition._random_weak_antichain, n, k, size, seed, None, cap)
+                assert got == expected, (size, seed, cap)
+
+
 # ---------------------------------------------------------------------------
 # bitset primitive and strong-pair check
 
@@ -196,6 +285,134 @@ def test_greedy_partition_still_screens_its_input():
     with pytest.raises(partition.NotWeakAntichainError) as err:
         greedy_partition(bad)
     assert (err.value.lower, err.value.upper) == _oracle_find_strong_pair(bad.points)
+
+
+# ---------------------------------------------------------------------------
+# greedy partition, certificate check and projection sizes
+
+
+def _random_point_sets(seed: int, count: int):
+    """Seeded sets in n = 1..4, shifted to negative coordinates: two in three
+    are weak antichains, the rest arbitrary subsets of a small box."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = 1 + t % 4
+        k = rng.randint(1, 6)
+        lo = rng.randint(-4, 1)
+        if t % 3:
+            capacity = k**n - (k - 1) ** n
+            A = random_weak_antichain(n, k, rng.randint(0, min(capacity, 16)), seed=t)
+            pts = [tuple(c + lo for c in p) for p in A]
+        else:
+            cells = rng.randint(0, 10)
+            pts = {tuple(rng.randrange(lo, lo + k) for _ in range(n)) for _ in range(cells)}
+        yield PointSet(n, pts)
+
+
+def _partition_outcome(fn, A, check):
+    try:
+        return fn(A, check)
+    except NotWeakAntichainError as exc:
+        return type(exc), str(exc), exc.lower, exc.upper
+
+
+def _validate_outcome(validate, cert):
+    try:
+        validate(cert)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _tamper(cert: PartitionCertificate, rng: random.Random) -> PartitionCertificate:
+    """``cert`` with up to three random defects: moved, copied, foreign or
+    dropped points, wrong recorded sizes, or a missing or extra part."""
+    n = cert.source.dim
+    parts = [set(part) for part in cert.parts]
+    sizes = list(cert.per_part_projection_sizes)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(6)
+        pts = sorted(p for part in parts for p in part)
+        j = rng.randrange(len(parts)) if parts else None
+        if kind == 0 and pts and j is not None:
+            p = rng.choice(pts)
+            for part in parts:
+                part.discard(p)
+            parts[j].add(p)
+        elif kind == 1 and pts and j is not None:
+            parts[j].add(rng.choice(pts))
+        elif kind == 2 and j is not None:
+            for _ in range(rng.randint(1, 3)):
+                q = tuple(rng.randint(-6, 6) for _ in range(n))
+                if q not in cert.source:
+                    parts[j].add(q)
+        elif kind == 3 and pts:
+            p = rng.choice(pts)
+            for part in parts:
+                part.discard(p)
+        elif kind == 4 and sizes:
+            sizes[rng.randrange(len(sizes))] += rng.choice((-1, 1))
+        elif kind == 5:
+            if rng.random() < 0.5:
+                parts.append(set())
+                sizes.append(0)
+            elif rng.random() < 0.5 and parts:
+                parts.pop()
+            elif sizes:
+                sizes.pop()
+    return PartitionCertificate(cert.source, tuple(PointSet(n, p) for p in parts), tuple(sizes))
+
+
+def test_greedy_partition_matches_oracle():
+    seen = set()
+    for A in _random_point_sets(11, 4000):
+        for check in (True, False):
+            expected = _partition_outcome(_oracle_greedy_partition, A, check)
+            assert _partition_outcome(greedy_partition, A, check) == expected, (A.points, check)
+            seen.add((check, isinstance(expected, PartitionCertificate)))
+    # both screens fail on some sets, and some non-antichains still split
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_validate_matches_oracle_on_tampered_certificates():
+    rng = random.Random(5)
+    messages = set()
+    for A in _random_point_sets(12, 4000):
+        if isinstance(_partition_outcome(_oracle_greedy_partition, A, False), tuple):
+            continue
+        cert = _tamper(_oracle_greedy_partition(A, False), rng)
+        expected = _validate_outcome(_oracle_validate, cert)
+        assert _validate_outcome(PartitionCertificate.validate, cert) == expected, cert
+        if expected is not None:
+            messages.add(expected[1].split()[0])
+    # every message: "certificate", "part", "point", "deleting", "recorded", "parts"
+    assert len(messages) == 6, messages
+
+
+def test_projection_sizes_match_oracle():
+    for A in _random_point_sets(13, 2000):
+        assert projection_gap(A) == _oracle_projection_gap(A), A.points
+        for axis in range(-1, A.dim + 3):
+            expected = _outcome(_oracle_projection_size, A, axis)
+            assert _outcome(projection_size, A, axis) == expected, (A.points, axis)
+
+
+def _criterion2_sweep(trials: int) -> None:
+    """The first ``trials`` sets of the criterion-2 stream against the oracles."""
+    rng = random.Random(2024)
+    for t in range(trials):
+        size = rng.randint(0, 16)
+        A = random_weak_antichain(4, 8, size, seed=t)
+        assert A == _oracle_random_weak_antichain(4, 8, size, seed=t), t
+        cert = greedy_partition(A)
+        assert cert == _oracle_greedy_partition(A), t
+        cert.validate()
+        _oracle_validate(cert)
+        assert projection_gap(A) == _oracle_projection_gap(A), t
+
+
+def test_criterion2_prefix_matches_oracles():
+    _criterion2_sweep(1000)
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +463,9 @@ def test_gap_scan_budget_still_counts_all_subsets():
     with pytest.raises(BudgetExceededError, match="17550 subsets of size 4 exceed budget 17549"):
         exhaustive_gap_scan(3, 3, 4, budget=17549)
     assert exhaustive_gap_scan(3, 3, 4, budget=17550).weak_count == 11660
+
+
+if __name__ == "__main__":
+    trials = int(sys.argv[1])
+    _criterion2_sweep(trials)
+    print(f"{trials} criterion-2 certificates: sets, parts, checks and gaps agree")

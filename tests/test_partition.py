@@ -8,6 +8,7 @@ import pytest
 from antichains import (
     BudgetExceededError,
     NotWeakAntichainError,
+    PartitionCertificate,
     PointSet,
     TargetUnreachableError,
     classify,
@@ -87,6 +88,65 @@ def test_greedy_partition_exhaustive_box():
         cert.validate()
     assert weak > 0
 
+
+
+# tampered certificates: one per validate message, each naming the same
+# first offending point as the per-point check
+
+_SOURCE = PointSet(2, [(0, 1), (0, 2), (1, 0), (2, 0)])
+_PART1 = [(0, 1), (0, 2), (1, 0)]
+
+
+def _tampered(parts, sizes):
+    return PartitionCertificate(_SOURCE, tuple(PointSet(2, p) for p in parts), tuple(sizes))
+
+
+def test_tampered_certificate_baseline_is_valid():
+    cert = greedy_partition(_SOURCE)
+    assert cert == _tampered([_PART1, [(2, 0)]], (3, 1))
+    cert.validate()
+
+
+@pytest.mark.parametrize(
+    "parts,sizes,message",
+    [
+        ([_PART1], (3,), "certificate must carry one part per coordinate"),
+        ([_PART1, [(2, 0)]], (3,), "certificate must carry one part per coordinate"),
+        ([_PART1, [(2, 0)], []], (3, 1, 0), "certificate must carry one part per coordinate"),
+        (
+            [[*_PART1, (9, 9), (5, 5)], [(2, 0)]],
+            (3, 1),
+            "part 1 contains (5, 5) not in the source",
+        ),
+        ([_PART1, [(-1, 5), (0, 1)]], (3, 1), "part 2 contains (-1, 5) not in the source"),
+        ([_PART1, [(0, 1), (9, 9)]], (3, 1), "point (0, 1) appears in two parts"),
+        ([_PART1, [(2, 0), (1, 0)]], (3, 2), "point (1, 0) appears in two parts"),
+        (
+            [[*_PART1, (2, 0)], []],
+            (4, 0),
+            "deleting coordinate 1 is not injective on part 1",
+        ),
+        (
+            [[*_PART1, (2, 0)], [(7, 7)]],
+            (4, 1),
+            "deleting coordinate 1 is not injective on part 1",
+        ),
+        (
+            [[(1, 0)], [(0, 1), (0, 2), (2, 0)]],
+            (1, 3),
+            "deleting coordinate 2 is not injective on part 2",
+        ),
+        ([_PART1, [(2, 0)]], (3, 2), "recorded projection sizes disagree with the parts"),
+        ([_PART1, [(2, 0)]], (2, 1), "recorded projection sizes disagree with the parts"),
+        ([_PART1, []], (3, 0), "parts do not cover the source set"),
+        ([[(0, 1)], [(2, 0)]], (1, 1), "parts do not cover the source set"),
+    ],
+)
+def test_tampered_certificate_messages(parts, sizes, message):
+    with pytest.raises(ValueError) as err:
+        _tampered(parts, sizes).validate()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 def test_projection_gap_examples():
     r = projection_gap(PointSet(2, [(0, 1), (1, 0)]))
