@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from operator import lt
+from operator import itemgetter, lt
 
-from .lattice import Point, PointSet, project
+# ``project`` is unused here, but bench/tracing.py rebinds partition.project
+from .lattice import Point, PointSet, project  # noqa: F401
 
 __all__ = [
     "NotWeakAntichainError",
@@ -49,17 +50,30 @@ class TargetUnreachableError(RuntimeError):
     """Rejection sampling did not reach the target size within its retry budget."""
 
 
+@lru_cache(maxsize=16)
+def _deleters(n: int) -> tuple:
+    """Per axis, a key mapping an n-tuple to its image with that coordinate deleted.
+
+    Two points share a key exactly when they share the image, which is all
+    that counting images and grouping fibers need: in dimension 2 the key is
+    the remaining coordinate itself, and in dimension 1 it is ``()``.
+    """
+    if n == 1:
+        return (lambda p: (),)
+    if n == 2:
+        return itemgetter(1), itemgetter(0)
+    return tuple(itemgetter(*(j for j in range(n) if j != i)) for i in range(n))
+
+
 def projection_size(points: PointSet, axis: int) -> int:
     """Size of the image after deleting coordinate ``axis``.
 
     In dimension 1 the deleted-coordinate image is a single abstract point,
     so the size is 1 for non-empty sets and 0 otherwise.
     """
-    if points.dim == 1:
-        if axis != 1:
-            raise ValueError(f"axis {axis} out of range 1..1")
-        return 1 if len(points) else 0
-    return len(project(points, axis))
+    if not 1 <= axis <= points.dim:
+        raise ValueError(f"axis {axis} out of range 1..{points.dim}")
+    return len(set(map(_deleters(points.dim)[axis - 1], points.points)))
 
 
 def _find_strong_pair(pts):
@@ -69,7 +83,7 @@ def _find_strong_pair(pts):
     strongly below an earlier one, so only one direction is tested.
     """
     for x, y in combinations(pts, 2):
-        if all(map(lt, x, y)):
+        if x[0] < y[0] and all(map(lt, x, y)):
             return x, y
     return None
 
@@ -127,19 +141,23 @@ class PartitionCertificate:
         n = self.source.dim
         if len(self.parts) != n or len(self.per_part_projection_sizes) != n:
             raise ValueError("certificate must carry one part per coordinate")
+        source = self.source._index
         seen: set[Point] = set()
         total = 0
         for i, part in enumerate(self.parts, start=1):
-            total += len(part)
-            for p in part:
-                if p not in self.source:
-                    raise ValueError(f"part {i} contains {p} not in the source")
-                if p in seen:
-                    raise ValueError(f"point {p} appears in two parts")
-                seen.add(p)
-            if projection_size(part, i) != len(part):
+            pts = part.points
+            total += len(pts)
+            if not (source.issuperset(pts) and seen.isdisjoint(pts)):
+                # name the first offending point
+                for p in pts:
+                    if p not in self.source:
+                        raise ValueError(f"part {i} contains {p} not in the source")
+                    if p in seen:
+                        raise ValueError(f"point {p} appears in two parts")
+            seen.update(pts)
+            if projection_size(part, i) != len(pts):
                 raise ValueError(f"deleting coordinate {i} is not injective on part {i}")
-            if self.per_part_projection_sizes[i - 1] != len(part):
+            if self.per_part_projection_sizes[i - 1] != len(pts):
                 raise ValueError("recorded projection sizes disagree with the parts")
         if total != len(self.source):
             raise ValueError("parts do not cover the source set")
@@ -159,26 +177,32 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
         if bad is not None:
             raise NotWeakAntichainError(*bad)
     n = A.dim
-    remaining = set(A.points)
-    raw_parts: list[set[Point]] = []
-    for i in range(n):
-        fiber_min: dict[tuple, Point] = {}
+    keys = _deleters(n)
+    remaining = A.points
+    parts: list[PointSet] = []
+    for i, key in enumerate(keys):
+        if len(set(map(key, remaining))) == len(remaining):
+            # every fiber holds one point, so the round takes them all
+            parts.append(A if remaining is A.points else PointSet._trusted(n, remaining))
+            remaining = ()
+            break
+        fiber_min: dict[object, Point] = {}
         for p in remaining:
-            fiber = p[:i] + p[i + 1 :]
+            fiber = key(p)
             best = fiber_min.get(fiber)
             if best is None or p[i] < best[i]:
                 fiber_min[fiber] = p
         chosen = set(fiber_min.values())
-        raw_parts.append(chosen)
-        remaining -= chosen
+        parts.append(PointSet._trusted(n, chosen))
+        remaining = set(remaining) - chosen
     if remaining:
         bad = _find_strong_pair(A.points)
         if bad is None:
             raise RuntimeError("leftover points without a strongly ordered pair")
         raise NotWeakAntichainError(*bad)
-    parts = tuple(PointSet._trusted(n, part) for part in raw_parts)
-    sizes = tuple(projection_size(part, i + 1) for i, part in enumerate(parts))
-    return PartitionCertificate(source=A, parts=parts, per_part_projection_sizes=sizes)
+    parts += [PointSet._trusted(n, ())] * (n - len(parts))
+    sizes = tuple(len(set(map(key, part.points))) for key, part in zip(keys, parts))
+    return PartitionCertificate(source=A, parts=tuple(parts), per_part_projection_sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -191,7 +215,8 @@ class GapReport:
 
 
 def projection_gap(A: PointSet) -> GapReport:
-    sizes = tuple(projection_size(A, i) for i in range(1, A.dim + 1))
+    pts = A.points
+    sizes = tuple(len(set(map(key, pts))) for key in _deleters(A.dim))
     return GapReport(len(A), sizes, sum(sizes) - len(A))
 
 
@@ -200,6 +225,10 @@ def box_points(n: int, k: int) -> tuple[Point, ...]:
     if n < 1 or k < 1:
         raise ValueError("box needs n >= 1 and k >= 1")
     return tuple(product(range(k), repeat=n))
+
+
+#: the sampler's cells, for boxes within its mask table, cached like the masks
+_box_cells = lru_cache(maxsize=8)(box_points)
 
 
 @dataclass(frozen=True)
@@ -264,20 +293,21 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
         )
     if size == 0:
         return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
+    keys = _deleters(n)
     best_gap: int | None = None
     best_witness = None
     weak_count = 0
     for head, last in _weak_subsets(pool, n, k, size):
         weak_count += last.bit_count()
         points = [pool[j] for j in head]
-        seen = [{p[:i] + p[i + 1 :] for p in points} for i in range(n)]
+        seen = [set(map(key, points)) for key in keys]
         # gap of head + (q,) is base minus the axes where q's image is not new
         base = sum(map(len, seen)) + n - size
         while last:
             low = last & -last
             last ^= low
             q = pool[low.bit_length() - 1]
-            g = base - sum(q[:i] + q[i + 1 :] in s for i, s in enumerate(seen))
+            g = base - sum(key(q) in s for key, s in zip(keys, seen))
             if best_gap is None or g < best_gap:
                 best_gap = g
                 best_witness = (*points, q)
@@ -296,9 +326,10 @@ def _random_weak_antichain(
         raise ValueError(f"size {size} outside 0..{capacity} for this box")
     if max_tries is None:
         max_tries = 400 * (size + 1)
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     # the table holds 2*n*k masks of k**n bits
     axes = _axis_masks(n, k) if 2 * n * k ** (n + 1) <= table_cap else None
+    cells = _box_cells(n, k) if axes is not None else None
     blocked = 0  # bitset path: cells taken or strongly comparable to one
     have: set[Point] = set()  # pairwise path
     chosen: list[Point] = []
@@ -309,15 +340,17 @@ def _random_weak_antichain(
                 f"size {size} not reached within {max_tries} samples (seed {seed})"
             )
         tries += 1
-        cand = tuple(rng.randrange(k) for _ in range(n))
         if axes is not None:
+            # the draws, coordinate by coordinate, are the digits of the cell index
             idx = 0
-            for c in cand:
-                idx = idx * k + c
+            for _ in range(n):
+                idx = idx * k + randrange(k)
             if blocked >> idx & 1:
                 continue
+            cand = cells[idx]
             blocked |= _strong_mask(cand, axes) | 1 << idx
         else:
+            cand = tuple(randrange(k) for _ in range(n))
             if cand in have or any(
                 all(map(lt, p, cand)) or all(map(lt, cand, p)) for p in chosen
             ):

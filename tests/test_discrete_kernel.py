@@ -198,15 +198,18 @@ def test_sampler_matches_oracle(n, k):
             assert _outcome(random_weak_antichain, n, k, size, seed) == expected, (size, seed)
 
 
-@pytest.mark.parametrize("n,k", [(1, 6), (2, 3), (2, 8), (3, 5), (4, 8)])
+@pytest.mark.parametrize(
+    "n,k", sorted({(1, 6), (2, 3), (3, 5)} | set(product(range(1, 5), (1, 2, 3, 5, 8))))
+)
 def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k):
-    # the bitset path runs under any cap the box fits, the pairwise path under cap 0
+    # the bitset path runs under any cap the box fits, the pairwise path under
+    # cap 0; both draw n randrange(k) per candidate, coordinate by coordinate
     fits = 2 * n * k ** (n + 1)
     assert fits <= partition._TABLE_CAP
     for size in _sampler_sizes(n, k):
         for seed in range(50):
             expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
-            for cap in (fits, fits - 1, 0):
+            for cap in (partition._TABLE_CAP, fits, fits - 1, 0):
                 got = _outcome(partition._random_weak_antichain, n, k, size, seed, None, cap)
                 assert got == expected, (size, seed, cap)
 
@@ -238,19 +241,6 @@ def test_sampler_rejects_bad_boxes_like_oracle():
         assert _outcome(random_weak_antichain, *args) == _outcome(
             _oracle_random_weak_antichain, *args
         )
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-def test_sampler_stream_on_both_paths(n, k):
-    # the seeded stream is n randrange(k) draws per candidate, coordinate by
-    # coordinate, on the bitset path (the full cap) and the pairwise one (cap 0)
-    for size in _sampler_sizes(n, k):
-        for seed in range(25):
-            expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
-            for cap in (partition._TABLE_CAP, 0):
-                got = _outcome(partition._random_weak_antichain, n, k, size, seed, None, cap)
-                assert got == expected, (size, seed, cap)
 
 
 # ---------------------------------------------------------------------------
