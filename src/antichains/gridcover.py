@@ -9,14 +9,19 @@ are flagged as such.
 
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
-walks that column of cells only where the graph passes, applying the
-family's exact per-cell test there.
+finds the run of cells of that column that the graph meets without walking
+it: in closed form for the hyperplane, by bisection on a table of powers
+for the sphere, and among a few candidate rows around the attained values
+for linear and tabulated graphs, each candidate passing the family's exact
+per-cell test.  The staircase bisects, per grid line, where its polyline
+crosses it, so a cover costs O(m log V) for V vertices.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .estimate import COVERING, MeasureEstimate
 from .partition import BudgetExceededError
@@ -26,8 +31,9 @@ from .surfaces import (
     LpSphere,
     SingularStaircase,
     TabulatedMonotone,
+    _staircase_axes,
+    _staircase_vertices,
     monotone_extension,
-    staircase_polyline,
     surface_dim,
 )
 
@@ -89,6 +95,12 @@ class GridCover:
     def __post_init__(self):
         if self.m < 1 or self.dim < 1:
             raise ValueError("cover needs m >= 1 and dim >= 1")
+        # the distinct lengths and coordinates settle a valid cover; the
+        # per-index loop runs only to name an offending index
+        if set(map(len, self.indices)) <= {self.dim} and all(
+            1 <= c <= self.m for c in set(chain.from_iterable(self.indices))
+        ):
+            return
         for d in self.indices:
             if len(d) != self.dim or not all(1 <= c <= self.m for c in d):
                 raise ValueError(f"index {d} outside [1,{self.m}]^{self.dim}")
@@ -133,84 +145,58 @@ def _cell_indices(m: int, dim: int):
     return product(range(1, m + 1), repeat=dim)
 
 
-def _start_row(value: float, m: int) -> int:
-    """The row whose half-open value range holds ``value``, once clamped into [0, 1]."""
-    return int(min(max(value, 0.0), 1.0) * m) + 1
+def _candidate_rows(lo: float, hi: float, m: int) -> range:
+    """The rows that can meet the values in [lo, hi]: the rows of both ends and one beyond each.
 
-
-def _walk_run(side, start: int, m: int) -> range:
-    """The rows j in 1..m with ``side(j) == 0``, found by walking from ``start``.
-
-    ``side`` must be non-decreasing in j: -1 for cells below the run, 0 on
-    it, +1 above it.  The start only decides where the walk begins, so a
-    poor one costs steps but never changes the run.
+    An end clamped into [0, 1] lies in row int(end * m) + 1.  A rounded
+    product can put a value a rounding error across a cell face from its
+    row, never a whole row away, so an exact per-cell test over these rows
+    finds every row the values meet.
     """
-    j = min(max(start, 1), m)
-    s = side(j)
-    while s < 0 and j < m:
-        j += 1
-        s = side(j)
-    while s > 0 and j > 1:
-        j -= 1
-        s = side(j)
-    if s:
-        return range(0)
-    lo = hi = j
-    while lo > 1 and side(lo - 1) == 0:
-        lo -= 1
-    while hi < m and side(hi + 1) == 0:
-        hi += 1
-    return range(lo, hi + 1)
-
-
-def _column_cells(rows, m: int, d_base: int):
-    """Cells of a graph over the base: each base cell's hit rows, from ``rows(base)``."""
-    for base in _cell_indices(m, d_base):
-        for j in rows(base):
-            yield (*base, j)
+    below = int(min(max(lo, 0.0), 1.0) * m)
+    above = int(min(max(hi, 0.0), 1.0) * m) + 2
+    return range(max(below, 1), min(above, m) + 1)
 
 
 def _hyperplane_cells(s: Hyperplane, m: int):
     # integer arithmetic keeps the half-open test exact: the cell meets the
-    # slice iff sum(lower) <= n/2 and (n/2 < sum(upper) or the cell is the
-    # closed top corner with equality, which cannot occur for n >= 2)
+    # slice iff sum(lower) <= n/2 < sum(upper), i.e. iff
+    # m*n < 2*sum(d) <= m*n + 2n, so over a base cell with sum sb the hit
+    # rows are h+1..h+n with h = (m*n - 2*sb) // 2, clipped to 1..m
     n = s.n
     mn = m * n
-
-    def rows(base):
-        sb = sum(base)
-
-        def side(j):
-            sd = sb + j
-            if mn >= 2 * sd:
-                return -1
-            return 1 if 2 * (sd - n) > mn else 0
-
-        return _walk_run(side, (mn - 2 * sb) // 2 + 1, m)
-
-    return _column_cells(rows, m, n - 1)
+    for base in _cell_indices(m, n - 1):
+        h = (mn - 2 * sum(base)) // 2
+        for j in range(max(h + 1, 1), min(h + n, m) + 1):
+            yield (*base, j)
 
 
 def _lpsphere_cells(s: LpSphere, m: int):
     # the p-norm power sum is strictly increasing in every coordinate, so the
     # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
-    # powers are tabulated once and summed in the cell's coordinate order
+    # powers are tabulated once and summed in the cell's coordinate order.
+    # Over a base cell the rows with s_hi + power[j] > 1 >= s_lo + power[j-1]
+    # form one run; each end is bisected on the table, then settled with
+    # those same float sums
     p = s.p
     power = [(c / m) ** p for c in range(m + 1)]
-
-    def rows(base):
-        s_hi = sum(power[c] for c in base)
-        s_lo = sum(power[c - 1] for c in base)
-
-        def side(j):
-            if s_hi + power[j] <= 1.0:
-                return -1
-            return 1 if s_lo + power[j - 1] > 1.0 else 0
-
-        start = _start_row((1.0 - s_hi) ** (1.0 / p), m) if s_hi < 1.0 else 1
-        return _walk_run(side, start, m)
-
-    return _column_cells(rows, m, s.n - 1)
+    upper = power.__getitem__
+    lower = [None, *power].__getitem__
+    for base in _cell_indices(m, s.n - 1):
+        s_hi = sum(map(upper, base))
+        s_lo = sum(map(lower, base))
+        lo = max(bisect_right(power, 1.0 - s_hi), 1)
+        while lo > 1 and s_hi + power[lo - 1] > 1.0:
+            lo -= 1
+        while lo <= m and s_hi + power[lo] <= 1.0:
+            lo += 1
+        hi = min(bisect_right(power, 1.0 - s_lo), m)
+        while hi >= 1 and s_lo + power[hi - 1] > 1.0:
+            hi -= 1
+        while hi < m and s_lo + power[hi] <= 1.0:
+            hi += 1
+        for j in range(lo, hi + 1):
+            yield (*base, j)
 
 
 def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> bool:
@@ -226,60 +212,56 @@ def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> boo
     return in_first and in_second
 
 
-def _linear_box_values(s: LinearGraph, box, base, m: int):
-    """Graph values over the base cell's part inside ``box``, or None if it is empty.
+def _linear_axis_terms(box_side, c: float, m: int):
+    """Per base row meeting one side of a box: (row, lower term, upper term, attained flags).
 
-    The values form the interval from ``f_lo`` to ``f_hi``; the flags say
-    whether each end is attained, as the cell's upper faces are open.
+    The terms are the gradient component times the ends of the row's part
+    inside the box, ordered so that they add to the lower and upper graph
+    values; an end is not attained where an open upper cell face cuts it off.
     """
-    f_lo = s.offset
-    f_hi = s.offset
-    lo_attained = True
-    hi_attained = True
-    for (box_lo, box_hi), di, c in zip(box, base, s.gradient):
-        cell_lo = (di - 1) / m
+    box_lo, box_hi = box_side
+    terms = []
+    for di in range(1, m + 1):
         cell_hi = di / m
-        lo_x = max(cell_lo, box_lo)
+        lo_x = max((di - 1) / m, box_lo)
         hi_x = min(cell_hi, box_hi)
         hi_x_closed = hi_x < cell_hi or di == m
         if lo_x > hi_x or (lo_x == hi_x and not hi_x_closed):
-            return None
+            continue
         if c >= 0:
-            f_lo += c * lo_x
-            f_hi += c * hi_x
-            if c > 0:
-                hi_attained = hi_attained and hi_x_closed
+            terms.append((di, c * lo_x, c * hi_x, True, hi_x_closed or c == 0))
         else:
-            f_lo += c * hi_x
-            f_hi += c * lo_x
-            lo_attained = lo_attained and hi_x_closed
-    return f_lo, lo_attained, f_hi, hi_attained
+            terms.append((di, c * hi_x, c * lo_x, hi_x_closed, True))
+    return terms
 
 
 def _linear_cells(s: LinearGraph, m: int):
-    # over each base box the values attained on a base cell form one
-    # interval, so the rows meeting it are one run; the column is the union
-    # of the runs of the boxes that meet the base cell
-    def rows(base):
-        hit = set()
-        for box in s.base:
-            values = _linear_box_values(s, box, base, m)
-            if values is None:
-                continue
-            f_lo, lo_attained, f_hi, hi_attained = values
-
-            def side(j):
-                val_hi = j / m
-                if _interval_overlap(
-                    f_lo, lo_attained, f_hi, hi_attained, (j - 1) / m, True, val_hi, j == m
-                ):
-                    return 0
-                return -1 if val_hi <= f_lo else 1
-
-            hit.update(_walk_run(side, _start_row(f_lo, m), m))
-        return hit
-
-    return _column_cells(rows, m, len(s.gradient))
+    # over each base box the values attained on a base cell form the
+    # interval from f_lo to f_hi, whose terms are tabulated per axis and
+    # added in axis order; the rows meeting it are found by the exact
+    # interval test, and the column is the union over the boxes
+    hits = set()
+    for box in s.base:
+        *heads, last = [_linear_axis_terms(side, c, m) for side, c in zip(box, s.gradient)]
+        partial = [((), s.offset, s.offset, True, True)]
+        for terms in heads:
+            partial = [
+                ((*base, di), f_lo + t_lo, f_hi + t_hi, lo_att and a_lo, hi_att and a_hi)
+                for base, f_lo, f_hi, lo_att, hi_att in partial
+                for di, t_lo, t_hi, a_lo, a_hi in terms
+            ]
+        for base, f_lo0, f_hi0, lo_att0, hi_att0 in partial:
+            for di, t_lo, t_hi, a_lo, a_hi in last:
+                f_lo = f_lo0 + t_lo
+                f_hi = f_hi0 + t_hi
+                lo_att = lo_att0 and a_lo
+                hi_att = hi_att0 and a_hi
+                for j in _candidate_rows(f_lo, f_hi, m):
+                    if _interval_overlap(
+                        f_lo, lo_att, f_hi, hi_att, (j - 1) / m, True, j / m, j == m
+                    ):
+                        hits.add((*base, di, j))
+    return hits
 
 
 def _tabulated_cells(s: TabulatedMonotone, m: int):
@@ -301,20 +283,12 @@ def _tabulated_cells(s: TabulatedMonotone, m: int):
             )
         positions.append(per_cell)
 
-    def rows(base):
-        hit = set()
+    for base in _cell_indices(m, s.dim - 1):
         corners = product(*(pos[di] for pos, di in zip(positions, base)))
         for v in {monotone_extension(s, corner) for corner in corners}:
-
-            def side(j):
+            for j in _candidate_rows(v, v, m):
                 if v >= (j - 1) / m and (v < j / m or (j == m and v <= 1.0)):
-                    return 0
-                return -1 if v >= j / m else 1
-
-            hit.update(_walk_run(side, _start_row(v, m), m))
-        return hit
-
-    return _column_cells(rows, m, s.dim - 1)
+                    yield (*base, j)
 
 
 def _segment_hits_cell(p, q, d, m: int) -> bool:
@@ -352,21 +326,50 @@ def _segment_hits_cell(p, q, d, m: int) -> bool:
 
 
 def _staircase_cells(s: SingularStaircase, m: int):
-    verts = staircase_polyline(s.depth)
-    idx = [cube_index(v, m) for v in verts]
+    # x never decreases and y never increases along the polyline, so its
+    # vertices' cells change at most 2(m-1) times: where int(x*m) first
+    # reaches k and where int(y*m) first drops below k, for k = 1..m-1.
+    # Each change is bisected on the cached coordinates and settled with
+    # the products cube_index takes; a segment between two cells is tested
+    # against the cells of its bounding box, and a run of vertices in one
+    # cell hits it once any of its segments does
+    verts = _staircase_vertices(s.depth)
+    xs, neg_ys = _staircase_axes(s.depth)
+    last = len(verts) - 1
+    changes = {0, last + 1}
+    for k in range(1, m):
+        t = k / m
+        i = bisect_left(xs, t)
+        while i > 0 and int(xs[i - 1] * m) >= k:
+            i -= 1
+        while i <= last and int(xs[i] * m) < k:
+            i += 1
+        changes.add(i)
+        i = bisect_right(neg_ys, -t)
+        while i > 0 and int(-neg_ys[i - 1] * m) < k:
+            i -= 1
+        while i <= last and int(-neg_ys[i] * m) >= k:
+            i += 1
+        changes.add(i)
+    bounds = sorted(changes)
     hits: set[tuple[int, int]] = set()
-    for p, q, a, b in zip(verts, verts[1:], idx, idx[1:]):
-        if a == b:
-            # most segments of a deep staircase lie inside one cell
-            if a not in hits and _segment_hits_cell(p, q, a, m):
-                hits.add(a)
-            continue
-        (pi, pj), (qi, qj) = a, b
-        for i in range(min(pi, qi), max(pi, qi) + 1):
-            for j in range(min(pj, qj), max(pj, qj) + 1):
-                d = (i, j)
-                if d not in hits and _segment_hits_cell(p, q, d, m):
+    prev = None
+    for a, b in zip(bounds, bounds[1:]):
+        d = cube_index(verts[a], m)
+        if prev is not None:
+            p, q = verts[a - 1], verts[a]
+            (pi, pj), (qi, qj) = prev, d
+            for i in range(min(pi, qi), max(pi, qi) + 1):
+                for j in range(min(pj, qj), max(pj, qj) + 1):
+                    cell = (i, j)
+                    if cell not in hits and _segment_hits_cell(p, q, cell, m):
+                        hits.add(cell)
+        if d not in hits:
+            for t in range(a, b - 1):
+                if _segment_hits_cell(verts[t], verts[t + 1], d, m):
                     hits.add(d)
+                    break
+        prev = d
     return hits
 
 
@@ -382,11 +385,12 @@ _FAMILY_CELLS = {
 def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     """The set of grid cells meeting the target at resolution m.
 
-    Point clouds index directly; the analytic families walk the column of
-    cells over each base cell with an exact per-cell intersection test;
-    predicates are sampled and flagged inexact.  ``budget`` bounds the m^n
-    cells of the grid on every route, although a column walk tests far
-    fewer.
+    Point clouds index directly; the analytic families find the run of hit
+    cells over each of the m^(n-1) base cells, settled by the family's exact
+    half-open intersection test; predicates are sampled at every one of the
+    m^n cells and flagged inexact.  ``budget`` bounds what each route
+    visits: the m^(n-1) base cells of an analytic family, the m^n cells of a
+    predicate.  Point clouds are not budgeted.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -409,8 +413,8 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
                     break
         return GridCover(m, dim, frozenset(hits), exact=False)
     dim = surface_dim(target)
-    if m**dim > budget:
-        raise BudgetExceededError(f"{m**dim} cells exceed budget {budget}")
+    if m ** (dim - 1) > budget:
+        raise BudgetExceededError(f"{m ** (dim - 1)} base cells exceed budget {budget}")
     return GridCover(m, dim, frozenset(_FAMILY_CELLS[type(target)](target, m)))
 
 

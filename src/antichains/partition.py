@@ -141,6 +141,9 @@ class PartitionCertificate:
         n = self.source.dim
         if len(self.parts) != n or len(self.per_part_projection_sizes) != n:
             raise ValueError("certificate must carry one part per coordinate")
+        for i, part in enumerate(self.parts, start=1):
+            if part.dim != n:
+                raise ValueError(f"part {i} has dimension {part.dim}, expected {n}")
         source = self.source._index
         seen: set[Point] = set()
         total = 0

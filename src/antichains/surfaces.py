@@ -508,6 +508,14 @@ def _staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
     return tuple((x, 1.0 - y) for x, y in rising)
 
 
+@lru_cache(maxsize=1)
+def _staircase_axes(depth: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # the vertices' abscissae and negated ordinates, both non-decreasing,
+    # for bisecting where the polyline crosses a grid line
+    verts = _staircase_vertices(depth)
+    return tuple(x for x, _ in verts), tuple(-y for _, y in verts)
+
+
 def staircase_polyline(depth: int) -> list[tuple[float, float]]:
     """Vertices of the decreasing depth-k staircase from (0,1) to (1,0)."""
     if not 0 <= depth <= 20:

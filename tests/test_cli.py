@@ -204,6 +204,17 @@ def test_cover_points_and_surface(points_file, capsys):
     assert len(lines) == 4
 
 
+def test_cover_budget_counts_base_cells(capsys):
+    argv = ["cover", "--surface", "linear", "--gradient=-0.5,-0.3", "--offset", "0.9"]
+    argv += ["--m", "128"]
+    assert main([*argv, "--budget", "16383"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 16384 base cells exceed budget 16383\n"
+    code, payload = run_json(capsys, [*argv, "--budget", "16384"])
+    assert code == 0 and payload["count"] == 29504
+
+
 def test_slab_and_staircase(capsys):
     code, payload = run_json(capsys, ["slab", "--n", "2", "--c", "1"])
     assert code == 0 and payload["volume"] == 0.75

@@ -1,11 +1,18 @@
-"""Differential tests: the column-walk grid covers against the per-cell code they replaced.
+"""Differential tests: the grid cover kernels against the per-cell code they replaced.
 
 The oracles below are the earlier cell routines, which test every one of
-the m^n cells, kept verbatim apart from their names.  The column walks
-visit each base cell once and must give exactly the same cell sets.
+the m^n cells (every segment's bounding box, for the staircase), kept
+verbatim apart from their names.  The kernels find each column's run, or
+the staircase's cells, directly and must give exactly the same cell sets.
+
+    PYTHONPATH=src python tests/test_cover_kernel.py 10
+
+sweeps the staircase over depths 0..14 and m = 1..300, 729 and 1000, and
+10 random linear graphs and spheres over m = 1..48, outside tier-1.
 """
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -15,6 +22,7 @@ from antichains import (
     Hyperplane,
     LinearGraph,
     LpSphere,
+    PredicateRegion,
     SingularStaircase,
     TabulatedMonotone,
     cube_index,
@@ -217,6 +225,18 @@ def test_cover_matches_oracle(surface):
         assert cov.indices == frozenset(oracle(surface, m)), m
 
 
+# the benchmark's staircase depth at its own resolutions and at m that are
+# not powers of two, whose cell faces k/m are not dyadic and so land between
+# the staircase's float vertices in every way rounding allows
+STAIRCASE_MS = (16, 27, 32, 64, 100, 128, 243, 256)
+
+
+@pytest.mark.parametrize("m", STAIRCASE_MS)
+def test_deep_staircase_matches_oracle(m):
+    surface = SingularStaircase(12)
+    assert grid_cover(surface, m).indices == frozenset(_oracle_staircase_cells(surface, m))
+
+
 def _random_linear_graph(rng):
     def coord():
         # half of the box faces sit on the faces of small grids
@@ -254,9 +274,49 @@ def test_antidiagonal_counts_up_to_200():
         assert len(grid_cover(Hyperplane(2), m)) == 2 * m - 1, m
 
 
-def test_budget_still_bounds_all_cells():
-    with pytest.raises(BudgetExceededError, match="^2097152 cells exceed budget 2000000$"):
-        grid_cover(LinearGraph((-0.5, -0.3), offset=0.9), 128)
-    assert len(grid_cover(Hyperplane(3), 8, budget=512)) > 0
+def test_budget_bounds_base_cells():
+    # an analytic family visits the m^(n-1) base cells, not all m^n cells
+    with pytest.raises(BudgetExceededError, match="^16384 base cells exceed budget 16383$"):
+        grid_cover(LinearGraph((-0.5, -0.3), offset=0.9), 128, budget=16383)
+    assert len(grid_cover(LinearGraph((-0.5, -0.3), offset=0.9), 128, budget=16384)) > 0
+    assert len(grid_cover(Hyperplane(3), 8, budget=64)) > 0
+    with pytest.raises(BudgetExceededError, match="^64 base cells exceed budget 63$"):
+        grid_cover(Hyperplane(3), 8, budget=63)
+    with pytest.raises(BudgetExceededError, match="^100 base cells exceed budget 99$"):
+        grid_cover(SingularStaircase(3), 100, budget=99)
+
+
+def test_budget_bounds_all_cells_of_a_predicate():
+    region = PredicateRegion(3, lambda x: sum(x) <= 1.5)
+    assert len(grid_cover(region, 8, budget=512)) > 0
     with pytest.raises(BudgetExceededError, match="^512 cells exceed budget 511$"):
-        grid_cover(Hyperplane(3), 8, budget=511)
+        grid_cover(region, 8, budget=511)
+
+
+def _sweep(surfaces: int) -> None:
+    """The staircase at depths 0..14 and m = 1..300, 729 and 1000, then
+    ``surfaces`` random linear graphs and spheres at m = 1..48."""
+    for depth in range(15):
+        stair = SingularStaircase(depth)
+        for m in (*range(1, 301), 729, 1000):
+            assert grid_cover(stair, m).indices == frozenset(
+                _oracle_staircase_cells(stair, m)
+            ), (depth, m)
+    rng = random.Random(48)
+    for _ in range(surfaces):
+        for surface in (
+            _random_linear_graph(rng),
+            LpSphere(rng.choice((2, 3)), rng.uniform(1.0, 10.0)),
+        ):
+            oracle = _ORACLES[type(surface)]
+            for m in range(1, 49):
+                assert grid_cover(surface, m).indices == frozenset(oracle(surface, m)), (
+                    surface,
+                    m,
+                )
+
+
+if __name__ == "__main__":
+    surfaces = int(sys.argv[1])
+    _sweep(surfaces)
+    print(f"staircases and {surfaces} random linear graphs and spheres: covers agree")

@@ -88,6 +88,30 @@ def test_covering_bound_explicit_exponent():
         covering_bound(full)  # default exponent dim-1 needs dim >= 2
 
 
+@pytest.mark.parametrize(
+    "m,dim,bad",
+    [
+        (4, 2, (1, 2, 3)),  # too long
+        (4, 2, (3,)),  # too short
+        (4, 3, (2, 0, 1)),  # coordinate 0
+        (4, 3, (5, 1, 1)),  # coordinate m+1
+        (1, 1, (2,)),
+    ],
+)
+def test_grid_cover_rejects_bad_index(m, dim, bad):
+    good = {(1,) * dim, (m,) * dim}
+    with pytest.raises(ValueError) as err:
+        GridCover(m, dim, frozenset(good | {bad}))
+    assert str(err.value) == f"index {bad} outside [1,{m}]^{dim}"
+
+
+def test_grid_cover_accepts_full_grid_and_empty_set():
+    assert len(GridCover(3, 2, frozenset(product(range(1, 4), repeat=2)))) == 9
+    assert len(GridCover(5, 4, frozenset())) == 0
+    with pytest.raises(ValueError, match="^cover needs m >= 1 and dim >= 1$"):
+        GridCover(0, 2, frozenset())
+
+
 def test_chained_projection_bound_and_dim_bound():
     # covering bound of each surface against the projection route and the
     # dimension constant, at every tested resolution; both surfaces project

@@ -148,6 +148,25 @@ def test_tampered_certificate_messages(parts, sizes, message):
     assert type(err.value) is ValueError
     assert str(err.value) == message
 
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        # empty parts of a higher dimension would otherwise pass
+        ((PointSet(4), PointSet(4)), "part 2 has dimension 4, expected 3"),
+        # a lower one would otherwise fail projecting a missing axis
+        ((PointSet(3), PointSet(2)), "part 3 has dimension 2, expected 3"),
+        ((PointSet(2, [(0, 1)]), PointSet(3)), "part 2 has dimension 2, expected 3"),
+    ],
+)
+def test_certificate_rejects_parts_of_another_dimension(parts, message):
+    A = PointSet(3, [(0, 1, 2)])
+    cert = PartitionCertificate(A, (A, *parts), (1, 0, 0))
+    with pytest.raises(ValueError) as err:
+        cert.validate()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_projection_gap_examples():
     r = projection_gap(PointSet(2, [(0, 1), (1, 0)]))
     assert (r.set_size, r.projection_sizes, r.gap) == (2, (2, 2), 2)
