@@ -96,7 +96,10 @@ def _find_strong_pair(pts):
 # the start of each period, R = (2**(k**n) - 1) // (2**(k*run) - 1).  The
 # cells strongly comparable to a point are the AND over the axes of these
 # masks, or of their upper counterparts, so a table of n*k masks per side
-# serves every point; there is no per-cell table.
+# serves every point; there is no per-cell table.  The cells that share p's
+# image along axis i, the line through p, are a comb of k bits spaced run
+# apart, (2**(k*run) - 1) // (2**run - 1), shifted to the line's first cell
+# j - p[i]*run, so n combs serve every line.
 
 #: largest mask table, in bits, that the sampler builds; in bigger boxes it
 #: tests candidates pairwise, in memory that does not grow with the box
@@ -223,10 +226,14 @@ def projection_gap(A: PointSet) -> GapReport:
     return GapReport(len(A), sizes, sum(sizes) - len(A))
 
 
-def box_points(n: int, k: int) -> tuple[Point, ...]:
-    """All points of the box [0,k)^n in lexicographic order."""
+def _check_box(n: int, k: int) -> None:
     if n < 1 or k < 1:
         raise ValueError("box needs n >= 1 and k >= 1")
+
+
+def box_points(n: int, k: int) -> tuple[Point, ...]:
+    """All points of the box [0,k)^n in lexicographic order."""
+    _check_box(n, k)
     return tuple(product(range(k), repeat=n))
 
 
@@ -244,30 +251,63 @@ class GapScanResult:
     weak_count: int
 
 
+def _add_lines(seen: list[int], images: int, j: int, p: Point, lines) -> tuple[list[int], int]:
+    """``seen`` with cell ``j = p``'s line added on each axis, and the new image count."""
+    new = seen[:]
+    for i, run, comb in lines:
+        if not seen[i] >> j & 1:
+            images += 1
+            new[i] |= comb << j - p[i] * run
+    return new, images
+
+
 def _weak_subsets(pool, n: int, k: int, size: int):
     """Weak antichains of ``size >= 1`` cells of ``pool = box_points(n, k)``.
 
-    Yields ``(head, last)``: ``head`` holds the first size-1 cell indices in
-    increasing order and the bitset ``last`` every cell that completes it.
-    This is a depth-first search over increasing cell indices that extends
-    only by cells not strongly comparable with those already taken and
-    backtracks once fewer free cells remain than are still needed.  Read
-    head by head and bit by bit, the sets come in ``combinations`` order.
+    Yields ``(head, last, seen, images)``: ``head`` holds the first size-1
+    cell indices in increasing order (a list the search goes on to change),
+    the bitset ``last`` every cell that completes it, ``seen[i]`` the cells
+    whose image along axis i the head has, and ``images`` the number of
+    those images over all axes.  This is a depth-first search over
+    increasing cell indices that extends only by cells not strongly
+    comparable with those already taken and backtracks once fewer free cells
+    remain than are still needed.  Read head by head and bit by bit, the
+    sets come in ``combinations`` order.
     """
-    axes = _axis_masks(n, k) if size > 1 else None
     head: list[int] = []
+    if size == 1:
+        yield head, (1 << len(pool)) - 1, [0] * n, 0
+        return
+    axes = _axis_masks(n, k)
+    # per axis i: (i, run, comb), the index step and the comb of a line
+    runs = [k ** (n - 1 - i) for i in range(n)]
+    lines = [(i, run, ((1 << k * run) - 1) // ((1 << run) - 1)) for i, run in enumerate(runs)]
     frees = [(1 << len(pool)) - 1]
+    seens = [[0] * n]
+    images = [0]
     while frees:
         free = frees[-1]
         need = size - len(head)
         if free.bit_count() < need:
             frees.pop()
+            seens.pop()
+            images.pop()
             if head:
                 head.pop()
             continue
-        if need == 1:
-            yield tuple(head), free
+        if need == 2:
+            # the head's last cell: yield each choice that leaves a completion
             frees[-1] = 0
+            head.append(-1)
+            while free:
+                low = free & -free
+                free ^= low
+                idx = low.bit_length() - 1
+                last = free & ~_strong_mask(pool[idx], axes)
+                if last:
+                    head[-1] = idx
+                    yield head, last, *_add_lines(seens[-1], images[-1], idx, pool[idx], lines)
+            head.pop()
             continue
         low = free & -free
         free ^= low
@@ -275,6 +315,9 @@ def _weak_subsets(pool, n: int, k: int, size: int):
         idx = low.bit_length() - 1
         head.append(idx)
         frees.append(free & ~_strong_mask(pool[idx], axes))
+        seen, image_count = _add_lines(seens[-1], images[-1], idx, pool[idx], lines)
+        seens.append(seen)
+        images.append(image_count)
 
 
 def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> GapScanResult:
@@ -283,12 +326,20 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     Weak antichains are enumerated lexicographically and only strict
     improvements are kept, so the reported witness is the lexicographically
     least one.  ``budget`` bounds the number of subsets, C(k^n, size),
-    although the search skips every subset that is not a weak antichain.
+    although the search skips every subset that is not a weak antichain; it
+    is checked before the box is built.
+
+    Each head (the first size-1 cells of a set) carries, per axis, the
+    bitset of cells whose image it already has.  A completion's gap is the
+    head's base minus the number of those bitsets that hold it, so
+    bit-sliced counters over the completions give the best one; a head whose
+    base minus n cannot beat the best gap so far is skipped once its
+    completions are counted.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    pool = box_points(n, k)
-    total = math.comb(len(pool), size)
+    _check_box(n, k)
+    total = math.comb(k**n, size)
     if total > budget:
         raise BudgetExceededError(
             f"{total} subsets of size {size} exceed budget {budget}; "
@@ -296,25 +347,33 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
         )
     if size == 0:
         return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
-    keys = _deleters(n)
+    pool = box_points(n, k)
     best_gap: int | None = None
-    best_witness = None
+    best_cells = None
     weak_count = 0
-    for head, last in _weak_subsets(pool, n, k, size):
+    for head, last, seen, images in _weak_subsets(pool, n, k, size):
         weak_count += last.bit_count()
-        points = [pool[j] for j in head]
-        seen = [set(map(key, points)) for key in keys]
-        # gap of head + (q,) is base minus the axes where q's image is not new
-        base = sum(map(len, seen)) + n - size
-        while last:
-            low = last & -last
-            last ^= low
-            q = pool[low.bit_length() - 1]
-            g = base - sum(key(q) in s for key, s in zip(keys, seen))
-            if best_gap is None or g < best_gap:
-                best_gap = g
-                best_witness = (*points, q)
-    witness = PointSet._trusted(n, best_witness) if best_witness is not None else None
+        # gap of head + (q,) is base minus the bitsets holding q, at most n
+        base = images + n - size
+        if best_gap is not None and base - n >= best_gap:
+            continue
+        # at_least[c]: the completions held by at least c of the bitsets
+        at_least = [last]
+        for s in seen:
+            at_least.append(at_least[-1] & s)
+            for c in range(len(at_least) - 2, 0, -1):
+                at_least[c] |= at_least[c - 1] & s
+        c = n
+        while not at_least[c]:
+            c -= 1
+        if best_gap is None or base - c < best_gap:
+            best_gap = base - c
+            # the lowest such completion is the first minimiser of this head
+            first = at_least[c] & -at_least[c]
+            best_cells = (*head, first.bit_length() - 1)
+    witness = None
+    if best_cells is not None:
+        witness = PointSet._trusted(n, [pool[j] for j in best_cells])
     return GapScanResult(n, k, size, best_gap, witness, weak_count)
 
 

@@ -1,21 +1,24 @@
 """Differential tests: the discrete kernel against the code it replaced.
 
 The oracles below are the earlier implementations of the sampler, the
-strong-pair check, the exhaustive gap scan, the greedy partition, the
-certificate check and the projection sizes, kept verbatim apart from their
-names.  The kernel must reproduce their results exactly: the same sampled
+strong-pair check, the exhaustive gap scan (over ``combinations``, and the
+depth-first search that tests each completion's images one by one), the
+greedy partition, the certificate check and the projection sizes, kept
+verbatim apart from their names.  The kernel must reproduce their results exactly: the same sampled
 sets for the same seeds, the same retry failures, the same minimum gap,
 witness and weak count for every scanned box, the same certificates and
 gap reports, and the same errors with the same messages.
 
 Run as a script, ``python tests/test_discrete_kernel.py TRIALS`` compares
 the first TRIALS certificates of the criterion-2 stream (100,000 in the
-acceptance suite) against the oracles.
+acceptance suite) against the oracles, then every gap scan of
+``_scan_sweep_cases`` against the per-completion loop oracle.
 """
 
 import math
 import random
 import sys
+import time
 from itertools import combinations, product
 
 import pytest
@@ -34,7 +37,9 @@ from antichains import (
     random_weak_antichain,
 )
 from antichains import partition
+from antichains.cli import main
 from antichains.lattice import Point, project
+from antichains.partition import GapScanResult, _axis_masks, _deleters, _strong_mask, box_points
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -105,6 +110,65 @@ def _oracle_exhaustive_gap_scan(n, k, size):
             best_witness = subset
     witness = PointSet(n, best_witness) if best_witness is not None else None
     return best_gap, witness, weak_count
+
+
+def _oracle_weak_subsets(pool, n: int, k: int, size: int):
+    axes = _axis_masks(n, k) if size > 1 else None
+    head: list[int] = []
+    frees = [(1 << len(pool)) - 1]
+    while frees:
+        free = frees[-1]
+        need = size - len(head)
+        if free.bit_count() < need:
+            frees.pop()
+            if head:
+                head.pop()
+            continue
+        if need == 1:
+            yield tuple(head), free
+            frees[-1] = 0
+            continue
+        low = free & -free
+        free ^= low
+        frees[-1] = free
+        idx = low.bit_length() - 1
+        head.append(idx)
+        frees.append(free & ~_strong_mask(pool[idx], axes))
+
+
+def _oracle_loop_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> GapScanResult:
+    """The depth-first scan that tests each completion's images one by one."""
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    pool = box_points(n, k)
+    total = math.comb(len(pool), size)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} subsets of size {size} exceed budget {budget}; "
+            "use random_gap_scan instead"
+        )
+    if size == 0:
+        return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
+    keys = _deleters(n)
+    best_gap: int | None = None
+    best_witness = None
+    weak_count = 0
+    for head, last in _oracle_weak_subsets(pool, n, k, size):
+        weak_count += last.bit_count()
+        points = [pool[j] for j in head]
+        seen = [set(map(key, points)) for key in keys]
+        # gap of head + (q,) is base minus the axes where q's image is not new
+        base = sum(map(len, seen)) + n - size
+        while last:
+            low = last & -last
+            last ^= low
+            q = pool[low.bit_length() - 1]
+            g = base - sum(key(q) in s for key, s in zip(keys, seen))
+            if best_gap is None or g < best_gap:
+                best_gap = g
+                best_witness = (*points, q)
+    witness = PointSet._trusted(n, best_witness) if best_witness is not None else None
+    return GapScanResult(n, k, size, best_gap, witness, weak_count)
 
 
 def _oracle_projection_size(points: PointSet, axis: int) -> int:
@@ -455,7 +519,82 @@ def test_gap_scan_budget_still_counts_all_subsets():
     assert exhaustive_gap_scan(3, 3, 4, budget=17550).weak_count == 11660
 
 
+@pytest.mark.parametrize("n,k,size", [(3, 3, 5), (3, 3, 6), (4, 3, 3), (2, 6, 4), (2, 5, 5)])
+def test_gap_scan_matches_loop_oracle_above_the_combinations_cap(n, k, size):
+    assert math.comb(k**n, size) > 50_000
+    expected = _oracle_loop_gap_scan(n, k, size)
+    assert expected.min_gap is not None
+    assert exhaustive_gap_scan(n, k, size) == expected
+
+
+def test_gap_scan_of_singletons_is_linear_in_the_box():
+    # a head-less scan used to rewrite the million-bit completion set once per cell
+    start = time.perf_counter()
+    res = exhaustive_gap_scan(2, 1000, 1)
+    elapsed = time.perf_counter() - start
+    assert (res.min_gap, res.witness, res.weak_count) == (1, PointSet(2, [(0, 0)]), 10**6)
+    assert elapsed < 5.0, elapsed
+
+
+@pytest.fixture
+def no_box(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError(f"box_points({n}, {k}) built")
+
+    monkeypatch.setattr(partition, "box_points", refuse)
+
+
+def test_gap_scan_checks_budget_before_building_the_box(no_box, capsys):
+    message = "810000 subsets of size 1 exceed budget 10; use random_gap_scan instead"
+    with pytest.raises(BudgetExceededError) as err:
+        exhaustive_gap_scan(4, 30, 1, budget=10)
+    assert str(err.value) == message
+    assert main(["gap-scan", "--n", "4", "--k", "30", "--size", "1", "--budget", "10"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gap_scan_of_size_zero_builds_no_box(no_box):
+    res = exhaustive_gap_scan(3, 4, 0)
+    assert (res.min_gap, res.witness, res.weak_count) == (0, PointSet(3), 1)
+
+
+def test_gap_scan_rejects_bad_boxes_before_building_them(no_box):
+    for args, message in [
+        ((0, 3, 1), "box needs n >= 1 and k >= 1"),
+        ((2, 0, 0), "box needs n >= 1 and k >= 1"),
+        ((0, 3, -1), "size must be >= 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            exhaustive_gap_scan(*args)
+        assert type(err.value) is ValueError and str(err.value) == message, args
+
+
+def _scan_sweep_cases(max_subsets: int = 2_000_000):
+    # every scan within the default budget of a box of at most 300 cells in
+    # n = 1..5, k = 1..10, up to one past the capacity
+    for n in range(1, 6):
+        for k in range(1, 11):
+            cells = k**n
+            if cells > 300:
+                continue
+            capacity = cells - (k - 1) ** n
+            for size in range(1, capacity + 2):
+                if math.comb(cells, size) <= max_subsets:
+                    yield n, k, size
+
+
+def _scan_sweep() -> int:
+    """Every case of ``_scan_sweep_cases`` against the loop oracle."""
+    count = 0
+    for n, k, size in _scan_sweep_cases():
+        assert exhaustive_gap_scan(n, k, size) == _oracle_loop_gap_scan(n, k, size), (n, k, size)
+        count += 1
+    return count
+
+
 if __name__ == "__main__":
     trials = int(sys.argv[1])
     _criterion2_sweep(trials)
     print(f"{trials} criterion-2 certificates: sets, parts, checks and gaps agree")
+    scans = _scan_sweep()
+    print(f"{scans} gap scans: minimum gaps, witnesses and weak counts agree with the loop")
