@@ -8,6 +8,7 @@ measure missed the tolerance), 64 bad usage.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -25,11 +26,12 @@ from .partition import (
     projection_gap,
     random_gap_scan,
 )
-from .shear import ShearParams, shear_points
+from .shear import ShearParams, rescale_to_unit, shear_points
 from .surfaces import (
     _FAMILIES,
     LpSphere,
     SingularStaircase,
+    _numbers,
     _surface_from_fields,
     parse_surface_descriptor,
     projection_measure,
@@ -59,11 +61,23 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
-def _parse_float_list(text: str) -> list[float]:
+@contextlib.contextmanager
+def _as_usage():
+    """Report a ValueError raised while building inputs from flags as bad usage.
+
+    Non-finite numbers stay operation errors, as the library raises them.
+    """
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        yield
+    except NonFiniteError:
+        raise
     except ValueError as exc:
-        raise UsageError(f"bad number list {text!r}") from exc
+        raise UsageError(str(exc)) from None
+
+
+def _derived_scale(ps: PointSet) -> int:
+    """What a point file's coordinates are divided by: the largest plus 1, and at least 1."""
+    return max(max((max(p) for p in ps), default=0) + 1, 1)
 
 
 def _surface_from_args(args) -> object:
@@ -91,12 +105,8 @@ def _surface_from_args(args) -> object:
         for item in value if isinstance(value, list) else [value]:
             if item is not None:
                 entries.append((key, item if isinstance(item, str) else repr(item)))
-    try:
+    with _as_usage():
         return _surface_from_fields(entries)
-    except NonFiniteError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _estimate_json(est: MeasureEstimate) -> dict:
@@ -116,10 +126,8 @@ def _estimate_json(est: MeasureEstimate) -> dict:
 
 
 def _emit(args, payload, rows=None, header=None) -> None:
-    """Write JSON (default) or CSV when rows are available and csv was requested."""
+    """Write JSON or, where the subcommand offers it and it was requested, CSV."""
     if args.format == "csv":
-        if rows is None:
-            raise UsageError("csv output is not available for this subcommand")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -134,16 +142,12 @@ def _emit(args, payload, rows=None, header=None) -> None:
         sys.stdout.write(text)
 
 
-def _points_arg(args) -> PointSet:
-    return load_point_set(args.points)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: return (payload, rows, header, ok)
 
 
 def _cmd_check(args):
-    ps = _points_arg(args)
+    ps = load_point_set(args.points)
     cls = classify(ps)
     payload = {
         "dim": ps.dim,
@@ -160,7 +164,7 @@ def _cmd_check(args):
 
 
 def _cmd_partition(args):
-    ps = _points_arg(args)
+    ps = load_point_set(args.points)
     cert = greedy_partition(ps)
     cert.validate()
     payload = {
@@ -174,7 +178,7 @@ def _cmd_partition(args):
 
 
 def _cmd_gap(args):
-    ps = _points_arg(args)
+    ps = load_point_set(args.points)
     report = projection_gap(ps)
     payload = {
         "size": report.set_size,
@@ -288,8 +292,7 @@ def _cmd_wn(args):
 def _cover_target(args):
     if args.points:
         ps = load_point_set(args.points)
-        k = max((max(p) for p in ps), default=0) + 1
-        return PointCloud(ps.dim, tuple(tuple(c / k for c in p) for p in ps))
+        return PointCloud(ps.dim, tuple(rescale_to_unit(ps, _derived_scale(ps))))
     if args.surface:
         return _surface_from_args(args)
     raise UsageError("cover needs --points or --surface")
@@ -362,16 +365,11 @@ def _cmd_skew2d(args):
 
 
 def _cmd_shear(args):
-    ps = _points_arg(args)
-    scale = args.scale
-    if scale is None:
-        scale = max((max(p) for p in ps), default=0) + 1
-    try:
+    ps = load_point_set(args.points)
+    with _as_usage():
         params = ShearParams(n=ps.dim, epsilon=args.epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    unit = [tuple(c / scale for c in p) for p in ps]
-    image = shear_points(unit, params)
+    scale = _derived_scale(ps) if args.scale is None else args.scale
+    image = shear_points(rescale_to_unit(ps, scale), params)
     cls = classify(image) if image else None
     payload = {
         "n": ps.dim,
@@ -401,19 +399,14 @@ def _cmd_staircase(args):
 
 
 def _cmd_p_sweep(args):
-    ps = _parse_float_list(args.p_list)
-    if not ps:
+    with _as_usage():
+        spheres = [LpSphere(n=args.n, p=p) for p in _numbers(args.p_list)]
+    if not spheres:
         raise UsageError("p-sweep needs a non-empty --p-list")
     entries = []
-    for p in ps:
-        try:
-            sphere = LpSphere(n=args.n, p=p)
-        except NonFiniteError:
-            raise
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    for sphere in spheres:
         est = surface_measure(sphere, args.tol)
-        entries.append({"p": p, "value": est.value, "errorBound": est.error_bound})
+        entries.append({"p": sphere.p, "value": est.value, "errorBound": est.error_bound})
     payload = {"n": args.n, "rows": entries}
     header = ["p", "value", "error_bound"]
     rows = [[e["p"], e["value"], e["errorBound"]] for e in entries]
@@ -429,9 +422,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, fmt_default="json"):
+    def common(p, default=None):
+        # a subcommand that has a CSV table passes its default format
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        formats = ("json",) if default is None else ("json", "csv")
+        p.add_argument("--format", choices=formats, default=default or "json")
 
     p = sub.add_parser("check", help="classify a point set")
     p.add_argument("--points", required=True)
@@ -458,7 +453,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--sample", type=int, help="sample this many random weak antichains instead")
     p.add_argument("--seed", type=int, default=0)
-    common(p, fmt_default="csv")
+    common(p, "csv")
     p.set_defaults(handler=_cmd_gap_scan)
 
     p = sub.add_parser("width", help="maximum antichain of a grid poset")
@@ -470,7 +465,7 @@ def build_parser() -> _Parser:
     # the slowest grids within the default, (16,2) and (10,3) under the weak
     # order, take about 1 s each, most of it printing a 60k-point witness
     p.add_argument("--budget", type=int, default=65_536)
-    common(p)
+    common(p, "json")
     p.set_defaults(handler=_cmd_width)
 
     p = sub.add_parser("layer", help="a constant-coordinate-sum layer of the grid")
@@ -493,7 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m-list", dest="m_list")
     p.add_argument("--budget", type=int, default=2_000_000)
     _surface_flags(p)
-    common(p)
+    common(p, "json")
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("measure", help="surface or projection measure of a surface")
@@ -534,14 +529,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("staircase", help="singular staircase approximation and its length")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--vertices", action="store_true", help="include the polyline in JSON")
-    common(p)
+    common(p, "json")
     p.set_defaults(handler=_cmd_staircase)
 
     p = sub.add_parser("p-sweep", help="sphere measures for a list of p values")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--p-list", dest="p_list", required=True)
     p.add_argument("--tol", type=float)
-    common(p, fmt_default="csv")
+    common(p, "csv")
     p.set_defaults(handler=_cmd_p_sweep)
 
     return parser

@@ -8,9 +8,13 @@ mathematical convention for projections.
 """
 
 import enum
+import math
 from collections.abc import Iterable, Sequence
 from itertools import combinations
+from operator import le, lt
 from typing import NamedTuple
+
+from .estimate import NonFiniteError
 
 __all__ = [
     "Order",
@@ -141,11 +145,25 @@ class Classification(NamedTuple):
     is_weak_antichain: bool
 
 
+def _comparable_pair(pts: Sequence, rel):
+    """The first pair (x, y) with ``rel(x_i, y_i)`` on every axis, ``rel`` being ``lt`` or ``le``.
+
+    ``pts`` must be distinct and sorted lexicographically: then no later
+    point lies below an earlier one in either order, so one direction is
+    tested, first on the first coordinate alone.  None when no pair relates.
+    """
+    for x, y in combinations(pts, 2):
+        if rel(x[0], y[0]) and all(map(rel, x, y)):
+            return x, y
+    return None
+
+
 def classify(points) -> Classification:
     """Test the two antichain properties of a finite point collection.
 
     Accepts a :class:`PointSet` or any iterable of equal-length tuples with
-    integer or real coordinates.  A set is an antichain when no two distinct
+    integer or real coordinates; non-finite coordinates raise
+    :class:`NonFiniteError`.  A set is an antichain when no two distinct
     members compare under ``STRICT``, and a weak antichain when no pair
     compares under ``STRONG``; the first property implies the second.
     """
@@ -155,22 +173,12 @@ def classify(points) -> Classification:
         pts = sorted({tuple(p) for p in points})
         if pts and any(len(p) != len(pts[0]) for p in pts):
             raise ValueError("points of mixed dimension")
-    anti = True
-    for x, y in combinations(pts, 2):
-        le_xy = le_yx = True
-        lt_xy = lt_yx = True
-        for a, b in zip(x, y):
-            if a < b:
-                le_yx = lt_yx = False
-            elif a > b:
-                le_xy = lt_xy = False
-            else:
-                lt_xy = lt_yx = False
-        if lt_xy or lt_yx:
-            return Classification(False, False)
-        if le_xy or le_yx:
-            anti = False
-    return Classification(anti, True)
+        # NaN compares false both ways, so the sorted order would mean nothing
+        if not all(-math.inf < c < math.inf for p in pts for c in p):
+            raise NonFiniteError("point coordinates must be finite")
+    if _comparable_pair(pts, le) is None:
+        return Classification(True, True)
+    return Classification(False, _comparable_pair(pts, lt) is None)
 
 
 def project(points: PointSet, axis: int) -> PointSet:

@@ -10,11 +10,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from operator import itemgetter, lt
 
 # ``project`` is unused here, but bench/tracing.py rebinds partition.project
-from .lattice import Point, PointSet, project  # noqa: F401
+from .lattice import Point, PointSet, _comparable_pair, project  # noqa: F401
 
 __all__ = [
     "NotWeakAntichainError",
@@ -60,8 +60,6 @@ def _deleters(n: int) -> tuple:
     """
     if n == 1:
         return (lambda p: (),)
-    if n == 2:
-        return itemgetter(1), itemgetter(0)
     return tuple(itemgetter(*(j for j in range(n) if j != i)) for i in range(n))
 
 
@@ -74,18 +72,6 @@ def projection_size(points: PointSet, axis: int) -> int:
     if not 1 <= axis <= points.dim:
         raise ValueError(f"axis {axis} out of range 1..{points.dim}")
     return len(set(map(_deleters(points.dim)[axis - 1], points.points)))
-
-
-def _find_strong_pair(pts):
-    """Return the first (x, y) with x strictly below y in every coordinate, or None.
-
-    ``pts`` must be sorted lexicographically: a later point can never lie
-    strongly below an earlier one, so only one direction is tested.
-    """
-    for x, y in combinations(pts, 2):
-        if x[0] < y[0] and all(map(lt, x, y)):
-            return x, y
-    return None
 
 
 # Bitset kernel.  Cell j of the box [0,k)^n is box_points(n, k)[j], the
@@ -179,7 +165,7 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
     pair is reported.  With ``check`` the input is screened up front.
     """
     if check:
-        bad = _find_strong_pair(A.points)
+        bad = _comparable_pair(A.points, lt)
         if bad is not None:
             raise NotWeakAntichainError(*bad)
     n = A.dim
@@ -202,7 +188,7 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
         parts.append(PointSet._trusted(n, chosen))
         remaining = set(remaining) - chosen
     if remaining:
-        bad = _find_strong_pair(A.points)
+        bad = _comparable_pair(A.points, lt)
         if bad is None:
             raise RuntimeError("leftover points without a strongly ordered pair")
         raise NotWeakAntichainError(*bad)
@@ -241,6 +227,11 @@ def box_points(n: int, k: int) -> tuple[Point, ...]:
 _box_cells = lru_cache(maxsize=8)(box_points)
 
 
+def _cell(j: int, n: int, k: int) -> Point:
+    """Cell ``j`` of the box [0,k)^n, ``box_points(n, k)[j]``, decoded by mixed radix."""
+    return tuple(j // k ** (n - 1 - i) % k for i in range(n))
+
+
 @dataclass(frozen=True)
 class GapScanResult:
     n: int
@@ -261,8 +252,8 @@ def _add_lines(seen: list[int], images: int, j: int, p: Point, lines) -> tuple[l
     return new, images
 
 
-def _weak_subsets(pool, n: int, k: int, size: int):
-    """Weak antichains of ``size >= 1`` cells of ``pool = box_points(n, k)``.
+def _weak_subsets(n: int, k: int, size: int):
+    """Weak antichains of ``size >= 1`` cells of the box [0,k)^n.
 
     Yields ``(head, last, seen, images)``: ``head`` holds the first size-1
     cell indices in increasing order (a list the search goes on to change),
@@ -276,13 +267,14 @@ def _weak_subsets(pool, n: int, k: int, size: int):
     """
     head: list[int] = []
     if size == 1:
-        yield head, (1 << len(pool)) - 1, [0] * n, 0
+        yield head, (1 << k**n) - 1, [0] * n, 0
         return
+    pool = box_points(n, k)
     axes = _axis_masks(n, k)
     # per axis i: (i, run, comb), the index step and the comb of a line
     runs = [k ** (n - 1 - i) for i in range(n)]
     lines = [(i, run, ((1 << k * run) - 1) // ((1 << run) - 1)) for i, run in enumerate(runs)]
-    frees = [(1 << len(pool)) - 1]
+    frees = [(1 << k**n) - 1]
     seens = [[0] * n]
     images = [0]
     while frees:
@@ -327,7 +319,8 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     improvements are kept, so the reported witness is the lexicographically
     least one.  ``budget`` bounds the number of subsets, C(k^n, size),
     although the search skips every subset that is not a weak antichain; it
-    is checked before the box is built.
+    is checked before the box is built, and a scan of single cells builds
+    none.
 
     Each head (the first size-1 cells of a set) carries, per axis, the
     bitset of cells whose image it already has.  A completion's gap is the
@@ -347,11 +340,10 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
         )
     if size == 0:
         return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
-    pool = box_points(n, k)
     best_gap: int | None = None
     best_cells = None
     weak_count = 0
-    for head, last, seen, images in _weak_subsets(pool, n, k, size):
+    for head, last, seen, images in _weak_subsets(n, k, size):
         weak_count += last.bit_count()
         # gap of head + (q,) is base minus the bitsets holding q, at most n
         base = images + n - size
@@ -373,7 +365,7 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
             best_cells = (*head, first.bit_length() - 1)
     witness = None
     if best_cells is not None:
-        witness = PointSet._trusted(n, [pool[j] for j in best_cells])
+        witness = PointSet._trusted(n, [_cell(j, n, k) for j in best_cells])
     return GapScanResult(n, k, size, best_gap, witness, weak_count)
 
 

@@ -9,6 +9,7 @@ measure, its projection measures, and enough analytic structure for the
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import get_args
@@ -261,8 +262,7 @@ class LinearGraph:
         slope = math.sqrt(1.0 + sum(c * c for c in self.gradient))
         return MeasureEstimate(slope * self._base_volume(), CLOSED_FORM)
 
-    def _quadrature(self, tol: float) -> MeasureEstimate:
-        return surface_measure(self, tol)
+    _quadrature = _measure
 
     def _projection(self, axis: int, tol: float) -> MeasureEstimate:
         weight = 1.0 if axis == self._dim() else abs(self.gradient[axis - 1])
@@ -328,8 +328,7 @@ class TabulatedMonotone:
         # exactly as its base
         return MeasureEstimate(1.0, CLOSED_FORM)
 
-    def _quadrature(self, tol: float) -> MeasureEstimate:
-        return surface_measure(self, tol)
+    _quadrature = _measure
 
     def _projection(self, axis: int, tol: float) -> MeasureEstimate:
         # step extension: base projections are null, the base itself is full
@@ -374,19 +373,20 @@ class SingularStaircase:
         return 2
 
     def _value(self, x) -> float:
-        verts = staircase_polyline(self.depth)
         x = x[0]
         if not 0.0 <= x <= 1.0:
             raise ValueError("staircase argument outside [0,1]")
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x0 <= x <= x1:
-                if x1 == x0:
-                    return min(y0, y1)
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return verts[-1][1]
+        verts = _staircase_vertices(self.depth)
+        # the first segment whose abscissae enclose x: the abscissae never
+        # decrease and run from 0 to 1
+        t = max(bisect_left(_staircase_axes(self.depth)[0], x) - 1, 0)
+        (x0, y0), (x1, y1) = verts[t], verts[t + 1]
+        if x1 == x0:
+            return min(y0, y1)
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def _measure(self, tol: float) -> MeasureEstimate:
-        return MeasureEstimate(_polyline_length(staircase_polyline(self.depth)), CLOSED_FORM)
+        return MeasureEstimate(_polyline_length(_staircase_vertices(self.depth)), CLOSED_FORM)
 
     def _quadrature(self, tol: float) -> MeasureEstimate:
         raise TypeError(f"no quadrature route for {type(self).__name__}")
@@ -511,7 +511,7 @@ def _staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
 @lru_cache(maxsize=1)
 def _staircase_axes(depth: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     # the vertices' abscissae and negated ordinates, both non-decreasing,
-    # for bisecting where the polyline crosses a grid line
+    # for bisecting where the polyline crosses a grid line or an abscissa
     verts = _staircase_vertices(depth)
     return tuple(x for x, _ in verts), tuple(-y for _, y in verts)
 

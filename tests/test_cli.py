@@ -13,13 +13,14 @@ from antichains import (
     TabulatedMonotone,
     format_surface_descriptor,
 )
-from antichains import surfaces
+from antichains import cli, surfaces
 from antichains.cli import _surface_from_args, build_parser, main
 from antichains.quadrature import integrate_adaptive
 
 AB = "dim=2\n0,1\n1,0\n"  # a two-point antichain
 FULL_BOX = "dim=2\n0,0\n0,1\n1,0\n1,1\n"  # not a weak antichain
 CHAIN = "dim=2\n0,0\n1,1\n"
+NEGATIVE = "dim=2\n-1,-2\n-3,-1\n"  # no coordinate reaches 0
 
 
 @pytest.fixture
@@ -244,6 +245,35 @@ def test_shear_subcommand(points_file, capsys):
     assert code == 0
     assert payload["is_antichain"]
     assert payload["scale"] == 2
+
+
+def test_negative_point_files_get_the_derived_scale_one(points_file, capsys):
+    # the derived scale, largest coordinate plus 1, is at least 1
+    path = points_file(NEGATIVE)
+    assert main(["cover", "--points", path, "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: point (-3.0, -1.0) outside the unit cube\n"
+    code, payload = run_json(capsys, ["shear", "--points", path, "--epsilon", "0.1"])
+    assert code == 0 and payload["scale"] == 1
+    assert sum(payload["points"], []) == pytest.approx([-2.6, -0.6, -0.7, -1.7])
+    assert payload["is_antichain"]
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "partition", "gap", "layer", "wn", "measure", "verify", "skew2d",
+                "shear", "slab"]
+)
+def test_csv_is_refused_by_subcommands_without_a_table(command, capsys):
+    assert main([command, "--format", "csv"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'csv'" in err
+
+
+def test_csv_is_refused_before_any_measuring(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "surface_measure", lambda *args: pytest.fail("measured"))
+    argv = ["measure", "--surface", "lpsphere", "--n", "3", "--p", "8", "--tol", "1e-5"]
+    assert main([*argv, "--format", "csv"]) == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_surface_descriptor_file(tmp_path, capsys):

@@ -20,6 +20,7 @@ import random
 import sys
 import time
 from itertools import combinations, product
+from operator import lt
 
 import pytest
 
@@ -38,7 +39,7 @@ from antichains import (
 )
 from antichains import partition
 from antichains.cli import main
-from antichains.lattice import Point, project
+from antichains.lattice import Point, _comparable_pair, project
 from antichains.partition import GapScanResult, _axis_masks, _deleters, _strong_mask, box_points
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,7 @@ def test_find_strong_pair_matches_oracle_on_sorted_input():
     for _ in range(2000):
         n = rng.randint(1, 4)
         pts = sorted({tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(0, 7))})
-        assert partition._find_strong_pair(pts) == _oracle_find_strong_pair(pts), pts
+        assert _comparable_pair(pts, lt) == _oracle_find_strong_pair(pts), pts
 
 
 def test_greedy_partition_still_screens_its_input():
@@ -551,6 +552,20 @@ def test_gap_scan_checks_budget_before_building_the_box(no_box, capsys):
     assert str(err.value) == message
     assert main(["gap-scan", "--n", "4", "--k", "30", "--size", "1", "--budget", "10"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 7), (2, 5), (3, 4), (2, 1000)])
+def test_gap_scan_of_singletons_builds_no_box(n, k, no_box):
+    # the oracle builds its box through this module's own box_points
+    res = exhaustive_gap_scan(n, k, 1)
+    assert (res.min_gap, res.witness, res.weak_count) == (n - 1, PointSet(n, [(0,) * n]), k**n)
+    if k**n <= 100:
+        assert res == _oracle_loop_gap_scan(n, k, 1)
+
+
+def test_cell_decodes_the_box_numbering():
+    for n, k in [(1, 1), (1, 6), (2, 3), (3, 4), (4, 2), (2, 7)]:
+        assert [partition._cell(j, n, k) for j in range(k**n)] == list(box_points(n, k))
 
 
 def test_gap_scan_of_size_zero_builds_no_box(no_box):

@@ -1,11 +1,20 @@
-"""Dominance orders, classification, projections, and the point-set format."""
+"""Dominance orders, classification, projections, and the point-set format.
 
+``classify`` runs the shared comparability screen; the per-pair loop it
+replaced is kept below as its oracle.  Run as a script,
+``python tests/test_lattice.py SETS`` compares the two on SETS random
+collections (100,000 in CI) outside tier-1.
+"""
+
+import math
 import random
-from itertools import product
+import sys
+from itertools import combinations, product
 
 import pytest
 
 from antichains import (
+    NonFiniteError,
     Order,
     PointSet,
     classify,
@@ -19,6 +28,7 @@ from antichains import (
     skew_split,
     skew_split_disjoint,
 )
+from antichains.lattice import Classification
 
 
 def test_dominates_examples():
@@ -64,6 +74,92 @@ def test_every_antichain_is_weak():
         cls = classify(PointSet(n, pts))
         if cls.is_antichain:
             assert cls.is_weak_antichain
+
+
+# ---------------------------------------------------------------------------
+# classify against the per-pair loop it replaced
+
+
+def _oracle_classify(points):
+    if isinstance(points, PointSet):
+        pts = points.points
+    else:
+        pts = sorted({tuple(p) for p in points})
+        if pts and any(len(p) != len(pts[0]) for p in pts):
+            raise ValueError("points of mixed dimension")
+    anti = True
+    for x, y in combinations(pts, 2):
+        le_xy = le_yx = True
+        lt_xy = lt_yx = True
+        for a, b in zip(x, y):
+            if a < b:
+                le_yx = lt_yx = False
+            elif a > b:
+                le_xy = lt_xy = False
+            else:
+                lt_xy = lt_yx = False
+        if lt_xy or lt_yx:
+            return Classification(False, False)
+        if le_xy or le_yx:
+            anti = False
+    return Classification(anti, True)
+
+
+def _random_collection(rng):
+    """A random point collection: ints or floats, negatives, ties and repeats.
+
+    Integer collections come as a list with repeated points or as a
+    PointSet; float ones mix a few shared values (ties, including an int
+    equal to a float) with uniform draws.
+    """
+    n = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        lo = rng.randint(-4, 0)
+        pts = [tuple(rng.randint(lo, lo + 3) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+        if pts and rng.random() < 0.5:
+            pts += rng.choices(pts, k=rng.randint(1, 3))
+            rng.shuffle(pts)
+            return pts
+        return PointSet(n, set(pts))
+    grid = (-1.5, -0.25, 0, 0.0, 0.5, 1, 2.0)
+
+    def coord():
+        return rng.choice(grid) if rng.random() < 0.7 else rng.uniform(-2.0, 2.0)
+
+    pts = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(0, 8))]
+    return pts + rng.choices(pts, k=rng.randint(0, 2)) if pts else pts
+
+
+def _classify_sweep(sets: int, seed: int = 0) -> dict:
+    """Compare ``classify`` with the oracle on ``sets`` random collections; counts outcomes."""
+    rng = random.Random(seed)
+    outcomes: dict = {}
+    for _ in range(sets):
+        pts = _random_collection(rng)
+        expected = _oracle_classify(pts)
+        assert classify(pts) == expected, pts
+        outcomes[expected] = outcomes.get(expected, 0) + 1
+    return outcomes
+
+
+def test_classify_matches_oracle():
+    outcomes = _classify_sweep(3000, seed=5)
+    # every outcome is exercised often: antichains, weak-only sets, and neither
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_rejects_non_finite_coordinates(bad):
+    # the old loop read NaN as equal to everything, so these came out as antichains
+    for pts in ([(0.5, bad)], [(0.0, 1.0), (bad, 0.5)], [(1.0, 0.0), (0.0, 1.0), (bad, bad)]):
+        with pytest.raises(NonFiniteError):
+            classify(pts)
+
+
+def test_classify_accepts_integers_beyond_float_range():
+    assert classify([(10**400, 0), (0, 1)]) == (True, True)
+    assert classify([(-(10**400), 0), (0, 1)]) == (False, False)
 
 
 def test_project_examples():
@@ -222,3 +318,9 @@ def test_parse_point_set_errors():
 def test_parse_skips_blanks_and_comments():
     s = parse_point_set("# a comment\ndim=2\n\n0,1\n# another\n1,0\n")
     assert s == PointSet(2, [(0, 1), (1, 0)])
+
+
+if __name__ == "__main__":
+    sets = int(sys.argv[1])
+    outcomes = {tuple(k): v for k, v in _classify_sweep(sets).items()}
+    print(f"{sets} collections: classify agrees with the per-pair loop {outcomes}")

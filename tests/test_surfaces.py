@@ -351,6 +351,36 @@ def test_staircase_graph_value():
     assert graph_value(s, (0.5,)) == pytest.approx(0.5)  # flat centre piece
 
 
+def _oracle_staircase_value(verts, x):
+    # the walk along the polyline that the bisection replaced, given the
+    # polyline instead of copying it per call
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("staircase argument outside [0,1]")
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        if x0 <= x <= x1:
+            if x1 == x0:
+                return min(y0, y1)
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return verts[-1][1]
+
+
+def test_staircase_graph_value_matches_linear_walk():
+    rng = random.Random(17)
+    for depth in range(13):
+        s = SingularStaircase(depth)
+        verts = staircase_polyline(depth)
+        xs = [x for x, _ in verts] + [rng.random() for _ in range(100)] + [0, 1, 0.5]
+        for x in xs:
+            assert graph_value(s, (x,)) == _oracle_staircase_value(verts, x), (depth, x)
+
+
+def test_staircase_lookups_copy_no_polyline(monkeypatch):
+    s = SingularStaircase(12)
+    expected = (graph_value(s, (0.3,)), surface_measure(s), skew_measures_2d(s))
+    monkeypatch.setattr(surfaces, "staircase_polyline", lambda depth: pytest.fail("copied"))
+    assert (graph_value(s, (0.3,)), surface_measure(s), skew_measures_2d(s)) == expected
+
+
 def test_skew_antidiagonal():
     report = skew_measures_2d(Hyperplane(2))
     assert report.passes
