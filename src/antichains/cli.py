@@ -4,7 +4,11 @@ Output is machine readable: JSON objects (sorted keys) or CSV tables with a
 header row, written to stdout or to ``--output``.  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 operation error,
 2 computed fine but a verification did not pass (also when its surface
-measure missed the tolerance), 64 bad usage.
+measure missed the tolerance), 64 bad usage.  A flag value that argparse or
+the library rejects is bad usage; a non-finite surface parameter, a file's
+contents and an exceeded budget are operation errors.  ``--m``/``--m-list``,
+``--n``/``--n-list`` and ``--size``/``--size-list`` are each one flag taking
+a comma-separated integer list.
 """
 
 import argparse
@@ -46,24 +50,39 @@ USAGE_EXIT = 64
 
 
 class UsageError(Exception):
-    pass
+    """Bad flags; ``parser`` is the (sub)parser whose usage line applies, if any."""
+
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
+    """A non-empty comma-separated integer list; empty items are skipped."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    return values
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
 
 
 @contextlib.contextmanager
 def _as_usage():
-    """Report a ValueError raised while building inputs from flags as bad usage.
+    """Report a ValueError as bad usage, around calls whose every ValueError is a flag's rule.
 
     Non-finite numbers stay operation errors, as the library raises them.
     """
@@ -190,21 +209,19 @@ def _cmd_gap(args):
 
 
 def _cmd_gap_scan(args):
-    sizes = _parse_int_list(args.size_list) if args.size_list else [args.size]
-    if sizes == [None]:
-        raise UsageError("gap-scan needs --size or --size-list")
-    results = []
-    for size in sizes:
-        if args.sample:
-            res = random_gap_scan(args.n, args.k, size, args.sample, seed=args.seed)
-        else:
-            res = exhaustive_gap_scan(args.n, args.k, size, budget=args.budget)
-        results.append(res)
+    random = args.sample is not None
+    with _as_usage():
+        results = [
+            random_gap_scan(args.n, args.k, size, args.sample, seed=args.seed)
+            if random
+            else exhaustive_gap_scan(args.n, args.k, size, budget=args.budget)
+            for size in args.size
+        ]
     reference = args.n - 1
     payload = {
         "n": args.n,
         "k": args.k,
-        "mode": "random" if args.sample else "exhaustive",
+        "mode": "random" if random else "exhaustive",
         "reference_gap": reference,
         "rows": [
             {
@@ -220,7 +237,7 @@ def _cmd_gap_scan(args):
     rows = [
         [
             r.size,
-            "" if r.min_gap is None else r.min_gap,
+            r.min_gap,
             reference,
             r.weak_count,
             "" if r.witness is None else ";".join(",".join(map(str, p)) for p in r.witness),
@@ -233,15 +250,9 @@ def _cmd_gap_scan(args):
 
 def _cmd_width(args):
     order = Order.STRONG if args.order == "weak" else Order.STRICT
-    ns = _parse_int_list(args.n_list) if args.n_list else [args.n]
-    ms = _parse_int_list(args.m_list) if args.m_list else [args.m]
-    if None in ns or None in ms:
-        raise UsageError("width needs --n/--m or --n-list/--m-list")
-    results = []
-    for n in ns:
-        for m in ms:
-            res = max_antichain(GridPoset(n, m, order), budget=args.budget)
-            results.append((n, m, res))
+    with _as_usage():
+        grids = [GridPoset(n, m, order) for n in args.n for m in args.m]
+    results = [(g.n, g.m, max_antichain(g, budget=args.budget)) for g in grids]
     if len(results) == 1:
         n, m, result = results[0]
         payload = {
@@ -267,19 +278,22 @@ def _cmd_width(args):
 
 def _cmd_layer(args):
     ell = middle_layer_index(args.n, args.m) if args.ell is None else args.ell
-    points = layer_construct(args.n, args.m, ell)
+    with _as_usage():
+        points = layer_construct(args.n, args.m, ell)
+        size = layer_size(args.n, args.m, ell)
     payload = {
         "n": args.n,
         "m": args.m,
         "ell": ell,
-        "size": layer_size(args.n, args.m, ell),
+        "size": size,
         "points": [list(p) for p in points],
     }
     return payload, None, None, True
 
 
 def _cmd_wn(args):
-    points = wn_construct(args.n, args.m)
+    with _as_usage():
+        points = wn_construct(args.n, args.m)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -289,23 +303,17 @@ def _cmd_wn(args):
     return payload, None, None, True
 
 
-def _cover_target(args):
+def _cmd_cover(args):
     if args.points:
         ps = load_point_set(args.points)
-        return PointCloud(ps.dim, tuple(rescale_to_unit(ps, _derived_scale(ps))))
-    if args.surface:
-        return _surface_from_args(args)
-    raise UsageError("cover needs --points or --surface")
-
-
-def _cmd_cover(args):
-    target = _cover_target(args)
-    ms = _parse_int_list(args.m_list) if args.m_list else [args.m]
-    if ms == [None]:
-        raise UsageError("cover needs --m or --m-list")
+        target = PointCloud(ps.dim, tuple(rescale_to_unit(ps, _derived_scale(ps))))
+    else:
+        target = _surface_from_args(args)
     entries = []
-    for m in ms:
-        cov = grid_cover(target, m, budget=args.budget)
+    for m in args.m:
+        # the target is built, so what grid_cover still rejects is m itself
+        with _as_usage():
+            cov = grid_cover(target, m, budget=args.budget)
         bound = covering_bound(cov).value if cov.dim >= 2 else None
         entries.append(
             {
@@ -318,17 +326,15 @@ def _cmd_cover(args):
         )
     payload = entries[0] if len(entries) == 1 else {"curve": entries}
     header = ["m", "count", "ratio", "bound", "exact"]
-    rows = [
-        [e["m"], e["count"], e["ratio"], "" if e["bound"] is None else e["bound"], e["exact"]]
-        for e in entries
-    ]
+    rows = [list(e.values()) for e in entries]
     return payload, rows, header, True
 
 
 def _cmd_measure(args):
     surface = _surface_from_args(args)
     if args.axis is not None:
-        est = projection_measure(surface, args.axis, args.tol)
+        with _as_usage():
+            est = projection_measure(surface, args.axis, args.tol)
     else:
         est = surface_measure(surface, args.tol)
     return _estimate_json(est), None, None, True
@@ -366,10 +372,10 @@ def _cmd_skew2d(args):
 
 def _cmd_shear(args):
     ps = load_point_set(args.points)
+    scale = _derived_scale(ps) if args.scale is None else args.scale
     with _as_usage():
         params = ShearParams(n=ps.dim, epsilon=args.epsilon)
-    scale = _derived_scale(ps) if args.scale is None else args.scale
-    image = shear_points(rescale_to_unit(ps, scale), params)
+        image = shear_points(rescale_to_unit(ps, scale), params)
     cls = classify(image) if image else None
     payload = {
         "n": ps.dim,
@@ -383,12 +389,14 @@ def _cmd_shear(args):
 
 
 def _cmd_slab(args):
-    value = slab_volume(args.n, args.c)
+    with _as_usage():
+        value = slab_volume(args.n, args.c)
     return {"n": args.n, "c": args.c, "volume": value}, None, None, True
 
 
 def _cmd_staircase(args):
-    verts = staircase_polyline(args.depth)
+    with _as_usage():
+        verts = staircase_polyline(args.depth)
     est = surface_measure(SingularStaircase(depth=args.depth))
     payload = {"depth": args.depth, "length": est.value, "vertices": len(verts)}
     if args.vertices:
@@ -448,8 +456,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap-scan", help="minimum gap over weak antichains in a box")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--size", type=int)
-    p.add_argument("--size-list", dest="size_list")
+    p.add_argument("--size", "--size-list", type=_int_list, required=True)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--sample", type=int, help="sample this many random weak antichains instead")
     p.add_argument("--seed", type=int, default=0)
@@ -457,10 +464,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_gap_scan)
 
     p = sub.add_parser("width", help="maximum antichain of a grid poset")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-list", dest="n_list", help="sweep dimensions (CSV output)")
-    p.add_argument("--m-list", dest="m_list", help="sweep chain lengths (CSV output)")
+    p.add_argument("--n", "--n-list", type=_int_list, required=True, help="dimensions")
+    p.add_argument("--m", "--m-list", type=_int_list, required=True, help="chain lengths")
     p.add_argument("--order", choices=("antichain", "weak"), default="antichain")
     # the slowest grids within the default, (16,2) and (10,3) under the weak
     # order, take about 1 s each, most of it printing a 60k-point witness
@@ -482,10 +487,10 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_wn)
 
     p = sub.add_parser("cover", help="grid cells meeting a point set or surface")
-    p.add_argument("--points")
-    p.add_argument("--surface")
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-list", dest="m_list")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--points")
+    target.add_argument("--surface")
+    p.add_argument("--m", "--m-list", type=_int_list, required=True, help="grid resolutions")
     p.add_argument("--budget", type=int, default=2_000_000)
     _surface_flags(p)
     common(p, "json")
@@ -494,21 +499,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("measure", help="surface or projection measure of a surface")
     p.add_argument("--surface", required=True)
     p.add_argument("--axis", type=int, help="projection axis; omit for the surface measure")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_tolerance)
     _surface_flags(p)
     common(p)
     p.set_defaults(handler=_cmd_measure)
 
     p = sub.add_parser("verify", help="check the projection inequality for a surface")
     p.add_argument("--surface", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_tolerance)
     _surface_flags(p)
     common(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("skew2d", help="skewed-projection measures in the plane")
     p.add_argument("--surface", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_tolerance)
     _surface_flags(p)
     common(p)
     p.set_defaults(handler=_cmd_skew2d)
@@ -535,7 +540,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("p-sweep", help="sphere measures for a list of p values")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--p-list", dest="p_list", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_tolerance)
     common(p, "csv")
     p.set_defaults(handler=_cmd_p_sweep)
 
@@ -560,39 +565,18 @@ def _surface_flags(p) -> None:
     p.add_argument("--depth", type=int, help="staircase depth")
 
 
-def _validate_preconditions(args) -> None:
-    """Range checks before dispatch, so bad parameters are usage errors."""
-    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
-        raise UsageError("--tol must be positive and finite")
-    if args.command == "slab" and not 0 <= args.c <= args.n:
-        raise UsageError(f"--c must lie in [0, {args.n}]")
-    if args.command == "shear":
-        if args.epsilon <= 0:
-            raise UsageError("--epsilon must be positive")
-        if args.scale is not None and args.scale < 1:
-            raise UsageError("--scale must be >= 1")
-    if args.command == "staircase" and not 0 <= args.depth <= 20:
-        raise UsageError("--depth must lie in 0..20")
-    if args.command == "measure" and args.axis is not None and args.axis < 1:
-        raise UsageError("--axis must be >= 1")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
-            raise UsageError("a subcommand is required")
-        _validate_preconditions(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
-    try:
+            raise UsageError("a subcommand is required", parser)
         payload, rows, header, ok = args.handler(args)
         _emit(args, payload, rows, header)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        if exc.parser is not None:
+            exc.parser.print_usage(sys.stderr)
         return USAGE_EXIT
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ from .surfaces import (
     LpSphere,
     SingularStaircase,
     TabulatedMonotone,
-    _staircase_axes,
     _staircase_vertices,
     monotone_extension,
     surface_dim,
@@ -333,8 +332,8 @@ def _staircase_cells(s: SingularStaircase, m: int):
     # the products cube_index takes; a segment between two cells is tested
     # against the cells of its bounding box, and a run of vertices in one
     # cell hits it once any of its segments does
-    verts = _staircase_vertices(s.depth)
-    xs, neg_ys = _staircase_axes(s.depth)
+    polyline = _staircase_vertices(s.depth)
+    verts, xs, neg_ys = polyline.vertices, polyline.xs, polyline.neg_ys
     last = len(verts) - 1
     changes = {0, last + 1}
     for k in range(1, m):

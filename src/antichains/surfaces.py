@@ -11,7 +11,7 @@ measure, its projection measures, and enough analytic structure for the
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import get_args
 
 from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite, require_tolerance
@@ -241,6 +241,7 @@ class LinearGraph:
         for box in self.base:
             if len(box) != d:
                 raise ValueError("base boxes must match the gradient dimension")
+            require_finite("base bounds", *(c for axis in box for c in axis))
             for lo, hi in box:
                 if not (0.0 <= lo <= hi <= 1.0):
                     raise ValueError(f"base interval ({lo}, {hi}) outside [0,1]")
@@ -304,6 +305,7 @@ class TabulatedMonotone:
         for pt, val in self.samples:
             if len(pt) != self.dim - 1:
                 raise ValueError(f"sample point {pt} must have {self.dim - 1} coordinates")
+            require_finite("samples", *pt, val)
             if not all(0.0 <= c <= 1.0 for c in pt):
                 raise ValueError(f"sample point {pt} outside the unit cube")
             if not 0.0 <= val <= 1.0:
@@ -376,17 +378,18 @@ class SingularStaircase:
         x = x[0]
         if not 0.0 <= x <= 1.0:
             raise ValueError("staircase argument outside [0,1]")
-        verts = _staircase_vertices(self.depth)
+        polyline = _staircase_vertices(self.depth)
+        verts = polyline.vertices
         # the first segment whose abscissae enclose x: the abscissae never
         # decrease and run from 0 to 1
-        t = max(bisect_left(_staircase_axes(self.depth)[0], x) - 1, 0)
+        t = max(bisect_left(polyline.xs, x) - 1, 0)
         (x0, y0), (x1, y1) = verts[t], verts[t + 1]
         if x1 == x0:
             return min(y0, y1)
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def _measure(self, tol: float) -> MeasureEstimate:
-        return MeasureEstimate(_polyline_length(_staircase_vertices(self.depth)), CLOSED_FORM)
+        return MeasureEstimate(_staircase_vertices(self.depth).length, CLOSED_FORM)
 
     def _quadrature(self, tol: float) -> MeasureEstimate:
         raise TypeError(f"no quadrature route for {type(self).__name__}")
@@ -488,9 +491,31 @@ def _hyperplane_base_measure(n: int) -> float:
 # staircase polyline
 
 
+class _Staircase:
+    """A depth's polyline and what is derived from it alone, each derived once when first used."""
+
+    def __init__(self, vertices: tuple[tuple[float, float], ...]):
+        self.vertices = vertices
+
+    # the abscissae and negated ordinates, both non-decreasing, for
+    # bisecting where the polyline crosses a grid line or an abscissa
+    @cached_property
+    def xs(self) -> tuple[float, ...]:
+        return tuple(x for x, _ in self.vertices)
+
+    @cached_property
+    def neg_ys(self) -> tuple[float, ...]:
+        return tuple(-y for _, y in self.vertices)
+
+    @cached_property
+    def length(self) -> float:
+        return _polyline_length(self.vertices)
+
+
 @lru_cache(maxsize=1)
-def _staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
-    # one depth at a time: a depth-20 polyline holds about two million vertices
+def _staircase_vertices(depth: int) -> _Staircase:
+    # one depth at a time, in one record: a depth-20 polyline holds about
+    # two million vertices, and its length sums as many hypot terms
     steep = [(0.0, 0.0, 1.0, 1.0)]
     for _ in range(depth):
         nxt = []
@@ -505,22 +530,14 @@ def _staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
         if (x0, y0) != rising[-1]:
             rising.append((x0, y0))
         rising.append((x1, y1))
-    return tuple((x, 1.0 - y) for x, y in rising)
-
-
-@lru_cache(maxsize=1)
-def _staircase_axes(depth: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # the vertices' abscissae and negated ordinates, both non-decreasing,
-    # for bisecting where the polyline crosses a grid line or an abscissa
-    verts = _staircase_vertices(depth)
-    return tuple(x for x, _ in verts), tuple(-y for _, y in verts)
+    return _Staircase(tuple((x, 1.0 - y) for x, y in rising))
 
 
 def staircase_polyline(depth: int) -> list[tuple[float, float]]:
     """Vertices of the decreasing depth-k staircase from (0,1) to (1,0)."""
     if not 0 <= depth <= 20:
         raise ValueError("depth must be in 0..20")
-    return list(_staircase_vertices(depth))
+    return list(_staircase_vertices(depth).vertices)
 
 
 def _polyline_length(vertices) -> float:

@@ -326,6 +326,8 @@ def test_operation_errors_exit_1(points_file, capsys):
         ["measure", "--surface", "lpsphere", "--n", "2", "--p", "nan"],
         ["verify", "--surface", "linear", "--gradient=-0.5", "--offset", "inf"],
         ["p-sweep", "--p-list", "2,inf", "--format", "json"],
+        ["measure", "--surface", "linear", "--gradient=-0.5", "--box", "nan:1"],
+        ["measure", "--surface", "tabulated", "--n", "2", "--sample", "0.2,nan"],
     ],
 )
 def test_non_finite_inputs_are_operation_errors(argv, capsys):
@@ -383,3 +385,65 @@ def test_inline_flags_and_descriptor_file_build_equal_surfaces(flags, surface, t
     from_file = _surface_from_args(parser.parse_args(["measure", "--surface", str(desc)]))
     assert inline == surface
     assert from_file == surface
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["measure", "--surface", "hyperplane", "--n", "2", "--tol", "nan"], 64),
+        (["verify", "--surface", "hyperplane", "--n", "2", "--tol", "0"], 64),
+        (["skew2d", "--surface", "staircase", "--depth", "2", "--tol", "-1"], 64),
+        (["p-sweep", "--p-list", "2", "--tol", "0"], 64),
+        (["slab", "--n", "2", "--c", "-0.5"], 64),
+        (["slab", "--n", "2", "--c", "5"], 64),
+        (["slab", "--n", "0", "--c", "0"], 64),
+        (["staircase", "--depth", "-1"], 64),
+        (["staircase", "--depth", "21"], 64),
+        (["shear", "--points", "{points}", "--epsilon", "0"], 64),
+        (["shear", "--points", "{points}", "--epsilon", "0.4"], 64),
+        (["shear", "--points", "{points}", "--epsilon", "0.1", "--scale", "0"], 64),
+        (["shear", "--points", "/nonexistent/path.txt", "--epsilon", "0"], 1),
+        (["measure", "--surface", "hyperplane", "--n", "3", "--axis", "0"], 64),
+        (["measure", "--surface", "hyperplane", "--n", "3", "--axis", "4"], 64),
+        (["gap-scan", "--n", "2", "--k", "3", "--size", "2", "--sample", "0"], 64),
+        (["gap-scan", "--n", "0", "--k", "3", "--size", "1"], 64),
+        (["gap-scan", "--n", "2", "--k", "2", "--size", "9", "--sample", "3"], 64),
+        (["gap-scan", "--n", "2", "--k", "3", "--size", "5", "--budget", "10"], 1),
+        (["width", "--n", "0", "--m", "3"], 64),
+        (["width", "--n", "2", "--m-list", "3,0"], 64),
+        (["width", "--n", "2"], 64),
+        (["width", "--n", "2", "--m-list", ","], 64),
+        (["width", "--n", "2", "--m", "3", "--m-list", "2,3"], 0),
+        (["wn", "--n", "0", "--m", "3"], 64),
+        (["wn", "--n", "2", "--m", "0"], 64),
+        (["layer", "--n", "0", "--m", "3"], 64),
+        (["layer", "--n", "2", "--m", "0"], 64),
+        (["cover", "--surface", "hyperplane", "--n", "0", "--m", "2"], 64),
+        (["cover", "--surface", "hyperplane", "--n", "3", "--m", "0"], 64),
+        (["cover", "--surface", "hyperplane", "--n", "3"], 64),
+        (["cover", "--points", "{points}", "--surface", "hyperplane", "--m", "2"], 64),
+        (["cover", "--surface", "hyperplane", "--n", "2", "--m-list", ","], 64),
+        (["cover", "--points", "{points}", "--m", "2,4"], 0),
+    ],
+)
+def test_each_flag_rule_has_one_exit_code(argv, code, points_file, capsys):
+    path = points_file(AB)
+    assert main([a.replace("{points}", path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    if code != 0:
+        assert out == "" and err.startswith("usage error: " if code == 64 else "error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--surface", "hyperplane", "--n", "2", "--format", "csv"],
+        ["width", "--n", "2"],
+        ["cover", "--m", "2"],
+        ["slab", "--n", "2", "--c", "x"],
+    ],
+)
+def test_flag_errors_print_their_subcommand_usage(argv, capsys):
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert f"usage: antichains {argv[0]} " in err

@@ -549,3 +549,19 @@ def test_family_dataclass_shape(surface, signature, text):
     assert all(surface != other for other, _, _ in _FAMILY_SHAPES if other is not surface)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(surface, names[0], None)
+
+
+def test_staircase_length_summed_once_per_depth(monkeypatch):
+    calls = []
+    length = surfaces._polyline_length
+
+    def counted(vertices):
+        calls.append(len(vertices))
+        return length(vertices)
+
+    monkeypatch.setattr(surfaces, "_polyline_length", counted)
+    _staircase_vertices.cache_clear()
+    first = surface_measure(SingularStaircase(7)).value
+    second = surface_measure(SingularStaircase(7)).value
+    assert len(calls) == 1
+    assert first == second == length(staircase_polyline(7))
