@@ -5,10 +5,12 @@ header row, written to stdout or to ``--output``.  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 operation error,
 2 computed fine but a verification did not pass (also when its surface
 measure missed the tolerance), 64 bad usage.  A flag value that argparse or
-the library rejects is bad usage; a non-finite surface parameter, a file's
-contents and an exceeded budget are operation errors.  ``--m``/``--m-list``,
-``--n``/``--n-list`` and ``--size``/``--size-list`` are each one flag taking
-a comma-separated integer list.
+the library rejects is bad usage, and its subcommand's usage line follows the
+message; a non-finite number the library rejects (a surface parameter,
+``slab --c``, ``shear --epsilon``), a file's contents and an exceeded budget
+are operation errors.  ``--m``/``--m-list``, ``--n``/``--n-list`` and
+``--size``/``--size-list`` are each one flag taking a comma-separated integer
+list.
 """
 
 import argparse
@@ -544,6 +546,9 @@ def build_parser() -> _Parser:
     common(p, "csv")
     p.set_defaults(handler=_cmd_p_sweep)
 
+    # a handler's usage error prints the usage line of its subcommand
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -567,6 +572,7 @@ def _surface_flags(p) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
@@ -575,8 +581,7 @@ def main(argv=None) -> int:
         _emit(args, payload, rows, header)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        if exc.parser is not None:
-            exc.parser.print_usage(sys.stderr)
+        (exc.parser or args.parser).print_usage(sys.stderr)
         return USAGE_EXIT
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

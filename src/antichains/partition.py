@@ -80,9 +80,13 @@ def projection_size(points: PointSet, axis: int) -> int:
 # run = k**(n-1-i), so the cells with coordinate < v form, in every period of
 # k*run bits, a block of v*run bits: (R << v*run) - R, where R has one bit at
 # the start of each period, R = (2**(k**n) - 1) // (2**(k*run) - 1).  The
-# cells strongly comparable to a point are the AND over the axes of these
-# masks, or of their upper counterparts, so a table of n*k masks per side
-# serves every point; there is no per-cell table.  The cells that share p's
+# cells strongly comparable to cell j are the AND over the axes of these
+# masks, or of their upper counterparts.  The masks are tabled per group of
+# adjacent axes, ANDed within the group and indexed by the group's digits of
+# j, j // k**(n-g-w) % k**w for the group of w axes from axis g: pairs of
+# axes, k*k masks per side and pair, halve the ANDs per cell, and single
+# axes, k masks per side and axis, serve boxes whose pair tables would
+# outgrow _TABLE_CAP.  There is no per-cell table.  The cells that share p's
 # image along axis i, the line through p, are a comb of k bits spaced run
 # apart, (2**(k*run) - 1) // (2**run - 1), shifted to the line's first cell
 # j - p[i]*run, so n combs serve every line.
@@ -92,7 +96,6 @@ def projection_size(points: PointSet, axis: int) -> int:
 _TABLE_CAP = 1 << 22
 
 
-@lru_cache(maxsize=8)
 def _axis_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per axis, the cells with coordinate < v and those with coordinate > v, v in range(k)."""
     full = (1 << k**n) - 1
@@ -108,12 +111,44 @@ def _axis_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(axes)
 
 
-def _strong_mask(p: Point, axes) -> int:
-    """Cells strictly below or strictly above ``p`` in every coordinate."""
+@lru_cache(maxsize=8)
+def _joint_masks(n: int, k: int, width: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
+    """The mask table over groups of ``width`` (1 or 2) adjacent axes.
+
+    Per group, ``(shift, radix, below, above)``: cell j's digits on the
+    group are ``d = j // shift % radix``, and ``below[d]`` (``above[d]``)
+    holds the cells strictly below (above) cell j on every axis of the
+    group.  An odd axis left over by pairs forms a group of its own.
+    """
+    axes = _axis_masks(n, k)
+    groups = []
+    for g in range(0, n, width):
+        lo, hi = axes[g]
+        w = min(width, n - g)
+        if w == 2:
+            lo2, hi2 = axes[g + 1]
+            lo = tuple(a & b for a in lo for b in lo2)
+            hi = tuple(a & b for a in hi for b in hi2)
+        groups.append((k ** (n - g - w), k**w, lo, hi))
+    return tuple(groups)
+
+
+def _mask_table(n: int, k: int, cap: int):
+    """:func:`_joint_masks` over pairs of axes if their tables fit ``cap``, else over single axes.
+
+    The pair tables hold 2*k*k masks of k**n bits per pair, counting an odd
+    axis left over as a pair.
+    """
+    return _joint_masks(n, k, 2 if 2 * -(-n // 2) * k ** (n + 2) <= cap else 1)
+
+
+def _strong_cells(j: int, groups) -> int:
+    """Cells strictly below or strictly above cell ``j`` in every coordinate."""
     below = above = -1
-    for c, (lo, hi) in zip(p, axes):
-        below &= lo[c]
-        above &= hi[c]
+    for shift, radix, lo, hi in groups:
+        d = j // shift % radix
+        below &= lo[d]
+        above &= hi[d]
     return below | above
 
 
@@ -270,7 +305,7 @@ def _weak_subsets(n: int, k: int, size: int):
         yield head, (1 << k**n) - 1, [0] * n, 0
         return
     pool = box_points(n, k)
-    axes = _axis_masks(n, k)
+    groups = _mask_table(n, k, _TABLE_CAP)
     # per axis i: (i, run, comb), the index step and the comb of a line
     runs = [k ** (n - 1 - i) for i in range(n)]
     lines = [(i, run, ((1 << k * run) - 1) // ((1 << run) - 1)) for i, run in enumerate(runs)]
@@ -295,7 +330,7 @@ def _weak_subsets(n: int, k: int, size: int):
                 low = free & -free
                 free ^= low
                 idx = low.bit_length() - 1
-                last = free & ~_strong_mask(pool[idx], axes)
+                last = free & ~_strong_cells(idx, groups)
                 if last:
                     head[-1] = idx
                     yield head, last, *_add_lines(seens[-1], images[-1], idx, pool[idx], lines)
@@ -306,7 +341,7 @@ def _weak_subsets(n: int, k: int, size: int):
         frees[-1] = free
         idx = low.bit_length() - 1
         head.append(idx)
-        frees.append(free & ~_strong_mask(pool[idx], axes))
+        frees.append(free & ~_strong_cells(idx, groups))
         seen, image_count = _add_lines(seens[-1], images[-1], idx, pool[idx], lines)
         seens.append(seen)
         images.append(image_count)
@@ -378,39 +413,46 @@ def _random_weak_antichain(
     capacity = k**n - (k - 1) ** n
     if not 0 <= size <= capacity:
         raise ValueError(f"size {size} outside 0..{capacity} for this box")
+    if size == 0:
+        return PointSet._trusted(n, ())
     if max_tries is None:
         max_tries = 400 * (size + 1)
-    randrange = random.Random(seed).randrange
-    # the table holds 2*n*k masks of k**n bits
-    axes = _axis_masks(n, k) if 2 * n * k ** (n + 1) <= table_cap else None
-    cells = _box_cells(n, k) if axes is not None else None
+    # randrange(k) on CPython 3.10-3.13, inlined: draw bits until one is below k
+    getrandbits = random.Random(seed).getrandbits
+    bits = k.bit_length()
+    # the bitset path's table holds at least 2*n*k masks of k**n bits
+    groups = _mask_table(n, k, table_cap) if 2 * n * k ** (n + 1) <= table_cap else None
+    cells = _box_cells(n, k) if groups is not None else None
     blocked = 0  # bitset path: cells taken or strongly comparable to one
     have: set[Point] = set()  # pairwise path
     chosen: list[Point] = []
-    tries = 0
-    while len(chosen) < size:
-        if tries >= max_tries:
-            raise TargetUnreachableError(
-                f"size {size} not reached within {max_tries} samples (seed {seed})"
-            )
-        tries += 1
-        if axes is not None:
-            # the draws, coordinate by coordinate, are the digits of the cell index
-            idx = 0
-            for _ in range(n):
-                idx = idx * k + randrange(k)
+    for _ in range(max_tries):
+        # the draws, coordinate by coordinate, are the digits of the cell index
+        idx = 0
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= k:
+                r = getrandbits(bits)
+            idx = idx * k + r
+        if groups is not None:
             if blocked >> idx & 1:
                 continue
+            blocked |= _strong_cells(idx, groups) | 1 << idx
             cand = cells[idx]
-            blocked |= _strong_mask(cand, axes) | 1 << idx
         else:
-            cand = tuple(randrange(k) for _ in range(n))
+            cand = _cell(idx, n, k)
             if cand in have or any(
                 all(map(lt, p, cand)) or all(map(lt, cand, p)) for p in chosen
             ):
                 continue
             have.add(cand)
         chosen.append(cand)
+        if len(chosen) == size:
+            break
+    else:
+        raise TargetUnreachableError(
+            f"size {size} not reached within {max_tries} samples (seed {seed})"
+        )
     return PointSet._trusted(n, chosen)
 
 
@@ -422,9 +464,13 @@ def random_weak_antichain(
     Candidates are drawn uniformly from the box and kept whenever they are
     not strongly comparable with any accepted point.  Deterministic for a
     given seed.  The size cannot exceed k^n - (k-1)^n, the box's maximum
-    weak antichain size.  Unless the box is too large for its mask table
-    (``_TABLE_CAP``), the cells ruled out so far are kept as a bitset, so a
-    candidate costs one bit test.
+    weak antichain size.  Each coordinate is ``Random(seed).randrange(k)``,
+    drawn inline as ``getrandbits(k.bit_length())`` until below k, which is
+    how CPython's ``randrange`` draws it, so the stream is the same.  Unless
+    the box is too large for its mask table (``_TABLE_CAP``), the cells ruled
+    out so far are kept as a bitset, so a candidate costs one bit test, and
+    an accepted cell's strongly comparable cells come from masks tabled per
+    pair of axes (per single axis where the pair tables would not fit).
     """
     return _random_weak_antichain(n, k, size, seed, max_tries, _TABLE_CAP)
 

@@ -11,6 +11,8 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from .estimate import require_finite
+
 __all__ = [
     "ShearParams",
     "shear",
@@ -41,6 +43,7 @@ class ShearParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        require_finite("epsilon", self.epsilon)
         if not 0.0 < self.epsilon < 1.0 / (2 * self.n):
             raise ValueError(f"epsilon must lie in (0, {1.0 / (2 * self.n)})")
 

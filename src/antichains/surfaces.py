@@ -465,6 +465,7 @@ def slab_volume(n: int, c: float) -> float:
     """Volume of {x in [0,1]^n : (n-c)/2 <= sum x_i < (n+c)/2}."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    require_finite("c", c)
     if not 0.0 <= c <= n:
         raise ValueError(f"c must be in [0, {n}]")
     return irwin_hall_cdf(n, (n + c) / 2) - irwin_hall_cdf(n, (n - c) / 2)

@@ -328,6 +328,9 @@ def test_operation_errors_exit_1(points_file, capsys):
         ["p-sweep", "--p-list", "2,inf", "--format", "json"],
         ["measure", "--surface", "linear", "--gradient=-0.5", "--box", "nan:1"],
         ["measure", "--surface", "tabulated", "--n", "2", "--sample", "0.2,nan"],
+        ["slab", "--n", "2", "--c", "nan"],
+        ["slab", "--n", "2", "--c", "inf"],
+        ["slab", "--n", "2", "--c=-inf"],
     ],
 )
 def test_non_finite_inputs_are_operation_errors(argv, capsys):
@@ -336,6 +339,12 @@ def test_non_finite_inputs_are_operation_errors(argv, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_non_finite_shear_epsilon_is_operation_error(epsilon, points_file, capsys):
+    assert main(["shear", "--points", points_file(AB), f"--epsilon={epsilon}"]) == 1
+    assert capsys.readouterr() == ("", "error: epsilon must be finite\n")
 
 
 def test_non_finite_descriptor_is_operation_error(tmp_path, capsys):
@@ -441,6 +450,8 @@ def test_each_flag_rule_has_one_exit_code(argv, code, points_file, capsys):
         ["width", "--n", "2"],
         ["cover", "--m", "2"],
         ["slab", "--n", "2", "--c", "x"],
+        ["measure", "--surface", "hyperplane"],
+        ["slab", "--n", "2", "--c", "5"],
     ],
 )
 def test_flag_errors_print_their_subcommand_usage(argv, capsys):

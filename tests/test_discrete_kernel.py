@@ -1,7 +1,7 @@
 """Differential tests: the discrete kernel against the code it replaced.
 
 The oracles below are the earlier implementations of the sampler, the
-strong-pair check, the exhaustive gap scan (over ``combinations``, and the
+strong-pair check and its per-axis mask, the exhaustive gap scan (over ``combinations``, and the
 depth-first search that tests each completion's images one by one), the
 greedy partition, the certificate check and the projection sizes, kept
 verbatim apart from their names.  The kernel must reproduce their results exactly: the same sampled
@@ -40,7 +40,7 @@ from antichains import (
 from antichains import partition
 from antichains.cli import main
 from antichains.lattice import Point, _comparable_pair, project
-from antichains.partition import GapScanResult, _axis_masks, _deleters, _strong_mask, box_points
+from antichains.partition import GapScanResult, _axis_masks, _deleters, box_points
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -113,6 +113,15 @@ def _oracle_exhaustive_gap_scan(n, k, size):
     return best_gap, witness, weak_count
 
 
+def _oracle_strong_mask(p: Point, axes) -> int:
+    """Cells strictly below or strictly above ``p`` in every coordinate."""
+    below = above = -1
+    for c, (lo, hi) in zip(p, axes):
+        below &= lo[c]
+        above &= hi[c]
+    return below | above
+
+
 def _oracle_weak_subsets(pool, n: int, k: int, size: int):
     axes = _axis_masks(n, k) if size > 1 else None
     head: list[int] = []
@@ -134,7 +143,7 @@ def _oracle_weak_subsets(pool, n: int, k: int, size: int):
         frees[-1] = free
         idx = low.bit_length() - 1
         head.append(idx)
-        frees.append(free & ~_strong_mask(pool[idx], axes))
+        frees.append(free & ~_oracle_strong_mask(pool[idx], axes))
 
 
 def _oracle_loop_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> GapScanResult:
@@ -267,27 +276,32 @@ def test_sampler_matches_oracle(n, k):
     "n,k", sorted({(1, 6), (2, 3), (3, 5)} | set(product(range(1, 5), (1, 2, 3, 5, 8))))
 )
 def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k):
-    # the bitset path runs under any cap the box fits, the pairwise path under
-    # cap 0; both draw n randrange(k) per candidate, coordinate by coordinate
+    # the bitset path runs under any cap the box fits, with masks over pairs
+    # of axes from the joint tables' size up and over single axes below it,
+    # the pairwise path under cap 0; all draw n randrange(k) per candidate,
+    # coordinate by coordinate
     fits = 2 * n * k ** (n + 1)
-    assert fits <= partition._TABLE_CAP
+    joint = 2 * -(-n // 2) * k ** (n + 2)
+    assert max(fits, joint) <= partition._TABLE_CAP
+    assert partition._mask_table(n, k, joint) is partition._joint_masks(n, k, 2)
+    assert partition._mask_table(n, k, joint - 1) is partition._joint_masks(n, k, 1)
     for size in _sampler_sizes(n, k):
         for seed in range(50):
             expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
-            for cap in (partition._TABLE_CAP, fits, fits - 1, 0):
+            for cap in (partition._TABLE_CAP, joint, joint - 1, fits, fits - 1, 0):
                 got = _outcome(partition._random_weak_antichain, n, k, size, seed, None, cap)
                 assert got == expected, (size, seed, cap)
 
 
 def test_sampler_above_the_table_cap_uses_no_masks():
-    partition._axis_masks.cache_clear()
+    partition._joint_masks.cache_clear()
     n, k = 2, 1_000_000
     assert 2 * n * k ** (n + 1) > partition._TABLE_CAP
     for seed in range(20):
         assert random_weak_antichain(n, k, 12, seed) == _oracle_random_weak_antichain(
             n, k, 12, seed
         )
-    assert partition._axis_masks.cache_info().currsize == 0
+    assert partition._joint_masks.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 8)])
@@ -315,14 +329,34 @@ def test_sampler_rejects_bad_boxes_like_oracle():
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3), (4, 2), (3, 5)])
 def test_strong_mask_matches_definition(n, k):
     pool = partition.box_points(n, k)
-    axes = partition._axis_masks(n, k)
-    for p in pool:
-        expected = sum(
-            1 << j
-            for j, q in enumerate(pool)
-            if all(a < b for a, b in zip(p, q)) or all(b < a for a, b in zip(p, q))
-        )
-        assert partition._strong_mask(p, axes) == expected, p
+    for width in (1, 2):
+        groups = partition._joint_masks(n, k, width)
+        radixes = [k ** min(width, n - g) for g in range(0, n, width)]
+        assert [radix for _, radix, _, _ in groups] == radixes
+        for j, p in enumerate(pool):
+            expected = sum(
+                1 << i
+                for i, q in enumerate(pool)
+                if all(a < b for a, b in zip(p, q)) or all(b < a for a, b in zip(p, q))
+            )
+            assert partition._strong_cells(j, groups) == expected, (width, p)
+
+
+def test_inlined_draw_is_randrange():
+    # the sampler draws randrange(k) as getrandbits(k.bit_length()) until
+    # below k, as CPython's Random does; a change there must fail here
+    for k in [*range(1, 21), 10**6, 2**31]:
+        bits = k.bit_length()
+        for seed in range(10):
+            getrandbits = random.Random(seed).getrandbits
+            inlined = []
+            for _ in range(1000):
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                inlined.append(r)
+            randrange = random.Random(seed).randrange
+            assert inlined == [randrange(k) for _ in range(1000)], (k, seed)
 
 
 def test_find_strong_pair_matches_oracle_on_sorted_input():
