@@ -16,6 +16,7 @@ list.
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -306,7 +307,7 @@ def _cmd_wn(args):
 
 
 def _cmd_cover(args):
-    if args.points:
+    if args.points is not None:
         ps = load_point_set(args.points)
         target = PointCloud(ps.dim, tuple(rescale_to_unit(ps, _derived_scale(ps))))
     else:
@@ -552,6 +553,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parse_args leaves no state on the parser, so main builds it once per process
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 # the descriptor keys of the surface families, each given by the flag of its name
 _SURFACE_FLAGS = ("n", "p", "gradient", "offset", "box", "sample", "depth")
 
@@ -571,7 +578,7 @@ def _surface_flags(p) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = None
     try:
         args = parser.parse_args(argv)

@@ -1,7 +1,13 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +27,9 @@ AB = "dim=2\n0,1\n1,0\n"  # a two-point antichain
 FULL_BOX = "dim=2\n0,0\n0,1\n1,0\n1,1\n"  # not a weak antichain
 CHAIN = "dim=2\n0,0\n1,1\n"
 NEGATIVE = "dim=2\n-1,-2\n-3,-1\n"  # no coordinate reaches 0
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
 
 
 @pytest.fixture
@@ -433,6 +442,7 @@ def test_inline_flags_and_descriptor_file_build_equal_surfaces(flags, surface, t
         (["cover", "--points", "{points}", "--surface", "hyperplane", "--m", "2"], 64),
         (["cover", "--surface", "hyperplane", "--n", "2", "--m-list", ","], 64),
         (["cover", "--points", "{points}", "--m", "2,4"], 0),
+        (["cover", "--points", "", "--m", "4"], 1),
     ],
 )
 def test_each_flag_rule_has_one_exit_code(argv, code, points_file, capsys):
@@ -458,3 +468,77 @@ def test_flag_errors_print_their_subcommand_usage(argv, capsys):
     assert main(argv) == 64
     err = capsys.readouterr().err
     assert f"usage: antichains {argv[0]} " in err
+
+
+def _golden_runs(argvs, directory):
+    """Run golden argvs through ``main`` in this process; returns each (exit, stdout, stderr)."""
+    for name, text in GOLDEN["files"].items():
+        (directory / name).write_text(text, encoding="utf-8")
+    runs = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.replace("{dir}", str(directory)) for a in argv])
+        runs.append((code, out.getvalue(), err.getvalue()))
+    return runs
+
+
+def test_reused_parser_matches_a_fresh_parser(tmp_path, monkeypatch):
+    argvs = [case["argv"] for case in GOLDEN["cases"]]
+    usage = [case["argv"] for case in GOLDEN["cases"] if case["exit"] == 64]
+
+    def fresh(argvs):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", build_parser)
+            return _golden_runs(argvs, tmp_path)
+
+    cli._parser.cache_clear()
+    forward = _golden_runs(argvs, tmp_path)
+    backward = _golden_runs(argvs[::-1], tmp_path)[::-1]
+    assert forward == backward == fresh(argvs)
+    # usage lines wrap to the terminal width at print time, not at the first build
+    wrapped = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        wrapped[columns] = _golden_runs(usage, tmp_path)
+        assert wrapped[columns] == fresh(usage)
+    assert wrapped["40"] != wrapped["120"]
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    assert build_parser() is not build_parser()
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (["slab", "--n", "2", "--c", "1"], ["width", "--n", "2", "--m", "3"], []):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_append_flags_do_not_leak_between_calls(capsys):
+    tabulated = ["measure", "--surface", "tabulated", "--n", "3"]
+    assert main([*tabulated, "--sample", "0.2,0.3,0.7"]) == 0
+    capsys.readouterr()
+    assert main(tabulated) == 64
+    assert "tabulated needs --n and --sample" in capsys.readouterr().err
+
+    linear = ["cover", "--surface", "linear", "--gradient=-0.5,-0.3", "--offset", "0.9"]
+    linear += ["--m", "8"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    runs = []
+    for argv in ([*linear, "--box", "0:0.5,0:1"], linear):
+        code = main(argv)
+        run = (code, *capsys.readouterr())
+        process = subprocess.run(
+            [sys.executable, "-m", "antichains.cli", *argv], capture_output=True, text=True,
+            env=env, check=False,
+        )
+        assert run == (process.returncode, process.stdout, process.stderr)
+        runs.append(run)
+    assert runs[0][0] == runs[1][0] == 0 and runs[0] != runs[1]
