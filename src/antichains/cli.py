@@ -586,6 +586,9 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required", parser)
         payload, rows, header, ok = args.handler(args)
         _emit(args, payload, rows, header)
+    except SystemExit as exc:
+        # only --help and --version leave parse_args this way, once their text is out
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         (exc.parser or args.parser).print_usage(sys.stderr)

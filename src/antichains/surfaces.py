@@ -162,22 +162,41 @@ class LpSphere:
         prod_{i<j} (1 - t_i), v_n = prod_i (1 - t_i), with Jacobian prod_i
         (1 - t_i)^(n-1-i).  The surface element is sqrt(sum_i (v_i /
         ||v||_p)^(2p-2)) / ||v||_p^n, which is bounded because ||v||_p >=
-        n^(1/p - 1) on the simplex.  For n = 2 the arc splits into two
-        congruent graph pieces about x = y, and the piece over [0,
-        2^(-1/p)] is integrated.
+        n^(1/p - 1) on the simplex.  Its bounds at large p are still
+        heuristic: the element turns sharply at the ridges where max(v)
+        changes coordinate, and a coarse grid can miss that.
+
+        For n = 2 the arc splits into two congruent graph pieces about
+        x = y.  The piece over [0, 2^(-1/p)] has slope^2 u = (w / (1 -
+        w))^(2 - 2/p) in the power coordinate w = x^p, and its flat part
+        2^(-1/p) is split off exactly: sqrt(1 + u) - 1 = u / (sqrt(1 + u)
+        + 1) is left to integrate.  In x that remainder is a layer of width
+        about 1/p at the corner, which a coarse grid steps over at large p;
+        in w it spreads over the whole interval.  The grading w = t^a / 2
+        with a = 2p / (2p - 1) makes it vanish linearly at t = 0: the
+        integrand is a constant times t^(a/p - 1) * u, and u behaves like
+        t^(a (2 - 2/p)), so the exponent is a (2 - 1/p) - 1 = 1.  With
+        a = 1 it would be w^(1 - 1/p), whose kink at 0 the Richardson
+        charge underestimates for p near 1.
         """
         n, p = self.n, self.p
-        q, inv_p = 2.0 * (p - 1.0), 1.0 / p
+        inv_p = 1.0 / p
         if n == 2:
-            pieces, box = 2, ((0.0, 0.5**inv_p),)
+            a = 1.0 / (1.0 - 0.5 * inv_p)  # 2p / (2p - 1), without overflowing 2p
+            e, q = a * inv_p, 2.0 - 2.0 * inv_p
+            flat = 0.5**inv_p
+            scale = e * flat
+            pieces, box = 2, ((0.0, 1.0),)
 
             def integrand(x):
-                (c,) = x
-                return math.sqrt(1.0 + (c / (1.0 - c**p) ** inv_p) ** q)
+                (t,) = x
+                w = 0.5 * t**a
+                u = (w / (1.0 - w)) ** q
+                return scale * t ** (e - 1.0) * u / (math.sqrt(1.0 + u) + 1.0)
 
         else:
-            pieces, box = 1, ((0.0, 1.0),) * (n - 1)
-            scale = -(n + p - 1.0) * inv_p
+            pieces, box, flat = 1, ((0.0, 1.0),) * (n - 1), 0.0
+            q, scale = 2.0 * (p - 1.0), -(n + p - 1.0) * inv_p
 
             def integrand(t):
                 # jac collects prod_{i<j} (1 - t_i) for every j, which is the
@@ -197,7 +216,7 @@ class LpSphere:
 
         res = integrate_adaptive(integrand, box, tol / pieces)
         return MeasureEstimate(
-            pieces * res.value, QUADRATURE, pieces * res.error_bound,
+            pieces * (flat + res.value), QUADRATURE, pieces * res.error_bound,
             converged=res.converged, evaluations=res.evaluations,
         )
 
@@ -542,7 +561,9 @@ def staircase_polyline(depth: int) -> list[tuple[float, float]]:
 
 
 def _polyline_length(vertices) -> float:
-    return sum(
+    # fsum, so the length is the same float on every interpreter (3.12's sum
+    # of floats is compensated, earlier ones add in order)
+    return math.fsum(
         math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(vertices, vertices[1:])
     )
 

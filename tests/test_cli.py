@@ -542,3 +542,15 @@ def test_append_flags_do_not_leak_between_calls(capsys):
         assert run == (process.returncode, process.stdout, process.stderr)
         runs.append(run)
     assert runs[0][0] == runs[1][0] == 0 and runs[0] != runs[1]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["width", "--help"]])
+def test_help_and_version_return_zero_in_process(argv, capsys):
+    # argparse ends these runs itself; main returns its status, stdout unchanged
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == 0
+    printed = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == printed
+    assert printed.out.startswith("antichains " if argv == ["--version"] else "usage: antichains")
