@@ -1,18 +1,20 @@
 """Cube-grid covers of subsets of the unit cube and covering measure bounds.
 
 The unit cube splits into m^n half-open cells (the last cell of each axis
-is closed at 1).  A grid cover records which cells meet a target set; the
-target can be an explicit point list, one of the analytic surface families,
-or an arbitrary membership predicate sampled on a per-cell grid.  Covers of
-the analytic families are exact; predicate covers under-approximate and
-are flagged as such.
+is closed at 1).  Cell faces are the floats j/m: a coordinate v lies in row
+j of its axis iff (j-1)/m <= v < j/m, or v = 1 and j = m, and every route
+below assigns values to rows by that one rule.  A grid cover records which
+cells meet a target set; the target can be an explicit point list, one of
+the analytic surface families, or an arbitrary membership predicate
+sampled on a per-cell grid.  Covers of the analytic families are exact;
+predicate covers under-approximate and are flagged as such.
 
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
 finds the run of cells of that column that the graph meets without walking
 it: in closed form for the hyperplane, by bisection on a table of powers
-for the sphere, and among a few candidate rows around the attained values
-for linear and tabulated graphs, each candidate passing the family's exact
+for the sphere, from the rows of the attained values for linear and
+tabulated graphs, each candidate row of a linear graph passing its exact
 per-cell test.  The staircase bisects, per grid line, where its polyline
 crosses it, so a cover costs O(m log V) for V vertices.
 """
@@ -65,11 +67,27 @@ def d_const(n: int) -> float:
     return n ** ((n - 1) / 2) * alpha(n - 1)
 
 
+def _row(v: float, m: int) -> int:
+    """The row j of 1..m with (j-1)/m <= v < j/m in floats, or m at v = 1.
+
+    The rounded product v*m can put v a rounding error across a face from
+    its row, never a whole row away, so one step settles it.
+    """
+    j = min(int(v * m) + 1, m)
+    if v < (j - 1) / m:
+        return j - 1
+    if j < m and v >= j / m:
+        return j + 1
+    return j
+
+
 def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     """The 1-based multi-index of the grid cell containing ``x``.
 
-    Cells are half-open except at the top face, so boundary points land on
-    a unique, deterministic cell.
+    Cells are half-open except at the top face: coordinate c lies in cell j
+    iff (j-1)/m <= c < j/m with the faces rounded to floats, or c = 1 and
+    j = m, so boundary points land on a unique, deterministic cell, the one
+    the surface covers use.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -77,8 +95,7 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     for c in x:
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"coordinate {c} outside [0,1]")
-        j = int(c * m) + 1
-        idx.append(m if j > m else j)
+        idx.append(_row(c, m))
     return tuple(idx)
 
 
@@ -145,16 +162,11 @@ def _cell_indices(m: int, dim: int):
 
 
 def _candidate_rows(lo: float, hi: float, m: int) -> range:
-    """The rows that can meet the values in [lo, hi]: the rows of both ends and one beyond each.
+    """The rows that can meet the values in [lo, hi]: from the row of lo to the row of hi.
 
-    An end clamped into [0, 1] lies in row int(end * m) + 1.  A rounded
-    product can put a value a rounding error across a cell face from its
-    row, never a whole row away, so an exact per-cell test over these rows
-    finds every row the values meet.
+    Each end is clamped into [0, 1] first; the exact interval test decides each row.
     """
-    below = int(min(max(lo, 0.0), 1.0) * m)
-    above = int(min(max(hi, 0.0), 1.0) * m) + 2
-    return range(max(below, 1), min(above, m) + 1)
+    return range(_row(min(max(lo, 0.0), 1.0), m), _row(min(max(hi, 0.0), 1.0), m) + 1)
 
 
 def _hyperplane_cells(s: Hyperplane, m: int):
@@ -267,27 +279,21 @@ def _tabulated_cells(s: TabulatedMonotone, m: int):
     # the step extension is constant on the arrangement pieces cut by the
     # sample coordinates, and each piece's value appears at its lower
     # corner, so the values attained on a base cell are exactly the
-    # extension at the candidate corners below; each value lies in one row
+    # extension at the cell's lower corner and the cuts inside it; each
+    # value lies in one row
     positions = []
     for i in range(s.dim - 1):
-        cuts = sorted({pt[i] for pt, _ in s.samples})
-        per_cell = [None]
-        for di in range(1, m + 1):
-            cell_lo = (di - 1) / m
-            cell_hi = di / m
-            closed_top = di == m
-            per_cell.append(
-                [cell_lo]
-                + [c for c in cuts if cell_lo < c < cell_hi or (closed_top and c == cell_hi)]
-            )
+        per_cell = [None] + [[(di - 1) / m] for di in range(1, m + 1)]
+        for c in sorted({pt[i] for pt, _ in s.samples}):
+            corners = per_cell[_row(c, m)]
+            if c > corners[0]:
+                corners.append(c)
         positions.append(per_cell)
 
     for base in _cell_indices(m, s.dim - 1):
         corners = product(*(pos[di] for pos, di in zip(positions, base)))
         for v in {monotone_extension(s, corner) for corner in corners}:
-            for j in _candidate_rows(v, v, m):
-                if v >= (j - 1) / m and (v < j / m or (j == m and v <= 1.0)):
-                    yield (*base, j)
+            yield (*base, _row(v, m))
 
 
 def _segment_hits_cell(p, q, d, m: int) -> bool:
@@ -326,34 +332,22 @@ def _segment_hits_cell(p, q, d, m: int) -> bool:
 
 def _staircase_cells(s: SingularStaircase, m: int):
     # x never decreases and y never increases along the polyline, so its
-    # vertices' cells change at most 2(m-1) times: where int(x*m) first
-    # reaches k and where int(y*m) first drops below k, for k = 1..m-1.
-    # Each change is bisected on the cached coordinates and settled with
-    # the products cube_index takes; a segment between two cells is tested
-    # against the cells of its bounding box, and a run of vertices in one
-    # cell hits it once any of its segments does
+    # vertices' cells change at most 2(m-1) times: where x first reaches
+    # the face k/m and where y first drops below it, for k = 1..m-1, each
+    # bisected on the cached coordinates.  A run's first vertex lies in the
+    # run's cell, and a segment between two cells is tested against the
+    # cells of its bounding box
     polyline = _staircase_vertices(s.depth)
     verts, xs, neg_ys = polyline.vertices, polyline.xs, polyline.neg_ys
-    last = len(verts) - 1
-    changes = {0, last + 1}
+    changes = {0, len(verts)}
     for k in range(1, m):
         t = k / m
-        i = bisect_left(xs, t)
-        while i > 0 and int(xs[i - 1] * m) >= k:
-            i -= 1
-        while i <= last and int(xs[i] * m) < k:
-            i += 1
-        changes.add(i)
-        i = bisect_right(neg_ys, -t)
-        while i > 0 and int(-neg_ys[i - 1] * m) < k:
-            i -= 1
-        while i <= last and int(-neg_ys[i] * m) >= k:
-            i += 1
-        changes.add(i)
+        changes.add(bisect_left(xs, t))
+        changes.add(bisect_right(neg_ys, -t))
     bounds = sorted(changes)
     hits: set[tuple[int, int]] = set()
     prev = None
-    for a, b in zip(bounds, bounds[1:]):
+    for a in bounds[:-1]:
         d = cube_index(verts[a], m)
         if prev is not None:
             p, q = verts[a - 1], verts[a]
@@ -363,11 +357,7 @@ def _staircase_cells(s: SingularStaircase, m: int):
                     cell = (i, j)
                     if cell not in hits and _segment_hits_cell(p, q, cell, m):
                         hits.add(cell)
-        if d not in hits:
-            for t in range(a, b - 1):
-                if _segment_hits_cell(verts[t], verts[t + 1], d, m):
-                    hits.add(d)
-                    break
+        hits.add(d)
         prev = d
     return hits
 

@@ -696,27 +696,12 @@ def _step_pieces(s: TabulatedMonotone) -> list[tuple[float, float, float]]:
     return pieces
 
 
-def _interval_union_measure(intervals) -> float:
-    total = 0.0
-    hi_seen = None
-    for lo, hi in sorted(intervals):
-        if hi <= lo:
-            continue
-        if hi_seen is None or lo > hi_seen:
-            total += hi - lo
-            hi_seen = hi
-        elif hi > hi_seen:
-            total += hi - hi_seen
-            hi_seen = hi
-    return total
-
-
 def _tabulated_skew(s: TabulatedMonotone) -> tuple[float, float]:
     """Exact skewed-image measures of a step graph by interval bookkeeping.
 
     The map value - x is strictly decreasing even across the jumps, so the
     image intervals of distinct pieces never overlap and the union measures
-    are exact.
+    are the sums of the lengths.
     """
     d1 = []
     d2 = []
@@ -727,7 +712,16 @@ def _tabulated_skew(s: TabulatedMonotone) -> tuple[float, float]:
         if b >= v:
             lo_x = max(a, v)
             d2.append((lo_x - v, b - v))
-    return _interval_union_measure(d1), _interval_union_measure(d2)
+    measures = []
+    for d in (d1, d2):
+        # a plain loop in sorted order: sum() of floats is compensated from
+        # CPython 3.12 on, so it would round differently across versions
+        total = 0.0
+        for lo, hi in sorted(d):
+            if hi > lo:
+                total += hi - lo
+        measures.append(total)
+    return tuple(measures)
 
 
 def skew_measures_2d(s: Surface, tol: float | None = None) -> SkewReport:

@@ -2,8 +2,10 @@
 
 The oracles below are the earlier cell routines, which test every one of
 the m^n cells (every segment's bounding box, for the staircase), kept
-verbatim apart from their names.  The kernels find each column's run, or
-the staircase's cells, directly and must give exactly the same cell sets.
+verbatim apart from their names; the staircase's boxes are widened by one
+row each side, so they need no cell rule of their own.  The kernels find
+each column's run, or the staircase's cells, directly and must give
+exactly the same cell sets.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
@@ -25,7 +27,6 @@ from antichains import (
     PredicateRegion,
     SingularStaircase,
     TabulatedMonotone,
-    cube_index,
     grid_cover,
     monotone_extension,
     staircase_polyline,
@@ -131,13 +132,16 @@ def _oracle_tabulated_cells(s, m):
 
 
 def _oracle_staircase_cells(s, m):
+    # each segment's bounding box of cells, widened by one row each side
+    # since the product int(c * m) can miss a face by a rounding error, and
+    # the segment test decides every cell of it
     verts = staircase_polyline(s.depth)
     hits = set()
     for p, q in zip(verts, verts[1:]):
-        i_lo, i_hi = sorted((cube_index((p[0],), m)[0], cube_index((q[0],), m)[0]))
-        j_lo, j_hi = sorted((cube_index((p[1],), m)[0], cube_index((q[1],), m)[0]))
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
+        i_lo, i_hi = sorted((int(p[0] * m) + 1, int(q[0] * m) + 1))
+        j_lo, j_hi = sorted((int(p[1] * m) + 1, int(q[1] * m) + 1))
+        for i in range(max(i_lo - 1, 1), min(i_hi + 1, m) + 1):
+            for j in range(max(j_lo - 1, 1), min(j_hi + 1, m) + 1):
                 d = (i, j)
                 if d not in hits and _segment_hits_cell(p, q, d, m):
                     hits.add(d)

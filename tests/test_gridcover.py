@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from antichains import (
     PointCloud,
     PredicateRegion,
     SingularStaircase,
+    TabulatedMonotone,
     alpha,
     box_dimension,
     classify,
@@ -24,6 +26,7 @@ from antichains import (
     random_weak_antichain,
     volume_ratio_curve,
 )
+from antichains.gridcover import _row
 
 ANTIDIAG = Hyperplane(2)
 
@@ -44,6 +47,35 @@ def test_cube_index_examples():
     assert cube_index((0.0, 0.0), 2) == (1, 1)
     assert cube_index((0.5, 0.5), 2) == (2, 2)
     assert cube_index((1.0, 1.0), 3) == (3, 3)
+
+
+def test_cube_index_puts_rationals_in_their_exact_cells():
+    # c/k lies in cell floor(c*m/k) + 1; on a face c/k = j/m both sides round
+    # to the same float, and off a face they differ by far more than a
+    # rounding error, so the float faces decide exactly
+    for k in range(1, 61):
+        for c in range(k):
+            for m in range(1, 61):
+                assert cube_index((c / k,), m) == (min(c * m // k, m - 1) + 1,), (c, k, m)
+
+
+def test_row_is_bisection_over_the_faces():
+    for m in range(1, 130):
+        faces = [j / m for j in range(1, m)]
+        for face in (0.0, *faces, 1.0):
+            for v in (math.nextafter(face, -1.0), face, math.nextafter(face, 2.0)):
+                if 0.0 <= v <= 1.0:
+                    assert _row(v, m) == bisect_right(faces, v) + 1, (v, m)
+
+
+def test_point_on_a_surface_lies_in_its_cover():
+    # 0.29 * 100 rounds below 29, but 0.29 is the face 29/100 itself
+    point = (0.5, 0.29)
+    for surface in (
+        TabulatedMonotone(2, (((0.0,), 0.29),)),
+        LinearGraph((0.0,), offset=0.29),
+    ):
+        assert cube_index(point, 100) in grid_cover(surface, 100).indices
 
 
 def test_cube_index_errors():

@@ -438,6 +438,48 @@ def test_skew_tabulated_against_sampling_oracle():
         assert abs(report.delta_parts[1].value - approx2) <= 8 / cells, trial
 
 
+def _interval_union_measure(intervals):
+    # the measure of a union of closed intervals, overlaps counted once
+    total = 0.0
+    hi_seen = None
+    for lo, hi in sorted(intervals):
+        if hi <= lo:
+            continue
+        if hi_seen is None or lo > hi_seen:
+            total += hi - lo
+            hi_seen = hi
+        elif hi > hi_seen:
+            total += hi - hi_seen
+            hi_seen = hi
+    return total
+
+
+def test_skew_tabulated_images_never_overlap():
+    # the summed image lengths are the measures of the unions, bit for bit,
+    # also with cuts and values on common dyadic points and repeated values
+    rng = random.Random(73)
+
+    def coord():
+        return rng.choice((rng.random(), rng.randrange(9) / 8))
+
+    for trial in range(2000):
+        cuts = sorted({coord() for _ in range(rng.randint(1, 6))})
+        vals = sorted((coord() for _ in cuts), reverse=True)
+        t = TabulatedMonotone(2, tuple(((c,), v) for c, v in zip(cuts, vals)))
+        images = ([], [])
+        for a, b, v in surfaces._step_pieces(t):
+            if a <= v:
+                images[0].append((v - min(b, v), v - a))
+            if b >= v:
+                images[1].append((max(a, v) - v, b - v))
+        for d in images:
+            ordered = sorted((lo, hi) for lo, hi in d if hi > lo)
+            assert all(h <= lo for (_, h), (lo, _) in zip(ordered, ordered[1:])), trial
+        report = skew_measures_2d(t)
+        assert report.delta_parts[0].value == _interval_union_measure(images[0]), trial
+        assert report.delta_parts[1].value == _interval_union_measure(images[1]), trial
+
+
 def test_skew_rejects_increasing_linear_graph():
     with pytest.raises(ValueError):
         skew_measures_2d(LinearGraph(gradient=(1.0,)))
