@@ -12,11 +12,14 @@ predicate covers under-approximate and are flagged as such.
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
 finds the run of cells of that column that the graph meets without walking
-it: in closed form for the hyperplane, by bisection on a table of powers
-for the sphere, from the rows of the attained values for linear and
-tabulated graphs, each candidate row of a linear graph passing its exact
-per-cell test.  The staircase bisects, per grid line, where its polyline
-crosses it, so a cover costs O(m log V) for V vertices.
+it.  The hyperplane's run is in closed form.  The sphere's ends are
+bisected on a table of powers, with the base cell's power sums built axis
+by axis.  A linear graph's ends are the rows of its attained interval's
+ends, bisected on the faces; only those two rows take the exact per-cell
+test.  A tabulated graph's values are the step extension at a base cell's
+corners, read from per-axis bitsets of the samples below each corner.  The
+staircase bisects, per grid line, where its polyline crosses it, so a
+cover costs O(m log V) for V vertices.
 """
 
 import math
@@ -34,7 +37,6 @@ from .surfaces import (
     SingularStaircase,
     TabulatedMonotone,
     _staircase_vertices,
-    monotone_extension,
     surface_dim,
 )
 
@@ -161,14 +163,6 @@ def _cell_indices(m: int, dim: int):
     return product(range(1, m + 1), repeat=dim)
 
 
-def _candidate_rows(lo: float, hi: float, m: int) -> range:
-    """The rows that can meet the values in [lo, hi]: from the row of lo to the row of hi.
-
-    Each end is clamped into [0, 1] first; the exact interval test decides each row.
-    """
-    return range(_row(min(max(lo, 0.0), 1.0), m), _row(min(max(hi, 0.0), 1.0), m) + 1)
-
-
 def _hyperplane_cells(s: Hyperplane, m: int):
     # integer arithmetic keeps the half-open test exact: the cell meets the
     # slice iff sum(lower) <= n/2 < sum(upper), i.e. iff
@@ -185,29 +179,37 @@ def _hyperplane_cells(s: Hyperplane, m: int):
 def _lpsphere_cells(s: LpSphere, m: int):
     # the p-norm power sum is strictly increasing in every coordinate, so the
     # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
-    # powers are tabulated once and summed in the cell's coordinate order.
+    # powers are tabulated once and the base cell's sums are built axis by
+    # axis in coordinate order, the head axes once for every last base row.
     # Over a base cell the rows with s_hi + power[j] > 1 >= s_lo + power[j-1]
     # form one run; each end is bisected on the table, then settled with
     # those same float sums
     p = s.p
     power = [(c / m) ** p for c in range(m + 1)]
-    upper = power.__getitem__
-    lower = [None, *power].__getitem__
-    for base in _cell_indices(m, s.n - 1):
-        s_hi = sum(map(upper, base))
-        s_lo = sum(map(lower, base))
-        lo = max(bisect_right(power, 1.0 - s_hi), 1)
-        while lo > 1 and s_hi + power[lo - 1] > 1.0:
-            lo -= 1
-        while lo <= m and s_hi + power[lo] <= 1.0:
-            lo += 1
-        hi = min(bisect_right(power, 1.0 - s_lo), m)
-        while hi >= 1 and s_lo + power[hi - 1] > 1.0:
-            hi -= 1
-        while hi < m and s_lo + power[hi] <= 1.0:
-            hi += 1
-        for j in range(lo, hi + 1):
-            yield (*base, j)
+    rows = range(1, m + 1)
+    partial = [((), 0.0, 0.0)]
+    for _ in range(s.n - 2):
+        partial = [
+            ((*base, di), s_hi + power[di], s_lo + power[di - 1])
+            for base, s_hi, s_lo in partial
+            for di in rows
+        ]
+    for head, hi0, lo0 in partial:
+        for di in rows:
+            s_hi = hi0 + power[di]
+            s_lo = lo0 + power[di - 1]
+            lo = max(bisect_right(power, 1.0 - s_hi), 1)
+            while lo > 1 and s_hi + power[lo - 1] > 1.0:
+                lo -= 1
+            while lo <= m and s_hi + power[lo] <= 1.0:
+                lo += 1
+            hi = min(bisect_right(power, 1.0 - s_lo), m)
+            while hi >= 1 and s_lo + power[hi - 1] > 1.0:
+                hi -= 1
+            while hi < m and s_lo + power[hi] <= 1.0:
+                hi += 1
+            for j in range(lo, hi + 1):
+                yield (*head, di, j)
 
 
 def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> bool:
@@ -249,8 +251,11 @@ def _linear_axis_terms(box_side, c: float, m: int):
 def _linear_cells(s: LinearGraph, m: int):
     # over each base box the values attained on a base cell form the
     # interval from f_lo to f_hi, whose terms are tabulated per axis and
-    # added in axis order; the rows meeting it are found by the exact
-    # interval test, and the column is the union over the boxes
+    # added in axis order.  The rows meeting it run from the row of f_lo to
+    # the row of f_hi, each bisected on the faces; only the two end rows
+    # need the exact interval test, since every row between them lies inside
+    # [f_lo, f_hi].  The column is the union over the boxes
+    faces = [j / m for j in range(1, m)]
     hits = set()
     for box in s.base:
         *heads, last = [_linear_axis_terms(side, c, m) for side, c in zip(box, s.gradient)]
@@ -267,11 +272,14 @@ def _linear_cells(s: LinearGraph, m: int):
                 f_hi = f_hi0 + t_hi
                 lo_att = lo_att0 and a_lo
                 hi_att = hi_att0 and a_hi
-                for j in _candidate_rows(f_lo, f_hi, m):
+                lo = bisect_right(faces, f_lo) + 1
+                hi = bisect_right(faces, f_hi) + 1
+                for j in {lo, hi}:
                     if _interval_overlap(
                         f_lo, lo_att, f_hi, hi_att, (j - 1) / m, True, j / m, j == m
                     ):
                         hits.add((*base, di, j))
+                hits.update((*base, di, j) for j in range(lo + 1, hi))
     return hits
 
 
@@ -279,21 +287,46 @@ def _tabulated_cells(s: TabulatedMonotone, m: int):
     # the step extension is constant on the arrangement pieces cut by the
     # sample coordinates, and each piece's value appears at its lower
     # corner, so the values attained on a base cell are exactly the
-    # extension at the cell's lower corner and the cuts inside it; each
-    # value lies in one row
-    positions = []
+    # extension at the cell's lower corner and the cuts inside it.  With
+    # the samples sorted by value, bit k of an axis mask marks sample k at
+    # or below a corner coordinate; the AND over the axes marks the samples
+    # below the corner, its lowest bit the minimum, which is the extension
+    # (1 where no bit is set).  Each value lies in one row
+    samples = sorted(s.samples, key=lambda sample: sample[1])
+    value_rows = [_row(val, m) for _, val in samples]
+    everything = (1 << len(samples)) - 1
+    row_masks = []
     for i in range(s.dim - 1):
-        per_cell = [None] + [[(di - 1) / m] for di in range(1, m + 1)]
-        for c in sorted({pt[i] for pt, _ in s.samples}):
-            corners = per_cell[_row(c, m)]
+        order = sorted(range(len(samples)), key=lambda k: samples[k][0][i])
+        coords = [samples[k][0][i] for k in order]
+        at_or_below = [0]
+        for k in order:
+            at_or_below.append(at_or_below[-1] | 1 << k)
+        positions = [None] + [[(di - 1) / m] for di in range(1, m + 1)]
+        for c in sorted(set(coords)):
+            corners = positions[_row(c, m)]
             if c > corners[0]:
                 corners.append(c)
-        positions.append(per_cell)
+        row_masks.append(
+            [None]
+            + [
+                {at_or_below[bisect_right(coords, x)] for x in positions[di]}
+                for di in range(1, m + 1)
+            ]
+        )
 
-    for base in _cell_indices(m, s.dim - 1):
-        corners = product(*(pos[di] for pos, di in zip(positions, base)))
-        for v in {monotone_extension(s, corner) for corner in corners}:
-            yield (*base, _row(v, m))
+    *heads, last = row_masks
+    partial = [((), {everything})]
+    for per_row in heads:
+        partial = [
+            ((*base, di), {a & b for a in masks for b in per_row[di]})
+            for base, masks in partial
+            for di in range(1, m + 1)
+        ]
+    for base, head_masks in partial:
+        for di in range(1, m + 1):
+            for mask in {a & b for a in head_masks for b in last[di]}:
+                yield (*base, di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
 
 
 def _segment_hits_cell(p, q, d, m: int) -> bool:
@@ -442,14 +475,19 @@ def box_dimension(target, m_list: Sequence[int]) -> BoxDimensionFit:
     """Least-squares slope of log cell-count against log resolution.
 
     The residual is the largest absolute deviation of the fit, reported so
-    that a poor fit is visible; an empty target has dimension 0.
+    that a poor fit is visible; a target whose every cover is empty has
+    dimension 0, and one empty at some resolutions only has no fit.
     """
     ms = list(m_list)
     if len(set(ms)) < 2:
         raise ValueError("need at least two distinct resolutions")
     counts = tuple(len(grid_cover(target, m)) for m in ms)
-    if counts[0] == 0:
+    if not any(counts):
         return BoxDimensionFit(0.0, 0.0, counts)
+    if 0 in counts:
+        raise ValueError(
+            f"cover is empty at m={ms[counts.index(0)]} but not at every resolution"
+        )
     xs = [math.log(m) for m in ms]
     ys = [math.log(c) for c in counts]
     n = len(xs)

@@ -9,8 +9,9 @@ exactly the same cell sets.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
-sweeps the staircase over depths 0..14 and m = 1..300, 729 and 1000, and
-10 random linear graphs and spheres over m = 1..48, outside tier-1.
+sweeps the staircase over depths 0..14 and m = 1..300, 729 and 1000, 10
+random linear graphs, spheres and 3-D tabulated tables over m = 1..48, and
+10 random 4-D spheres and tables over m = 1..16, outside tier-1.
 """
 
 import random
@@ -106,6 +107,9 @@ def _oracle_linear_cells(s, m):
 
 
 def _oracle_tabulated_cells(s, m):
+    # neighbouring cells share corners, so each corner's extension is
+    # computed once
+    extension = {}
     d_base = s.dim - 1
     axis_cuts = [sorted({pt[i] for pt, _ in s.samples}) for i in range(d_base)]
     for d in _cell_indices(m, s.dim):
@@ -123,7 +127,9 @@ def _oracle_tabulated_cells(s, m):
             positions.append(pos)
         hit = False
         for corner in product(*positions):
-            v = monotone_extension(s, corner)
+            v = extension.get(corner)
+            if v is None:
+                v = extension[corner] = monotone_extension(s, corner)
             if v >= val_lo and (v < j / m or (j == m and v <= 1.0)):
                 hit = True
                 break
@@ -257,20 +263,55 @@ def _random_linear_graph(rng):
     return LinearGraph(gradient, base=base, offset=rng.uniform(-0.5, 1.5))
 
 
+def _random_table(rng, dim):
+    """An order-reversing table of up to 6 samples, possibly empty.
+
+    Coordinates and values fall on the faces of small grids half of the
+    time, 1.0 included; values are a decreasing affine function clipped to
+    [0, 1] and rounded, so they tie and reach 1.0.
+    """
+
+    def coord():
+        return rng.choice((rng.random(), rng.randrange(13) / 12))
+
+    weights = [rng.uniform(0.0, 1.0) for _ in range(dim - 1)]
+    top = rng.uniform(0.5, 1.5)
+    step = rng.choice((12, 20))
+    samples = {}
+    for _ in range(rng.randrange(7)):
+        pt = tuple(coord() for _ in range(dim - 1))
+        value = top - sum(w * c for w, c in zip(weights, pt))
+        samples[pt] = round(min(max(value, 0.0), 1.0) * step) / step
+    return TabulatedMonotone(dim, tuple(samples.items()))
+
+
+def _assert_matches_oracle(surface, ms):
+    oracle = _ORACLES[type(surface)]
+    for m in ms:
+        assert grid_cover(surface, m).indices == frozenset(oracle(surface, m)), (surface, m)
+
+
 def test_random_surfaces_match_oracle():
     rng = random.Random(7)
     for _ in range(40):
-        surface = _random_linear_graph(rng)
-        for m in range(1, 13):
-            assert grid_cover(surface, m).indices == frozenset(
-                _oracle_linear_cells(surface, m)
-            ), (surface, m)
+        _assert_matches_oracle(_random_linear_graph(rng), range(1, 13))
     for _ in range(20):
-        surface = LpSphere(rng.choice((2, 3)), rng.uniform(1.0, 10.0))
-        for m in range(1, 17):
-            assert grid_cover(surface, m).indices == frozenset(
-                _oracle_lpsphere_cells(surface, m)
-            ), (surface, m)
+        _assert_matches_oracle(LpSphere(rng.choice((2, 3)), rng.uniform(1.0, 10.0)), range(1, 17))
+    # four dimensions: the sphere's base sums span two head axes
+    for _ in range(6):
+        _assert_matches_oracle(LpSphere(4, rng.uniform(1.0, 10.0)), range(1, 11))
+    tables = [_random_table(rng, 3) for _ in range(30)] + [_random_table(rng, 4) for _ in range(8)]
+    # the draws hold every edge case: an empty table, tied values, a value
+    # of 1.0, a sample at coordinate 1.0, and cuts off every small grid's faces
+    values = [[v for _, v in table.samples] for table in tables]
+    coords = [c for table in tables for pt, _ in table.samples for c in pt]
+    assert any(not table.samples for table in tables)
+    assert any(len(set(vs)) < len(vs) for vs in values)
+    assert any(1.0 in vs for vs in values)
+    assert 1.0 in coords
+    assert any(c * 12 != round(c * 12) for c in coords)
+    for table in tables:
+        _assert_matches_oracle(table, range(1, 13 if table.dim == 3 else 9))
 
 
 def test_antidiagonal_counts_up_to_200():
@@ -299,7 +340,8 @@ def test_budget_bounds_all_cells_of_a_predicate():
 
 def _sweep(surfaces: int) -> None:
     """The staircase at depths 0..14 and m = 1..300, 729 and 1000, then
-    ``surfaces`` random linear graphs and spheres at m = 1..48."""
+    ``surfaces`` random linear graphs, spheres and 3-D tables at m = 1..48,
+    and as many 4-D spheres and tables at m = 1..16."""
     for depth in range(15):
         stair = SingularStaircase(depth)
         for m in (*range(1, 301), 729, 1000):
@@ -311,16 +353,17 @@ def _sweep(surfaces: int) -> None:
         for surface in (
             _random_linear_graph(rng),
             LpSphere(rng.choice((2, 3)), rng.uniform(1.0, 10.0)),
+            _random_table(rng, 3),
         ):
-            oracle = _ORACLES[type(surface)]
-            for m in range(1, 49):
-                assert grid_cover(surface, m).indices == frozenset(oracle(surface, m)), (
-                    surface,
-                    m,
-                )
+            _assert_matches_oracle(surface, range(1, 49))
+        for surface in (LpSphere(4, rng.uniform(1.0, 10.0)), _random_table(rng, 4)):
+            _assert_matches_oracle(surface, range(1, 17))
 
 
 if __name__ == "__main__":
     surfaces = int(sys.argv[1])
     _sweep(surfaces)
-    print(f"staircases and {surfaces} random linear graphs and spheres: covers agree")
+    print(
+        f"staircases and {surfaces} random linear graphs, spheres and tables"
+        " (3-D, and 4-D spheres and tables): covers agree"
+    )

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from antichains import (
+    BoxDimensionFit,
     GridCover,
     Hyperplane,
     LinearGraph,
@@ -188,6 +189,28 @@ def test_box_dimension_examples():
 
     point = box_dimension(PointCloud(2, ((0.5, 0.5),)), [2, 4, 8])
     assert point.dimension == 0.0
+
+
+def _speck(c):
+    # a square of side 2e-3 at (c, c), which only the sample (c, c) finds
+    return PredicateRegion(2, lambda x: abs(x[0] - c) < 1e-3 and abs(x[1] - c) < 1e-3)
+
+
+def test_box_dimension_rejects_a_cover_empty_at_some_resolutions():
+    # m = 1 samples (0.125, 0.125), m = 2 samples (0.0625, 0.0625)
+    assert len(grid_cover(_speck(0.125), 1)) == 1
+    assert len(grid_cover(_speck(0.125), 2)) == 0
+    with pytest.raises(ValueError, match="^cover is empty at m=2 but not at every resolution$"):
+        box_dimension(_speck(0.125), (1, 2))
+    with pytest.raises(ValueError, match="^cover is empty at m=1 but not at every resolution$"):
+        box_dimension(_speck(0.0625), (1, 2))
+    with pytest.raises(ValueError, match="^cover is empty at m=4 "):
+        box_dimension(_speck(0.125), (1, 4, 2))
+
+
+def test_box_dimension_of_an_empty_target_is_zero():
+    fit = box_dimension(PredicateRegion(2, lambda x: False), (1, 2, 4))
+    assert fit == BoxDimensionFit(0.0, 0.0, (0, 0, 0))
 
 
 def test_box_dimension_needs_two_resolutions():
