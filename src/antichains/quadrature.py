@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import fsum, prod
 
-from .estimate import require_tolerance
+from .estimate import require_finite, require_tolerance
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "INSIDE", "OUTSIDE", "STRADDLE"]
 
@@ -51,43 +51,42 @@ def integrate_adaptive(
     """Integrate ``f`` over ``box`` to an absolute tolerance.
 
     ``tol`` must be finite (else NonFiniteError) and positive (else
-    ValueError).  A cell shallower than ``min_depth`` is always split and a
-    cell at ``max_depth`` never is.  Refinement stops once the summed
-    charge is at most ``tol``, once ``max_evals`` evaluations are spent, or
-    once no cell that carries a charge can be split.  Every unresolved cell
-    charges its error to the reported bound; callers should treat a bound
-    above ``tol`` as a flagged, not failed, estimate.
+    ValueError).  ``box`` needs at least one axis and ``lo <= hi`` on each
+    (else ValueError), with finite bounds (else NonFiniteError); an axis
+    with ``lo == hi`` gives the zero result.  A cell shallower than
+    ``min_depth`` is always split and a cell at ``max_depth`` never is.
+    Refinement stops once the summed charge is at most ``tol``, once
+    ``max_evals`` evaluations are spent, or once no cell that carries a
+    charge can be split.  Every unresolved cell charges its error to the
+    reported bound; callers should treat a bound above ``tol`` as a
+    flagged, not failed, estimate.
     """
     require_tolerance(tol)
+    if not box:
+        raise ValueError("box must have at least one axis")
+    for lo, hi in box:
+        require_finite("box bounds", lo, hi)
+        if hi < lo:
+            raise ValueError(f"box axis ({lo}, {hi}) has hi < lo")
     d = len(box)
-    vol_total = prod(hi - lo for lo, hi in box)
+    widths = [hi - lo for lo, hi in box]
+    vol_total = float(prod(widths))
     if vol_total <= 0:
         return QuadratureResult(0.0, 0.0, 0, True)
 
     # A cell is named by its depth k and a packed integer index: axis j's
     # coordinate i_j (the cell spans ticks i_j and i_j + 1 of depth k) sits
     # in bits [j*stride, (j+1)*stride), so a child's index is the parent's
-    # shifted left by one, or'ed with the child's offset.
+    # shifted left by one, or'ed with the child's offset.  The tick of index
+    # i at depth k on axis j is origin[j] + i * (widths[j] * 0.5**k); the
+    # same tick is the same float at every depth, so children tile their
+    # parent exactly.
     origin = [lo for lo, _ in box]
     stride = max_depth + 1
     mask = (1 << stride) - 1
     shifts = [j * stride for j in range(d)]
     offsets = [sum(b << s for b, s in zip(bits, shifts)) for bits in product((0, 1), repeat=d)]
-    # the tick of index i at depth k on axis j is origin[j] + i * steps[k][j];
-    # the same tick is the same float at every depth, so children tile their
-    # parent exactly
-    steps = [[(hi - lo) * 0.5**k for lo, hi in box] for k in range(max_depth + 3)]
-    vols = [vol_total * 0.5 ** (d * k) for k in range(max_depth + 2)]
-
-    def child_estimates(k: int, idx: int) -> list[float]:
-        nonlocal evals
-        evals += len(offsets)
-        mids = [
-            (a + (4 * ((idx >> s) & mask) + 1) * h, a + (4 * ((idx >> s) & mask) + 3) * h)
-            for a, s, h in zip(origin, shifts, steps[k + 2])
-        ]
-        vol = vols[k + 1]
-        return [f(mid) * vol for mid in product(*mids)]
+    n_children = len(offsets)
 
     # waiting cells: (-charge, k, index, est, child estimates); the children's
     # estimates are kept, so splitting a cell evaluates only its grandchildren
@@ -95,29 +94,44 @@ def integrate_adaptive(
     final: list[tuple[float, float]] = []  # (s, |s - est|) of cells at max_depth
     total = 0.0  # running sum of every charge; resynced with fsum before stopping
 
-    def settle(k: int, idx: int, est: float) -> None:
-        # a cell with its own estimate: evaluate its children and file it
-        nonlocal total
-        ests = child_estimates(k, idx)
-        s = sum(ests)
-        diff = abs(s - est)
-        if k >= max_depth:
-            final.append((s, diff))
-            total += diff
-        elif k < min_depth and evals < max_evals:
-            for e, off in zip(ests, offsets):
-                settle(k + 1, (idx << 1) | off, e)
-        else:
-            charge = diff / 3 if k >= min_depth else diff
-            heapq.heappush(heap, (-charge, k, idx, est, ests))
-            total += charge
+    def split(k: int, idx: int, ests: list[float]) -> None:
+        # cell (k, idx) is split, its children's estimates are ``ests``:
+        # evaluate the grandchildren and file each child
+        nonlocal evals, total
+        # per axis, the midpoints of the four grandchild intervals, as the
+        # pairs that lie in the first and the second child
+        h = 0.5 ** (k + 3)
+        pairs = []
+        for a, w, sh in zip(origin, widths, shifts):
+            i = 8 * ((idx >> sh) & mask)
+            hw = w * h
+            pairs.append(
+                ((a + (i + 1) * hw, a + (i + 3) * hw), (a + (i + 5) * hw, a + (i + 7) * hw))
+            )
+        vol = vol_total * 0.5 ** (d * (k + 2))
+        k += 1
+        for e, off, axes in zip(ests, offsets, product(*pairs)):
+            evals += n_children
+            child_ests = [f(mid) * vol for mid in product(*axes)]
+            s = sum(child_ests)
+            diff = abs(s - e)
+            if k >= max_depth:
+                final.append((s, diff))
+                total += diff
+            elif k < min_depth and evals < max_evals:
+                split(k, (idx << 1) | off, child_ests)
+            else:
+                charge = diff / 3 if k >= min_depth else diff
+                heapq.heappush(heap, (-charge, k, (idx << 1) | off, e, child_ests))
+                total += charge
 
     def error_bound() -> float:
-        return fsum([-c for c, *_ in heap] + [e for _, e in final])
+        return fsum([-cell[0] for cell in heap] + [e for _, e in final])
 
-    root = f(tuple(a + h for a, h in zip(origin, steps[1]))) * vols[0]
+    root = f(tuple(a + w * 0.5 for a, w in zip(origin, widths))) * vol_total
     evals = 1
-    settle(0, 0, root)
+    # the box is the first child of a cell at depth -1 with the same origin
+    split(-1, 0, [root])
     while evals < max_evals and heap and heap[0][0] < 0:
         if total <= tol:
             # stop on the exact sum, not on the running one
@@ -126,8 +140,10 @@ def integrate_adaptive(
                 break
         neg_charge, k, idx, _, ests = heapq.heappop(heap)
         total += neg_charge
-        for e, off in zip(ests, offsets):
-            settle(k + 1, (idx << 1) | off, e)
+        split(k, idx, ests)
+    # split refers to itself; dropping the name frees the cells now, not at
+    # the next garbage collection
+    del split
 
     error = error_bound()
     accepted = error <= tol * (1 + 1e-9)

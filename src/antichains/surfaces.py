@@ -185,14 +185,14 @@ class LpSphere:
             a = 1.0 / (1.0 - 0.5 * inv_p)  # 2p / (2p - 1), without overflowing 2p
             e, q = a * inv_p, 2.0 - 2.0 * inv_p
             flat = 0.5**inv_p
-            scale = e * flat
+            scale, power = e * flat, e - 1.0
             pieces, box = 2, ((0.0, 1.0),)
 
             def integrand(x):
                 (t,) = x
                 w = 0.5 * t**a
                 u = (w / (1.0 - w)) ** q
-                return scale * t ** (e - 1.0) * u / (math.sqrt(1.0 + u) + 1.0)
+                return scale * t**power * u / (math.sqrt(1.0 + u) + 1.0)
 
         else:
             pieces, box, flat = 1, ((0.0, 1.0),) * (n - 1), 0.0

@@ -12,10 +12,22 @@ boxes (the Duffy-mapped simplex for the sphere, the n = 2 arc in graded
 power coordinates, the hyperplane with its last base coordinate
 integrated out), so both sides compute the same surface measure from
 different problems.
+
+``_previous_integrate_adaptive`` is the global-adaptive loop as it was
+before its tables and per-child calls were taken out, also verbatim; the
+current loop must return bit-identical results.  Run as a script,
+
+    PYTHONPATH=src python tests/test_quadrature_kernel.py 2000
+
+checks that on 2,000 seeded random problems outside tier-1: smooth, kinked
+and step integrands on random boxes in d = 1..4, with random tolerances,
+budgets and depths.
 """
 
 import heapq
 import math
+import random
+import sys
 from dataclasses import astuple
 from functools import lru_cache
 from itertools import product
@@ -24,7 +36,7 @@ from math import fsum, prod
 import pytest
 
 from antichains import surfaces
-from antichains.estimate import require_tolerance
+from antichains.estimate import NonFiniteError, require_tolerance
 from antichains.quadrature import QuadratureResult, integrate_adaptive
 
 # the region labels of the previous classifiers, defined here so the oracle stands alone
@@ -226,6 +238,116 @@ def _oracle_integrate_global(
         error_bound=error,
         evaluations=evals,
         converged=error <= tol * (1 + 1e-9),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the previous global-adaptive loop, verbatim but for its name
+
+
+def _previous_integrate_adaptive(
+    f,
+    box: Box,
+    tol: float,
+    *,
+    max_depth: int = 26,
+    min_depth: int = 2,
+    max_evals: int = 4_000_000,
+) -> QuadratureResult:
+    """Integrate ``f`` over ``box`` to an absolute tolerance.
+
+    ``tol`` must be finite (else NonFiniteError) and positive (else
+    ValueError).  A cell shallower than ``min_depth`` is always split and a
+    cell at ``max_depth`` never is.  Refinement stops once the summed
+    charge is at most ``tol``, once ``max_evals`` evaluations are spent, or
+    once no cell that carries a charge can be split.  Every unresolved cell
+    charges its error to the reported bound; callers should treat a bound
+    above ``tol`` as a flagged, not failed, estimate.
+    """
+    require_tolerance(tol)
+    d = len(box)
+    vol_total = prod(hi - lo for lo, hi in box)
+    if vol_total <= 0:
+        return QuadratureResult(0.0, 0.0, 0, True)
+
+    # A cell is named by its depth k and a packed integer index: axis j's
+    # coordinate i_j (the cell spans ticks i_j and i_j + 1 of depth k) sits
+    # in bits [j*stride, (j+1)*stride), so a child's index is the parent's
+    # shifted left by one, or'ed with the child's offset.
+    origin = [lo for lo, _ in box]
+    stride = max_depth + 1
+    mask = (1 << stride) - 1
+    shifts = [j * stride for j in range(d)]
+    offsets = [sum(b << s for b, s in zip(bits, shifts)) for bits in product((0, 1), repeat=d)]
+    # the tick of index i at depth k on axis j is origin[j] + i * steps[k][j];
+    # the same tick is the same float at every depth, so children tile their
+    # parent exactly
+    steps = [[(hi - lo) * 0.5**k for lo, hi in box] for k in range(max_depth + 3)]
+    vols = [vol_total * 0.5 ** (d * k) for k in range(max_depth + 2)]
+
+    def child_estimates(k: int, idx: int) -> list[float]:
+        nonlocal evals
+        evals += len(offsets)
+        mids = [
+            (a + (4 * ((idx >> s) & mask) + 1) * h, a + (4 * ((idx >> s) & mask) + 3) * h)
+            for a, s, h in zip(origin, shifts, steps[k + 2])
+        ]
+        vol = vols[k + 1]
+        return [f(mid) * vol for mid in product(*mids)]
+
+    # waiting cells: (-charge, k, index, est, child estimates); the children's
+    # estimates are kept, so splitting a cell evaluates only its grandchildren
+    heap: list[tuple[float, int, int, float, list[float]]] = []
+    final: list[tuple[float, float]] = []  # (s, |s - est|) of cells at max_depth
+    total = 0.0  # running sum of every charge; resynced with fsum before stopping
+
+    def settle(k: int, idx: int, est: float) -> None:
+        # a cell with its own estimate: evaluate its children and file it
+        nonlocal total
+        ests = child_estimates(k, idx)
+        s = sum(ests)
+        diff = abs(s - est)
+        if k >= max_depth:
+            final.append((s, diff))
+            total += diff
+        elif k < min_depth and evals < max_evals:
+            for e, off in zip(ests, offsets):
+                settle(k + 1, (idx << 1) | off, e)
+        else:
+            charge = diff / 3 if k >= min_depth else diff
+            heapq.heappush(heap, (-charge, k, idx, est, ests))
+            total += charge
+
+    def error_bound() -> float:
+        return fsum([-c for c, *_ in heap] + [e for _, e in final])
+
+    root = f(tuple(a + h for a, h in zip(origin, steps[1]))) * vols[0]
+    evals = 1
+    settle(0, 0, root)
+    while evals < max_evals and heap and heap[0][0] < 0:
+        if total <= tol:
+            # stop on the exact sum, not on the running one
+            total = error_bound()
+            if total <= tol:
+                break
+        neg_charge, k, idx, _, ests = heapq.heappop(heap)
+        total += neg_charge
+        for e, off in zip(ests, offsets):
+            settle(k + 1, (idx << 1) | off, e)
+
+    error = error_bound()
+    accepted = error <= tol * (1 + 1e-9)
+    values = [s for s, _ in final]
+    for _, k, _, est, ests in heap:
+        s = sum(ests)
+        values.append((4 * s - est) / 3 if accepted and k >= min_depth else s)
+    if not accepted:
+        error = fsum([abs(sum(ests) - est) for *_, est, ests in heap] + [e for _, e in final])
+    return QuadratureResult(
+        value=fsum(values),
+        error_bound=error,
+        evaluations=evals,
+        converged=accepted,
     )
 
 
@@ -454,3 +576,224 @@ def test_budgets_agree_with_oracle_within_both_bounds(max_evals, min_depth):
         old = _oracle_integrate_adaptive(f, box, 1e-4, **kwargs)
         assert new.converged == old.converged
         assert abs(new.value - old.value) <= new.error_bound + old.error_bound
+
+
+# ---------------------------------------------------------------------------
+# the loop against its previous form: bit-identical results
+
+
+def _assert_same(f, box, tol, **kwargs):
+    new = integrate_adaptive(f, box, tol, **kwargs)
+    old = _previous_integrate_adaptive(f, box, tol, **kwargs)
+    # repr round-trips every float exactly, signed zeros included
+    assert repr(astuple(new)) == repr(astuple(old)), (box, tol, kwargs)
+
+
+def _kinked(x):
+    return math.sqrt(abs(x[0] - 0.3)) + x[-1] ** 2
+
+
+def _smooth(x):
+    return 1.0 / (1.0 + sum((j + 1) * c * c for j, c in enumerate(x)))
+
+
+def _step(x):
+    return 1.0 if x[0] < 1 / 3 else 0.0
+
+
+@pytest.mark.parametrize("case", range(len(_CASES)), ids=_IDS)
+def test_bit_identical_to_previous_loop(case):
+    f, box, tol, kwargs = _problem(*_CASES[case])
+    _assert_same(f, box, tol, **kwargs)
+
+
+def test_sweep_bit_identical_to_previous_loop():
+    for p in (*range(1, 65), 1.1, 1000):
+        f, box, tol, kwargs = _problem(surfaces.LpSphere(2, p), 1e-6)
+        _assert_same(f, box, tol, **kwargs)
+
+
+# 41 and 49 are evaluation counts that d = 1, 2 and 3 can reach exactly
+@pytest.mark.parametrize("max_evals", [40, 41, 49, 50, 500, 4_000_000])
+@pytest.mark.parametrize("min_depth", [0, 2, 5])
+def test_budgets_bit_identical_to_previous_loop(max_evals, min_depth):
+    problems = [
+        (_kinked, ((0.0, 1.0),), 1e-4),
+        (_kinked, ((0.0, 1.0), (0.0, 0.5)), 1e-4),
+        _problem(surfaces.Hyperplane(2), 1e-6)[:3],
+        _problem(surfaces.LpSphere(3, 2), 1e-2)[:3],
+    ]
+    if max_evals <= 500:
+        # at min_depth 5 the d = 3 floor is 8^5 cells; only starved runs are quick
+        problems.append(_problem(surfaces.LpSphere(4, 4), 0.5)[:3])
+    for f, box, tol in problems:
+        _assert_same(f, box, tol, max_evals=max_evals, min_depth=min_depth)
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 3, 12, 20])
+def test_depth_limit_bit_identical_to_previous_loop(max_depth):
+    # the jump at x = 1/3 keeps a cell charged down to max_depth, so these
+    # runs file cells as final; min_depth 5 above max_depth 3 files them
+    # during the initial splits
+    for min_depth in (0, 2, 5):
+        kwargs = {"max_depth": max_depth, "min_depth": min_depth, "max_evals": 100_000}
+        _assert_same(_step, ((0.0, 1.0),), 1e-12, **kwargs)
+        _assert_same(_step, ((0.0, 1.0), (0.0, 2.0)), 1e-12, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ((0, 1),),
+        ((0, 3), (1, 2)),
+        ((-2, 5), (0, 1), (3, 4)),
+        ((0, 1.5), (2, 3)),
+        ((1, 2**60),),
+        ((0, 2**53 - 1), (0, 3), (0, 3)),
+    ],
+)
+def test_integer_boxes_bit_identical_to_previous_loop(box):
+    # integer bounds compare and hash equal to float ones, but an integer
+    # volume is rounded once where a float product rounds at every factor
+    for f in (_kinked, _smooth):
+        _assert_same(f, box, 1e-3 * prod(hi - lo for lo, hi in box), max_evals=2_000)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ((-0.3, 0.7),),
+        ((0.1, 0.35), (-2.0, 5.0)),
+        ((1e-3, 2.0), (0.5, 0.625), (-1.0, -0.25)),
+        ((0.2, 0.3), (-1.0, 0.0), (3.0, 3.5), (0.0, 1.25)),
+        ((0.0, 1.0), (0.5, 0.5)),
+    ],
+)
+def test_offset_boxes_bit_identical_to_previous_loop(box):
+    for f in (_kinked, _smooth, _step):
+        _assert_same(f, box, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the contract the benchmark's tracer relies on: f is called once per
+# counted evaluation, with a tuple
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        assert type(x) is tuple
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("case", range(len(_CASES)), ids=_IDS)
+def test_calls_f_once_per_evaluation(case):
+    f, box, tol, kwargs = _problem(*_CASES[case])
+    g, calls = _counted(f)
+    assert integrate_adaptive(g, box, tol, **kwargs).evaluations == len(calls)
+
+
+def test_starved_run_calls_f_once_per_evaluation():
+    f, box, tol, kwargs = _problem(surfaces.LpSphere(3, 2), 1e-4)
+    g, calls = _counted(f)
+    res = integrate_adaptive(g, box, tol, **kwargs, max_evals=50)
+    assert not res.converged
+    assert res.evaluations == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# boxes
+
+
+@pytest.mark.parametrize(
+    "box", [((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0),), ((0.0, 1.0), (0.5, 0.25))]
+)
+def test_rejects_reversed_axes(box):
+    with pytest.raises(ValueError, match="hi < lo"):
+        integrate_adaptive(_kinked, box, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ((0.0, math.nan),),
+        ((0.0, math.inf),),
+        ((-math.inf, 0.0),),
+        ((0.0, 1.0), (math.nan, 1.0)),
+    ],
+)
+def test_rejects_non_finite_bounds(box):
+    with pytest.raises(NonFiniteError):
+        integrate_adaptive(_kinked, box, 1e-3)
+
+
+def test_rejects_empty_box():
+    with pytest.raises(ValueError, match="axis"):
+        integrate_adaptive(_kinked, (), 1e-3)
+
+
+@pytest.mark.parametrize("box", [((0.5, 0.5),), ((0.0, 1.0), (2.0, 2.0)), ((3, 3), (0, 1))])
+def test_flat_box_has_zero_integral(box):
+    g, calls = _counted(_kinked)
+    assert integrate_adaptive(g, box, 1e-3) == QuadratureResult(0.0, 0.0, 0, True)
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
+# the wider differential sweep, outside tier-1
+
+
+def _random_problem(rng: random.Random):
+    """A seeded random integrand, box, tolerance and set of knobs."""
+    d = rng.randint(1, 4)
+    box = []
+    for _ in range(d):
+        lo = rng.choice((0, rng.uniform(-3.0, 3.0)))
+        box.append((lo, lo + rng.choice((1, rng.uniform(1e-3, 4.0)))))
+    box = tuple(box)
+    c = [rng.uniform(-2.0, 2.0) for _ in range(d)]
+    t = sum(ci * (lo + hi) / 2 for ci, (lo, hi) in zip(c, box)) + rng.uniform(-0.5, 0.5)
+    kind = rng.choice(("smooth", "kinked", "step"))
+    if kind == "smooth":
+
+        def f(x):
+            return math.exp(sum(ci * xi for ci, xi in zip(c, x)))
+
+    elif kind == "kinked":
+
+        def f(x):
+            return math.sqrt(abs(sum(ci * xi for ci, xi in zip(c, x)) - t))
+
+    else:
+
+        def f(x):
+            return 1.0 if sum(ci * xi for ci, xi in zip(c, x)) < t else 0.0
+
+    kwargs = {
+        "max_evals": int(10 ** rng.uniform(1.0, 4.3)),
+        "min_depth": rng.randint(0, 4),
+        "max_depth": rng.randint(0, 26),
+    }
+    tol = 10 ** rng.uniform(-9.0, 0.0) * prod(hi - lo for lo, hi in box)
+    return kind, f, box, tol, kwargs
+
+
+def _sweep(problems: int) -> None:
+    rng = random.Random(18)
+    for _ in range(problems):
+        kind, f, box, tol, kwargs = _random_problem(rng)
+        try:
+            _assert_same(f, box, tol, **kwargs)
+        except AssertionError:
+            print(f"differs: {kind} on {box} at {tol!r}, {kwargs}")
+            raise
+
+
+if __name__ == "__main__":
+    problems = int(sys.argv[1])
+    _sweep(problems)
+    print(f"{problems} random problems: bit-identical to the previous loop")
