@@ -86,13 +86,14 @@ def projection_size(points: PointSet, axis: int) -> int:
 # j, j // k**(n-g-w) % k**w for the group of w axes from axis g: pairs of
 # axes, k*k masks per side and pair, halve the ANDs per cell, and single
 # axes, k masks per side and axis, serve boxes whose pair tables would
-# outgrow _TABLE_CAP.  There is no per-cell table.  The cells that share p's
-# image along axis i, the line through p, are a comb of k bits spaced run
-# apart, (2**(k*run) - 1) // (2**run - 1), shifted to the line's first cell
-# j - p[i]*run, so n combs serve every line.
+# outgrow _TABLE_CAP.  The cells that share p's image along axis i, the line
+# through p, are a comb of k bits spaced run apart,
+# (2**(k*run) - 1) // (2**run - 1), shifted to the line's first cell
+# j - p[i]*run.  The gap scan tables both per cell where they fit _TABLE_CAP.
 
-#: largest mask table, in bits, that the sampler builds; in bigger boxes it
-#: tests candidates pairwise, in memory that does not grow with the box
+#: largest table, in bits, that the sampler or the gap scan builds; in bigger
+#: boxes the sampler tests candidates pairwise, in memory that does not grow
+#: with the box, and the scan computes each cell's values when it takes it
 _TABLE_CAP = 1 << 22
 
 
@@ -150,6 +151,28 @@ def _strong_cells(j: int, groups) -> int:
         below &= lo[d]
         above &= hi[d]
     return below | above
+
+
+def _cell_values(n: int, k: int):
+    """``values(j)``: cell j's strongly comparable cells, and the lines through
+    it packed into one int, axis i's comb in the k**n-bit field at i*k**n."""
+    groups = _mask_table(n, k, _TABLE_CAP)
+    runs = [k ** (n - 1 - i) for i in range(n)]
+    combs = [(r, ((1 << k * r) - 1) // ((1 << r) - 1) << i * k**n) for i, r in enumerate(runs)]
+
+    def values(j: int) -> tuple[int, int]:
+        lines = 0
+        for run, comb in combs:
+            lines |= comb << j - j // run % k * run
+        return _strong_cells(j, groups), lines
+
+    return values
+
+
+@lru_cache(maxsize=8)
+def _scan_table(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """:func:`_cell_values` of every cell of the box [0,k)^n, in (n+1)*k**(2n) bits."""
+    return tuple(map(_cell_values(n, k), range(k**n)))
 
 
 @dataclass(frozen=True)
@@ -279,76 +302,6 @@ class GapScanResult:
     weak_count: int
 
 
-def _add_lines(seen: list[int], images: int, j: int, p: Point, lines) -> tuple[list[int], int]:
-    """``seen`` with cell ``j = p``'s line added on each axis, and the new image count."""
-    new = seen[:]
-    for i, run, comb in lines:
-        if not seen[i] >> j & 1:
-            images += 1
-            new[i] |= comb << j - p[i] * run
-    return new, images
-
-
-def _weak_subsets(n: int, k: int, size: int):
-    """Weak antichains of ``size >= 1`` cells of the box [0,k)^n.
-
-    Yields ``(head, last, seen, images)``: ``head`` holds the first size-1
-    cell indices in increasing order (a list the search goes on to change),
-    the bitset ``last`` every cell that completes it, ``seen[i]`` the cells
-    whose image along axis i the head has, and ``images`` the number of
-    those images over all axes.  This is a depth-first search over
-    increasing cell indices that extends only by cells not strongly
-    comparable with those already taken and backtracks once fewer free cells
-    remain than are still needed.  Read head by head and bit by bit, the
-    sets come in ``combinations`` order.
-    """
-    head: list[int] = []
-    if size == 1:
-        yield head, (1 << k**n) - 1, [0] * n, 0
-        return
-    pool = box_points(n, k)
-    groups = _mask_table(n, k, _TABLE_CAP)
-    # per axis i: (i, run, comb), the index step and the comb of a line
-    runs = [k ** (n - 1 - i) for i in range(n)]
-    lines = [(i, run, ((1 << k * run) - 1) // ((1 << run) - 1)) for i, run in enumerate(runs)]
-    frees = [(1 << k**n) - 1]
-    seens = [[0] * n]
-    images = [0]
-    while frees:
-        free = frees[-1]
-        need = size - len(head)
-        if free.bit_count() < need:
-            frees.pop()
-            seens.pop()
-            images.pop()
-            if head:
-                head.pop()
-            continue
-        if need == 2:
-            # the head's last cell: yield each choice that leaves a completion
-            frees[-1] = 0
-            head.append(-1)
-            while free:
-                low = free & -free
-                free ^= low
-                idx = low.bit_length() - 1
-                last = free & ~_strong_cells(idx, groups)
-                if last:
-                    head[-1] = idx
-                    yield head, last, *_add_lines(seens[-1], images[-1], idx, pool[idx], lines)
-            head.pop()
-            continue
-        low = free & -free
-        free ^= low
-        frees[-1] = free
-        idx = low.bit_length() - 1
-        head.append(idx)
-        frees.append(free & ~_strong_cells(idx, groups))
-        seen, image_count = _add_lines(seens[-1], images[-1], idx, pool[idx], lines)
-        seens.append(seen)
-        images.append(image_count)
-
-
 def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> GapScanResult:
     """Minimum projection gap over every weak antichain of ``size`` points in [0,k)^n.
 
@@ -356,20 +309,28 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     improvements are kept, so the reported witness is the lexicographically
     least one.  ``budget`` bounds the number of subsets, C(k^n, size),
     although the search skips every subset that is not a weak antichain; it
-    is checked before the box is built, and a scan of single cells builds
-    none.
+    must be >= 0 and is checked before anything grows with the box.  Scans
+    of size 0 or 1 build nothing: every single cell has gap n - 1.
 
-    Each head (the first size-1 cells of a set) carries, per axis, the
-    bitset of cells whose image it already has.  A completion's gap is the
-    head's base minus the number of those bitsets that hold it, so
-    bit-sliced counters over the completions give the best one; a head whose
-    base minus n cannot beat the best gap so far is skipped once its
-    completions are counted.
+    The search is depth-first over increasing cell indices, extends a head
+    (the first size-1 cells of a set) only by cells not strongly comparable
+    with those taken, and backtracks once too few free cells remain.  Each
+    level keeps one packed ``seen``, the OR of the lines through the head's
+    cells (:func:`_cell_values`); every line holds k cells, so the head has
+    ``seen.bit_count() // k`` images.  A completion's gap is that count plus
+    n - size minus the number of axis fields holding it, so bit-sliced
+    counters over the completions give the best one, and a head whose count
+    plus n - size minus n cannot beat the best gap so far is skipped.  The
+    cells' values are tabled per box where their (n+1)*k^(2n) bits fit
+    ``_TABLE_CAP`` and computed when a cell is taken otherwise.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
     _check_box(n, k)
-    total = math.comb(k**n, size)
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    cells = k**n
+    total = math.comb(cells, size)
     if total > budget:
         raise BudgetExceededError(
             f"{total} subsets of size {size} exceed budget {budget}; "
@@ -377,29 +338,67 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
         )
     if size == 0:
         return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
+    if size == 1:
+        return GapScanResult(n, k, 1, n - 1, PointSet._trusted(n, [(0,) * n]), cells)
+    tabled = (n + 1) * cells * cells <= _TABLE_CAP
+    values = _scan_table(n, k).__getitem__ if tabled else _cell_values(n, k)
+    fields = range(0, n * cells, cells)
     best_gap: int | None = None
     best_cells = None
     weak_count = 0
-    for head, last, seen, images in _weak_subsets(n, k, size):
-        weak_count += last.bit_count()
-        # gap of head + (q,) is base minus the bitsets holding q, at most n
-        base = images + n - size
-        if best_gap is not None and base - n >= best_gap:
+    head: list[int] = []
+    frees = [(1 << cells) - 1]
+    seens = [0]
+    while frees:
+        free = frees[-1]
+        need = size - len(head)
+        if free.bit_count() < need:
+            frees.pop()
+            seens.pop()
+            if head:
+                head.pop()
             continue
-        # at_least[c]: the completions held by at least c of the bitsets
-        at_least = [last]
-        for s in seen:
-            at_least.append(at_least[-1] & s)
-            for c in range(len(at_least) - 2, 0, -1):
-                at_least[c] |= at_least[c - 1] & s
-        c = n
-        while not at_least[c]:
-            c -= 1
-        if best_gap is None or base - c < best_gap:
-            best_gap = base - c
-            # the lowest such completion is the first minimiser of this head
-            first = at_least[c] & -at_least[c]
-            best_cells = (*head, first.bit_length() - 1)
+        if need > 2:
+            low = free & -free
+            frees[-1] = free = free ^ low
+            idx = low.bit_length() - 1
+            strong, lines = values(idx)
+            head.append(idx)
+            frees.append(free & ~strong)
+            seens.append(seens[-1] | lines)
+            continue
+        # the head's last cell: score each choice that leaves a completion
+        frees[-1] = 0
+        head_seen = seens[-1]
+        while free:
+            low = free & -free
+            free ^= low
+            idx = low.bit_length() - 1
+            strong, lines = values(idx)
+            last = free & ~strong
+            if not last:
+                continue
+            weak_count += last.bit_count()
+            seen = head_seen | lines
+            # gap of head + (idx, q) is base minus the fields holding q, at most n
+            base = seen.bit_count() // k + n - size
+            if best_gap is not None and base - n >= best_gap:
+                continue
+            # at_least[c]: the completions held by at least c of the fields
+            at_least = [last]
+            for field in fields:
+                s = seen >> field & last
+                at_least.append(at_least[-1] & s)
+                for c in range(len(at_least) - 2, 0, -1):
+                    at_least[c] |= at_least[c - 1] & s
+            c = n
+            while not at_least[c]:
+                c -= 1
+            if best_gap is None or base - c < best_gap:
+                best_gap = base - c
+                # the lowest such completion is the first minimiser of this head
+                first = at_least[c] & -at_least[c]
+                best_cells = (*head, idx, first.bit_length() - 1)
     witness = None
     if best_cells is not None:
         witness = PointSet._trusted(n, [_cell(j, n, k) for j in best_cells])

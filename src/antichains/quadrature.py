@@ -53,7 +53,9 @@ def integrate_adaptive(
     ``tol`` must be finite (else NonFiniteError) and positive (else
     ValueError).  ``box`` needs at least one axis and ``lo <= hi`` on each
     (else ValueError), with finite bounds (else NonFiniteError); an axis
-    with ``lo == hi`` gives the zero result.  A cell shallower than
+    with ``lo == hi`` gives the zero result.  ``max_depth``, ``min_depth``
+    and ``max_evals`` must be >= 0 (else ValueError).  The root and its 2^d
+    children are always evaluated; beyond them, a cell shallower than
     ``min_depth`` is always split and a cell at ``max_depth`` never is.
     Refinement stops once the summed charge is at most ``tol``, once
     ``max_evals`` evaluations are spent, or once no cell that carries a
@@ -62,6 +64,10 @@ def integrate_adaptive(
     flagged, not failed, estimate.
     """
     require_tolerance(tol)
+    knobs = {"max_depth": max_depth, "min_depth": min_depth, "max_evals": max_evals}
+    for name, value in knobs.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if not box:
         raise ValueError("box must have at least one axis")
     for lo, hi in box:

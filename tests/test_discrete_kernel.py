@@ -12,7 +12,8 @@ gap reports, and the same errors with the same messages.
 Run as a script, ``python tests/test_discrete_kernel.py TRIALS`` compares
 the first TRIALS certificates of the criterion-2 stream (100,000 in the
 acceptance suite) against the oracles, then every gap scan of
-``_scan_sweep_cases`` against the per-completion loop oracle.
+``_scan_sweep_cases`` against the per-completion loop oracle, once with the
+scan's per-cell tables and once with the table cap at 0.
 """
 
 import math
@@ -597,6 +598,86 @@ def test_gap_scan_of_singletons_builds_no_box(n, k, no_box):
         assert res == _oracle_loop_gap_scan(n, k, 1)
 
 
+def _table_bits(n: int, k: int) -> int:
+    """Size of the scan's per-cell tables for the box [0,k)^n."""
+    return (n + 1) * k ** (2 * n)
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError(f"_scan_table({n}, {k}) built")
+
+    monkeypatch.setattr(partition, "_scan_table", refuse)
+
+
+@pytest.mark.parametrize("tabled", [False, True], ids=["on-demand", "tabled"])
+def test_gap_scan_value_sources_match_oracles(tabled, monkeypatch):
+    # cap 0 computes every cell's values when it is taken; a cap of exactly
+    # the tables' size builds them
+    scans = 0
+    for n, k, size in _scan_cases(oracle=True):
+        if size < 2 or math.comb(k**n, size) > 5_000:
+            continue
+        monkeypatch.setattr(partition, "_TABLE_CAP", _table_bits(n, k) if tabled else 0)
+        partition._scan_table.cache_clear()
+        res = exhaustive_gap_scan(n, k, size)
+        assert partition._scan_table.cache_info().currsize == tabled, (n, k, size)
+        expected = _oracle_exhaustive_gap_scan(n, k, size)
+        assert (res.min_gap, res.witness, res.weak_count) == expected, (n, k, size)
+        assert res == _oracle_loop_gap_scan(n, k, size), (n, k, size)
+        scans += 1
+    assert scans > 40
+
+
+@pytest.mark.parametrize("n,k,size", [(3, 3, 5), (4, 3, 3), (2, 6, 4)])
+def test_gap_scan_without_tables_matches_loop_oracle_above_the_combinations_cap(
+    n, k, size, monkeypatch
+):
+    # test_gap_scan_matches_loop_oracle_above_the_combinations_cap runs them tabled
+    monkeypatch.setattr(partition, "_TABLE_CAP", 0)
+    assert exhaustive_gap_scan(n, k, size) == _oracle_loop_gap_scan(n, k, size)
+
+
+def test_gap_scan_one_bit_under_the_table_size_builds_no_table(monkeypatch, no_table):
+    for n, k, size in [(3, 3, 4), (2, 5, 4), (4, 2, 5), (1, 4, 2)]:
+        monkeypatch.setattr(partition, "_TABLE_CAP", _table_bits(n, k) - 1)
+        assert exhaustive_gap_scan(n, k, size) == _oracle_loop_gap_scan(n, k, size)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1500), (2, 35), (3, 11), (4, 6), (5, 4)])
+def test_gap_scan_above_the_table_cap_builds_no_table(n, k, no_table):
+    assert _table_bits(n, k) > partition._TABLE_CAP
+    # two cells on one line share one image, so the least gap is 2n - 3 at
+    # the first two cells; the pairs strongly comparable along every axis
+    # are the C(k, 2)^n ways to pick a lower and an upper value per axis
+    res = exhaustive_gap_scan(n, k, 2)
+    if n == 1:
+        assert (res.min_gap, res.witness, res.weak_count) == (None, None, 0)
+    else:
+        witness = PointSet(n, [(0,) * n, (0,) * (n - 1) + (1,)])
+        weak = math.comb(k**n, 2) - math.comb(k, 2) ** n
+        assert (res.min_gap, res.witness, res.weak_count) == (2 * n - 3, witness, weak)
+
+
+def test_gap_scan_rejects_a_negative_budget(no_box, capsys):
+    # after the size and box checks, before the subsets are counted
+    for args in [(2, 3, 0), (2, 3, 1), (2, 3, 2), (4, 30, 3)]:
+        with pytest.raises(ValueError) as err:
+            exhaustive_gap_scan(*args, budget=-1)
+        assert type(err.value) is ValueError and str(err.value) == "budget must be >= 0", args
+    with pytest.raises(ValueError, match="^size must be >= 0$"):
+        exhaustive_gap_scan(2, 3, -1, budget=-1)
+    with pytest.raises(ValueError, match="^box needs n >= 1 and k >= 1$"):
+        exhaustive_gap_scan(2, 0, 1, budget=-1)
+    assert exhaustive_gap_scan(2, 3, 0, budget=1).weak_count == 1
+    argv = ["gap-scan", "--n", "2", "--k", "3", "--size", "0", "--budget", "-1"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: budget must be >= 0\nusage: antichains gap-scan")
+
+
 def test_cell_decodes_the_box_numbering():
     for n, k in [(1, 1), (1, 6), (2, 3), (3, 4), (4, 2), (2, 7)]:
         assert [partition._cell(j, n, k) for j in range(k**n)] == list(box_points(n, k))
@@ -647,3 +728,7 @@ if __name__ == "__main__":
     print(f"{trials} criterion-2 certificates: sets, parts, checks and gaps agree")
     scans = _scan_sweep()
     print(f"{scans} gap scans: minimum gaps, witnesses and weak counts agree with the loop")
+    # the same scans again with every cell's values computed when it is taken
+    partition._TABLE_CAP = 0
+    scans = _scan_sweep()
+    print(f"{scans} gap scans without per-cell tables agree with the loop")

@@ -736,6 +736,32 @@ def test_rejects_empty_box():
         integrate_adaptive(_kinked, (), 1e-3)
 
 
+# ---------------------------------------------------------------------------
+# knobs
+
+
+@pytest.mark.parametrize("knob", ["max_depth", "min_depth", "max_evals"])
+@pytest.mark.parametrize("value", [-1, -5])
+def test_rejects_negative_knobs(knob, value):
+    g, calls = _counted(_kinked)
+    with pytest.raises(ValueError) as err:
+        integrate_adaptive(g, ((0.0, 1.0),), 1e-3, **{knob: value})
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{knob} must be >= 0, got {value}"
+    assert not calls
+
+
+@pytest.mark.parametrize("knob", ["max_depth", "min_depth", "max_evals"])
+def test_zero_knobs_are_accepted(knob):
+    # the root and its 2^d children are evaluated whatever the knobs say
+    for d in (1, 2, 3):
+        g, calls = _counted(_kinked)
+        res = integrate_adaptive(g, ((0.0, 1.0),) * d, 1e-3, **{knob: 0})
+        assert res.evaluations == len(calls) >= 1 + 2**d
+        if knob != "min_depth":
+            assert res.evaluations == 1 + 2**d
+
+
 @pytest.mark.parametrize("box", [((0.5, 0.5),), ((0.0, 1.0), (2.0, 2.0)), ((3, 3), (0, 1))])
 def test_flat_box_has_zero_integral(box):
     g, calls = _counted(_kinked)
