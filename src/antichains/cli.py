@@ -214,6 +214,9 @@ def _cmd_gap(args):
 def _cmd_gap_scan(args):
     random = args.sample is not None
     with _as_usage():
+        # one rule for both modes, though the random mode spends no budget
+        if args.budget < 0:
+            raise ValueError("budget must be >= 0")
         results = [
             random_gap_scan(args.n, args.k, size, args.sample, seed=args.seed)
             if random

@@ -12,14 +12,17 @@ predicate covers under-approximate and are flagged as such.
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
 finds the run of cells of that column that the graph meets without walking
-it.  The hyperplane's run is in closed form.  The sphere's ends are
-bisected on a table of powers, with the base cell's power sums built axis
-by axis.  A linear graph's ends are the rows of its attained interval's
-ends, bisected on the faces; only those two rows take the exact per-cell
-test.  A tabulated graph's values are the step extension at a base cell's
-corners, read from per-axis bitsets of the samples below each corner.  The
-staircase bisects, per grid line, where its polyline crosses it, so a
-cover costs O(m log V) for V vertices.
+it.  The hyperplane's run is in closed form, tabled once per
+base-coordinate sum.  The sphere's ends are bisected on a table of powers,
+with the base cell's power sums built axis by axis.  A linear graph's run
+goes from the row of its attained interval's lower end to the row of its
+upper end, both bisected on the faces, and is settled in closed form: the
+exact interval test decides only the top row of a column whose interval is
+a point, starts at or above 1, or ends on a face or below 0.  A tabulated
+graph's values are the step extension at a base cell's corners, read from
+per-axis bitsets of the samples below each corner.  The staircase bisects,
+per grid line, where its polyline crosses it, so a cover costs O(m log V)
+for V vertices.
 """
 
 import math
@@ -167,13 +170,21 @@ def _hyperplane_cells(s: Hyperplane, m: int):
     # integer arithmetic keeps the half-open test exact: the cell meets the
     # slice iff sum(lower) <= n/2 < sum(upper), i.e. iff
     # m*n < 2*sum(d) <= m*n + 2n, so over a base cell with sum sb the hit
-    # rows are h+1..h+n with h = (m*n - 2*sb) // 2, clipped to 1..m
+    # rows are h+1..h+n with h = (m*n - 2*sb) // 2, clipped to 1..m.  The
+    # run depends on sb alone, so it is tabled once per sum, and the runs
+    # over a head's m base cells are a slice of that table
     n = s.n
     mn = m * n
-    for base in _cell_indices(m, n - 1):
-        h = (mn - 2 * sum(base)) // 2
-        for j in range(max(h + 1, 1), min(h + n, m) + 1):
-            yield (*base, j)
+    by_sum = []
+    for sb in range(m * (n - 1) + 1):
+        h = (mn - 2 * sb) // 2
+        by_sum.append(range(max(h + 1, 1), min(h + n, m) + 1))
+    rows = range(1, m + 1)
+    for head in _cell_indices(m, n - 2):
+        sh = sum(head)
+        for di, run in zip(rows, by_sum[sh + 1 : sh + m + 1]):
+            for j in run:
+                yield (*head, di, j)
 
 
 def _lpsphere_cells(s: LpSphere, m: int):
@@ -252,11 +263,14 @@ def _linear_cells(s: LinearGraph, m: int):
     # over each base box the values attained on a base cell form the
     # interval from f_lo to f_hi, whose terms are tabulated per axis and
     # added in axis order.  The rows meeting it run from the row of f_lo to
-    # the row of f_hi, each bisected on the faces; only the two end rows
-    # need the exact interval test, since every row between them lies inside
-    # [f_lo, f_hi].  The column is the union over the boxes
-    faces = [j / m for j in range(1, m)]
-    hits = set()
+    # the row of f_hi, each bisected on the lower faces and clipped to 1..m.
+    # Every row below the top one meets the interval's interior, so only the
+    # top row can depend on the attained flags, and it does not either while
+    # f_lo < f_hi, f_lo < 1 and f_hi lies above the row's lower face.
+    # Otherwise (f_hi on a face or below 0, f_lo at least 1, or a point
+    # interval) the top row takes the exact interval test.  The column is
+    # the union over the boxes
+    lower = [j / m for j in range(m)]
     for box in s.base:
         *heads, last = [_linear_axis_terms(side, c, m) for side, c in zip(box, s.gradient)]
         partial = [((), s.offset, s.offset, True, True)]
@@ -266,21 +280,20 @@ def _linear_cells(s: LinearGraph, m: int):
                 for base, f_lo, f_hi, lo_att, hi_att in partial
                 for di, t_lo, t_hi, a_lo, a_hi in terms
             ]
-        for base, f_lo0, f_hi0, lo_att0, hi_att0 in partial:
+        for head, f_lo0, f_hi0, lo_att0, hi_att0 in partial:
             for di, t_lo, t_hi, a_lo, a_hi in last:
                 f_lo = f_lo0 + t_lo
                 f_hi = f_hi0 + t_hi
-                lo_att = lo_att0 and a_lo
-                hi_att = hi_att0 and a_hi
-                lo = bisect_right(faces, f_lo) + 1
-                hi = bisect_right(faces, f_hi) + 1
-                for j in {lo, hi}:
-                    if _interval_overlap(
-                        f_lo, lo_att, f_hi, hi_att, (j - 1) / m, True, j / m, j == m
+                hi = bisect_right(lower, f_hi, 1)
+                if not (f_lo < f_hi and f_lo < 1.0 and lower[hi - 1] < f_hi):
+                    lo_att = lo_att0 and a_lo
+                    hi_att = hi_att0 and a_hi
+                    if not _interval_overlap(
+                        f_lo, lo_att, f_hi, hi_att, lower[hi - 1], True, hi / m, hi == m
                     ):
-                        hits.add((*base, di, j))
-                hits.update((*base, di, j) for j in range(lo + 1, hi))
-    return hits
+                        hi -= 1
+                for j in range(bisect_right(lower, f_lo, 1), hi + 1):
+                    yield (*head, di, j)
 
 
 def _tabulated_cells(s: TabulatedMonotone, m: int):

@@ -192,6 +192,18 @@ def test_gap_scan_random_mode(capsys):
     assert payload["rows"][0]["min_gap"] >= 1
 
 
+def test_gap_scan_rejects_a_negative_budget_in_both_modes(capsys):
+    # the random mode spends no budget, but a negative one is bad usage there too
+    for mode in ([], ["--sample", "3"]):
+        argv = ["gap-scan", "--n", "2", "--k", "3", "--size", "2", *mode, "--budget", "-1"]
+        assert main(argv) == 64, mode
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: budget must be >= 0\nusage: antichains gap-scan")
+    argv = ["gap-scan", "--n", "2", "--k", "3", "--size", "2", "--sample", "3", "--budget", "0"]
+    assert main(argv) == 0
+
+
 def test_cover_points_and_surface(points_file, capsys):
     code, payload = run_json(
         capsys, ["cover", "--points", points_file("dim=2\n0,1\n1,0\n"), "--m", "2"]
