@@ -258,7 +258,7 @@ def _cmd_width(args):
     order = Order.STRONG if args.order == "weak" else Order.STRICT
     with _as_usage():
         grids = [GridPoset(n, m, order) for n in args.n for m in args.m]
-    results = [(g.n, g.m, max_antichain(g, budget=args.budget)) for g in grids]
+        results = [(g.n, g.m, max_antichain(g, budget=args.budget)) for g in grids]
     if len(results) == 1:
         n, m, result = results[0]
         payload = {
@@ -317,7 +317,7 @@ def _cmd_cover(args):
         target = _surface_from_args(args)
     entries = []
     for m in args.m:
-        # the target is built, so what grid_cover still rejects is m itself
+        # the target is built, so grid_cover rejects only m or a negative budget
         with _as_usage():
             cov = grid_cover(target, m, budget=args.budget)
         bound = covering_bound(cov).value if cov.dim >= 2 else None

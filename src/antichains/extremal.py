@@ -139,6 +139,8 @@ def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
     strict up-set of the left points reached, so the search walks unit
     steps, and each right point reached leads back to its chain predecessor.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if poset.size > budget:
         raise BudgetExceededError(
             f"grid has {poset.size} points, budget is {budget}"

@@ -11,11 +11,12 @@ predicate covers under-approximate and are flagged as such.
 
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
-finds the run of cells of that column that the graph meets without walking
-it.  The hyperplane's run is in closed form, tabled once per
-base-coordinate sum.  The sphere's ends are bisected on a table of powers,
-with the base cell's power sums built axis by axis.  A linear graph's run
-goes from the row of its attained interval's lower end to the row of its
+finds the run of cells of that column that the graph meets without testing
+it cell by cell.  The hyperplane's run is in closed form, tabled once per
+base-coordinate sum.  The sphere's run ends only move down as the last base
+coordinate grows, so each walks down from the previous base cell's, tested
+on power sums built axis by axis from a table of powers.  A linear graph's
+run goes from the row of its attained interval's lower end to the row of its
 upper end, both bisected on the faces, and is settled in closed form: the
 exact interval test decides only the top row of a column whose interval is
 a point, starts at or above 1, or ends on a face or below 0.  A tabulated
@@ -193,8 +194,9 @@ def _lpsphere_cells(s: LpSphere, m: int):
     # powers are tabulated once and the base cell's sums are built axis by
     # axis in coordinate order, the head axes once for every last base row.
     # Over a base cell the rows with s_hi + power[j] > 1 >= s_lo + power[j-1]
-    # form one run; each end is bisected on the table, then settled with
-    # those same float sums
+    # form one run.  Both sums grow with the last base row (power never
+    # decreases, float addition is monotone), so each end only moves down:
+    # it walks down from the previous base row's, on the cell test's sums
     p = s.p
     power = [(c / m) ** p for c in range(m + 1)]
     rows = range(1, m + 1)
@@ -206,19 +208,14 @@ def _lpsphere_cells(s: LpSphere, m: int):
             for di in rows
         ]
     for head, hi0, lo0 in partial:
+        lo, hi = m + 1, m
         for di in rows:
             s_hi = hi0 + power[di]
             s_lo = lo0 + power[di - 1]
-            lo = max(bisect_right(power, 1.0 - s_hi), 1)
             while lo > 1 and s_hi + power[lo - 1] > 1.0:
                 lo -= 1
-            while lo <= m and s_hi + power[lo] <= 1.0:
-                lo += 1
-            hi = min(bisect_right(power, 1.0 - s_lo), m)
-            while hi >= 1 and s_lo + power[hi - 1] > 1.0:
+            while hi and s_lo + power[hi - 1] > 1.0:
                 hi -= 1
-            while hi < m and s_lo + power[hi] <= 1.0:
-                hi += 1
             for j in range(lo, hi + 1):
                 yield (*head, di, j)
 
@@ -425,8 +422,10 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     half-open intersection test; predicates are sampled at every one of the
     m^n cells and flagged inexact.  ``budget`` bounds what each route
     visits: the m^(n-1) base cells of an analytic family, the m^n cells of a
-    predicate.  Point clouds are not budgeted.
+    predicate.  Point clouds are not budgeted; a negative budget is an error.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(target, PointCloud):

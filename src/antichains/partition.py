@@ -134,13 +134,13 @@ def _joint_masks(n: int, k: int, width: int) -> tuple[tuple[int, int, tuple, tup
     return tuple(groups)
 
 
-def _mask_table(n: int, k: int, cap: int):
-    """:func:`_joint_masks` over pairs of axes if their tables fit ``cap``, else over single axes.
+def _mask_table(n: int, k: int):
+    """:func:`_joint_masks` over pairs of axes if their tables fit ``_TABLE_CAP``, else single axes.
 
     The pair tables hold 2*k*k masks of k**n bits per pair, counting an odd
     axis left over as a pair.
     """
-    return _joint_masks(n, k, 2 if 2 * -(-n // 2) * k ** (n + 2) <= cap else 1)
+    return _joint_masks(n, k, 2 if 2 * -(-n // 2) * k ** (n + 2) <= _TABLE_CAP else 1)
 
 
 def _strong_cells(j: int, groups) -> int:
@@ -156,7 +156,7 @@ def _strong_cells(j: int, groups) -> int:
 def _cell_values(n: int, k: int):
     """``values(j)``: cell j's strongly comparable cells, and the lines through
     it packed into one int, axis i's comb in the k**n-bit field at i*k**n."""
-    groups = _mask_table(n, k, _TABLE_CAP)
+    groups = _mask_table(n, k)
     runs = [k ** (n - 1 - i) for i in range(n)]
     combs = [(r, ((1 << k * r) - 1) // ((1 << r) - 1) << i * k**n) for i, r in enumerate(runs)]
 
@@ -405,24 +405,38 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     return GapScanResult(n, k, size, best_gap, witness, weak_count)
 
 
-def _random_weak_antichain(
-    n: int, k: int, size: int, seed: int, max_tries: int | None, table_cap: int
+def random_weak_antichain(
+    n: int, k: int, size: int, seed: int = 0, max_tries: int | None = None
 ) -> PointSet:
-    """:func:`random_weak_antichain` with the mask-table cap as an argument."""
+    """Rejection-sample a weak antichain of exactly ``size`` points in [0,k)^n.
+
+    Candidates are drawn uniformly from the box and kept whenever they are
+    not strongly comparable with any accepted point.  Deterministic for a
+    given seed.  The size cannot exceed k^n - (k-1)^n, the box's maximum
+    weak antichain size.  Each coordinate is ``Random(seed).randrange(k)``,
+    drawn inline as ``getrandbits(k.bit_length())`` until below k, which is
+    how CPython's ``randrange`` draws it, so the stream is the same.  Unless
+    the box is too large for its mask table (``_TABLE_CAP``), the cells ruled
+    out so far are kept as a bitset, so a candidate costs one bit test, and
+    an accepted cell's strongly comparable cells come from masks tabled per
+    pair of axes (per single axis where the pair tables would not fit).
+    """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     capacity = k**n - (k - 1) ** n
     if not 0 <= size <= capacity:
         raise ValueError(f"size {size} outside 0..{capacity} for this box")
-    if size == 0:
-        return PointSet._trusted(n, ())
     if max_tries is None:
         max_tries = 400 * (size + 1)
+    elif max_tries < 0:
+        raise ValueError("max_tries must be >= 0")
+    if size == 0:
+        return PointSet._trusted(n, ())
     # randrange(k) on CPython 3.10-3.13, inlined: draw bits until one is below k
     getrandbits = random.Random(seed).getrandbits
     bits = k.bit_length()
     # the bitset path's table holds at least 2*n*k masks of k**n bits
-    groups = _mask_table(n, k, table_cap) if 2 * n * k ** (n + 1) <= table_cap else None
+    groups = _mask_table(n, k) if 2 * n * k ** (n + 1) <= _TABLE_CAP else None
     cells = _box_cells(n, k) if groups is not None else None
     blocked = 0  # bitset path: cells taken or strongly comparable to one
     have: set[Point] = set()  # pairwise path
@@ -455,25 +469,6 @@ def _random_weak_antichain(
             f"size {size} not reached within {max_tries} samples (seed {seed})"
         )
     return PointSet._trusted(n, chosen)
-
-
-def random_weak_antichain(
-    n: int, k: int, size: int, seed: int = 0, max_tries: int | None = None
-) -> PointSet:
-    """Rejection-sample a weak antichain of exactly ``size`` points in [0,k)^n.
-
-    Candidates are drawn uniformly from the box and kept whenever they are
-    not strongly comparable with any accepted point.  Deterministic for a
-    given seed.  The size cannot exceed k^n - (k-1)^n, the box's maximum
-    weak antichain size.  Each coordinate is ``Random(seed).randrange(k)``,
-    drawn inline as ``getrandbits(k.bit_length())`` until below k, which is
-    how CPython's ``randrange`` draws it, so the stream is the same.  Unless
-    the box is too large for its mask table (``_TABLE_CAP``), the cells ruled
-    out so far are kept as a bitset, so a candidate costs one bit test, and
-    an accepted cell's strongly comparable cells come from masks tabled per
-    pair of axes (per single axis where the pair tables would not fit).
-    """
-    return _random_weak_antichain(n, k, size, seed, max_tries, _TABLE_CAP)
 
 
 def random_gap_scan(n: int, k: int, size: int, samples: int, seed: int = 0) -> GapScanResult:

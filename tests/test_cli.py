@@ -204,6 +204,24 @@ def test_gap_scan_rejects_a_negative_budget_in_both_modes(capsys):
     assert main(argv) == 0
 
 
+def test_width_and_cover_reject_a_negative_budget(points_file, capsys):
+    # one rule with gap-scan: a negative budget is bad usage, where an
+    # exceeded one is an operation error; point clouds spend no budget but
+    # are held to the rule too
+    cloud = points_file("dim=2\n0,1\n1,0\n")
+    for argv, at_zero in [
+        (["width", "--n", "2", "--m", "3"], 1),
+        (["cover", "--surface", "hyperplane", "--n", "3", "--m", "4"], 1),
+        (["cover", "--points", cloud, "--m", "4"], 0),
+    ]:
+        assert main([*argv, "--budget", "-1"]) == 64, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: budget must be >= 0\nusage: antichains {argv[0]}")
+        assert main([*argv, "--budget", "0"]) == at_zero, argv
+        capsys.readouterr()
+
+
 def test_cover_points_and_surface(points_file, capsys):
     code, payload = run_json(
         capsys, ["cover", "--points", points_file("dim=2\n0,1\n1,0\n"), "--m", "2"]

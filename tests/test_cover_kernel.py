@@ -5,17 +5,23 @@ the m^n cells (every segment's bounding box, for the staircase), kept
 verbatim apart from their names; the staircase's boxes are widened by one
 row each side, so they need no cell rule of their own.  The kernels find
 each column's run, or the staircase's cells, directly and must give
-exactly the same cell sets.
+exactly the same cell sets.  The sphere's earlier column kernel, which
+bisected each run end on its power table and then settled it, is kept
+verbatim too: it adds the powers in the same order as the walk that
+replaced it, so the two decide each cell on the same rounded sums on
+every interpreter.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
 sweeps the staircase over depths 0..14 and m = 1..300, 729 and 1000, 10
-random linear graphs, spheres and 3-D tabulated tables over m = 1..48, and
-10 random 4-D spheres and tables over m = 1..16, outside tier-1.
+random linear graphs, spheres and 3-D tabulated tables over m = 1..48, 10
+random 4-D spheres and tables over m = 1..16, and the 3-D sphere walk
+against the bisect-and-settle kernel over m = 1..256, outside tier-1.
 """
 
 import random
 import sys
+from bisect import bisect_right
 from itertools import product
 
 import pytest
@@ -25,6 +31,7 @@ from antichains import (
     Hyperplane,
     LinearGraph,
     LpSphere,
+    PointCloud,
     PredicateRegion,
     SingularStaircase,
     TabulatedMonotone,
@@ -61,6 +68,42 @@ def _oracle_lpsphere_cells(s, m):
         g_lo = sum(((c - 1) / m) ** p for c in d)
         if g_lo <= 1.0:
             yield d
+
+
+def _bisect_lpsphere_cells(s, m):
+    # the p-norm power sum is strictly increasing in every coordinate, so the
+    # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
+    # powers are tabulated once and the base cell's sums are built axis by
+    # axis in coordinate order, the head axes once for every last base row.
+    # Over a base cell the rows with s_hi + power[j] > 1 >= s_lo + power[j-1]
+    # form one run; each end is bisected on the table, then settled with
+    # those same float sums
+    p = s.p
+    power = [(c / m) ** p for c in range(m + 1)]
+    rows = range(1, m + 1)
+    partial = [((), 0.0, 0.0)]
+    for _ in range(s.n - 2):
+        partial = [
+            ((*base, di), s_hi + power[di], s_lo + power[di - 1])
+            for base, s_hi, s_lo in partial
+            for di in rows
+        ]
+    for head, hi0, lo0 in partial:
+        for di in rows:
+            s_hi = hi0 + power[di]
+            s_lo = lo0 + power[di - 1]
+            lo = max(bisect_right(power, 1.0 - s_hi), 1)
+            while lo > 1 and s_hi + power[lo - 1] > 1.0:
+                lo -= 1
+            while lo <= m and s_hi + power[lo] <= 1.0:
+                lo += 1
+            hi = min(bisect_right(power, 1.0 - s_lo), m)
+            while hi >= 1 and s_lo + power[hi - 1] > 1.0:
+                hi -= 1
+            while hi < m and s_lo + power[hi] <= 1.0:
+                hi += 1
+            for j in range(lo, hi + 1):
+                yield (*head, di, j)
 
 
 def _oracle_linear_cells(s, m):
@@ -328,6 +371,27 @@ def test_random_surfaces_match_oracle():
         _assert_matches_oracle(table, range(1, 13 if table.dim == 3 else 9))
 
 
+# exponents from a plane (p = 1) to near-cubes (p = 1e4), whose powers
+# underflow to 0.0 on most of the table
+SPHERE_PS = (1, 1.1, 1.5, 2, 3, 4, 7.5, 8, 16, 64, 1000, 1e4)
+
+
+def _assert_sphere_walk_matches_bisect(n, ms):
+    for p in SPHERE_PS:
+        surface = LpSphere(n, p)
+        for m in ms:
+            assert set(gridcover._lpsphere_cells(surface, m)) == set(
+                _bisect_lpsphere_cells(surface, m)
+            ), (n, p, m)
+
+
+@pytest.mark.parametrize("n, top", [(2, 64), (3, 40), (4, 16)])
+def test_sphere_walk_matches_bisect_and_settle(n, top):
+    # both kernels add the powers left to right, so unlike the sum()-based
+    # oracle they round alike on every interpreter
+    _assert_sphere_walk_matches_bisect(n, range(1, top + 1))
+
+
 def test_antidiagonal_counts_up_to_200():
     for m in range(1, 201):
         assert len(grid_cover(Hyperplane(2), m)) == 2 * m - 1, m
@@ -370,6 +434,18 @@ def test_budget_bounds_base_cells():
         grid_cover(SingularStaircase(3), 100, budget=99)
 
 
+def test_negative_budget_is_rejected_on_every_route():
+    # before anything else, even on a point cloud, which spends no budget
+    for target in (
+        PointCloud(2, ((0.5, 0.5),)),
+        PredicateRegion(2, lambda x: True),
+        Hyperplane(2),
+        LpSphere(3, 2),
+    ):
+        with pytest.raises(ValueError, match="^budget must be >= 0$"):
+            grid_cover(target, 0, budget=-1)
+
+
 def test_budget_bounds_all_cells_of_a_predicate():
     region = PredicateRegion(3, lambda x: sum(x) <= 1.5)
     assert len(grid_cover(region, 8, budget=512)) > 0
@@ -380,7 +456,8 @@ def test_budget_bounds_all_cells_of_a_predicate():
 def _sweep(surfaces: int) -> None:
     """The staircase at depths 0..14 and m = 1..300, 729 and 1000, then
     ``surfaces`` random linear graphs, spheres and 3-D tables at m = 1..48,
-    and as many 4-D spheres and tables at m = 1..16."""
+    as many 4-D spheres and tables at m = 1..16, and the sphere walk against
+    the bisect-and-settle kernel at n = 3 and m = 1..256 over SPHERE_PS."""
     for depth in range(15):
         stair = SingularStaircase(depth)
         for m in (*range(1, 301), 729, 1000):
@@ -397,6 +474,7 @@ def _sweep(surfaces: int) -> None:
             _assert_matches_oracle(surface, range(1, 49))
         for surface in (LpSphere(4, rng.uniform(1.0, 10.0)), _random_table(rng, 4)):
             _assert_matches_oracle(surface, range(1, 17))
+    _assert_sphere_walk_matches_bisect(3, range(1, 257))
 
 
 if __name__ == "__main__":
@@ -404,5 +482,6 @@ if __name__ == "__main__":
     _sweep(surfaces)
     print(
         f"staircases and {surfaces} random linear graphs, spheres and tables"
-        " (3-D, and 4-D spheres and tables): covers agree"
+        " (3-D, and 4-D spheres and tables): covers agree; 3-D sphere walk"
+        " agrees with bisect and settle up to m = 256"
     )

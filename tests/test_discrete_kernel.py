@@ -276,7 +276,7 @@ def test_sampler_matches_oracle(n, k):
 @pytest.mark.parametrize(
     "n,k", sorted({(1, 6), (2, 3), (3, 5)} | set(product(range(1, 5), (1, 2, 3, 5, 8))))
 )
-def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k):
+def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k, monkeypatch):
     # the bitset path runs under any cap the box fits, with masks over pairs
     # of axes from the joint tables' size up and over single axes below it,
     # the pairwise path under cap 0; all draw n randrange(k) per candidate,
@@ -284,14 +284,20 @@ def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k):
     fits = 2 * n * k ** (n + 1)
     joint = 2 * -(-n // 2) * k ** (n + 2)
     assert max(fits, joint) <= partition._TABLE_CAP
-    assert partition._mask_table(n, k, joint) is partition._joint_masks(n, k, 2)
-    assert partition._mask_table(n, k, joint - 1) is partition._joint_masks(n, k, 1)
-    for size in _sampler_sizes(n, k):
-        for seed in range(50):
-            expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
-            for cap in (partition._TABLE_CAP, joint, joint - 1, fits, fits - 1, 0):
-                got = _outcome(partition._random_weak_antichain, n, k, size, seed, None, cap)
-                assert got == expected, (size, seed, cap)
+    caps = (partition._TABLE_CAP, joint, joint - 1, fits, fits - 1, 0)
+    monkeypatch.setattr(partition, "_TABLE_CAP", joint)
+    assert partition._mask_table(n, k) is partition._joint_masks(n, k, 2)
+    monkeypatch.setattr(partition, "_TABLE_CAP", joint - 1)
+    assert partition._mask_table(n, k) is partition._joint_masks(n, k, 1)
+    expected = {
+        (size, seed): _outcome(_oracle_random_weak_antichain, n, k, size, seed)
+        for size in _sampler_sizes(n, k)
+        for seed in range(50)
+    }
+    for cap in caps:
+        monkeypatch.setattr(partition, "_TABLE_CAP", cap)
+        for (size, seed), want in expected.items():
+            assert _outcome(random_weak_antichain, n, k, size, seed) == want, (size, seed, cap)
 
 
 def test_sampler_above_the_table_cap_uses_no_masks():

@@ -128,6 +128,8 @@ def test_middle_layer_ratio_decreases_at_m2():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         max_antichain(GridPoset(4, 10), budget=4096)
+    with pytest.raises(ValueError, match="^budget must be >= 0$"):
+        max_antichain(GridPoset(1, 1), budget=-1)
 
 
 def test_grid_poset_validation():

@@ -274,6 +274,9 @@ def test_random_weak_antichain_capacity_precondition():
 def test_random_weak_antichain_retry_budget():
     with pytest.raises(TargetUnreachableError):
         random_weak_antichain(2, 3, 5, seed=0, max_tries=4)
+    for size in (0, 1):
+        with pytest.raises(ValueError, match="^max_tries must be >= 0$"):
+            random_weak_antichain(2, 3, size, max_tries=-5)
 
 
 def test_random_gap_scan_respects_floor():
