@@ -3,8 +3,12 @@
 The unit cube splits into m^n half-open cells (the last cell of each axis
 is closed at 1).  Cell faces are the floats j/m: a coordinate v lies in row
 j of its axis iff (j-1)/m <= v < j/m, or v = 1 and j = m, and every route
-below assigns values to rows by that one rule.  A grid cover records which
-cells meet a target set; the target can be an explicit point list, one of
+below but the hyperplane's assigns values to rows by that one rule.  The
+hyperplane decides in integers, on the rational faces j/m, so its cover
+differs where a float face rounds across the slice: x + y = 1 as a depth-0
+staircase and as Hyperplane(2) first differ at m = 5, where fl(1/5) +
+fl(4/5) exceeds 1 in exact arithmetic.  A grid cover records which cells
+meet a target set; the target can be an explicit point list, one of
 the analytic surface families, or an arbitrary membership predicate
 sampled on a per-cell grid.  Covers of the analytic families are exact;
 predicate covers under-approximate and are flagged as such.
@@ -21,9 +25,11 @@ upper end, both bisected on the faces, and is settled in closed form: the
 exact interval test decides only the top row of a column whose interval is
 a point, starts at or above 1, or ends on a face or below 0.  A tabulated
 graph's values are the step extension at a base cell's corners, read from
-per-axis bitsets of the samples below each corner.  The staircase bisects,
-per grid line, where its polyline crosses it, so a cover costs O(m log V)
-for V vertices.
+per-axis bitsets of the samples below each corner.  The staircase's
+polyline crosses each inner face once per axis, so its cover is the lattice
+path that steps right or down at each crossing in the order they occur; the
+crossings are bisected on the vertices, so a cover costs O(m log V) for V
+vertices.
 """
 
 import math
@@ -93,7 +99,7 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     Cells are half-open except at the top face: coordinate c lies in cell j
     iff (j-1)/m <= c < j/m with the faces rounded to floats, or c = 1 and
     j = m, so boundary points land on a unique, deterministic cell, the one
-    the surface covers use.
+    every surface cover but the hyperplane's uses.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -339,70 +345,35 @@ def _tabulated_cells(s: TabulatedMonotone, m: int):
                 yield (*base, di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
 
 
-def _segment_hits_cell(p, q, d, m: int) -> bool:
-    """Whether the closed segment p-q meets the half-open cell ``d``."""
-    t_lo, t_lo_open = 0.0, False
-    t_hi, t_hi_open = 1.0, False
-    for axis in range(2):
-        a = p[axis]
-        delta = q[axis] - p[axis]
-        lo = (d[axis] - 1) / m
-        hi = d[axis] / m
-        top_closed = d[axis] == m
-        if delta == 0.0:
-            inside = a >= lo and (a < hi or (top_closed and a <= hi))
-            if not inside:
-                return False
-            continue
-        t1 = (lo - a) / delta
-        t2 = (hi - a) / delta
-        if delta > 0:
-            if t1 > t_lo or (t1 == t_lo and not t_lo_open):
-                t_lo, t_lo_open = t1, False
-            if t2 < t_hi or (t2 == t_hi and not top_closed):
-                t_hi, t_hi_open = t2, not top_closed
-        else:
-            if t2 > t_lo or (t2 == t_lo and not t_lo_open):
-                t_lo, t_lo_open = t2, not top_closed
-            if t1 < t_hi or (t1 == t_hi and not t_hi_open):
-                t_hi, t_hi_open = t1, False
-    if t_lo > t_hi:
-        return False
-    if t_lo == t_hi:
-        return not (t_lo_open or t_hi_open)
-    return True
-
-
 def _staircase_cells(s: SingularStaircase, m: int):
-    # x never decreases and y never increases along the polyline, so its
-    # vertices' cells change at most 2(m-1) times: where x first reaches
-    # the face k/m and where y first drops below it, for k = 1..m-1, each
-    # bisected on the cached coordinates.  A run's first vertex lies in the
-    # run's cell, and a segment between two cells is tested against the
-    # cells of its bounding box
+    # x strictly increases and y never increases along the polyline, so it
+    # crosses each inner face k/m once per axis: from the point where x = k/m
+    # on it lies in column k+1, and just after the last point with y >= k/m
+    # in row k.  Its cover is the lattice path from (1, m) to (m, 1) that
+    # steps right at each x crossing and down at each y crossing, in the
+    # order they occur; at a tie the right step comes first, since the
+    # crossing point lies in the right-hand cell.  Each crossing's segment is
+    # bisected on the cached coordinates, and its place on the segment is the
+    # quotient a segment-cell clip forms, so ties fall the same way
     polyline = _staircase_vertices(s.depth)
     verts, xs, neg_ys = polyline.vertices, polyline.xs, polyline.neg_ys
-    changes = {0, len(verts)}
+    crossings = []
     for k in range(1, m):
         t = k / m
-        changes.add(bisect_left(xs, t))
-        changes.add(bisect_right(neg_ys, -t))
-    bounds = sorted(changes)
-    hits: set[tuple[int, int]] = set()
-    prev = None
-    for a in bounds[:-1]:
-        d = cube_index(verts[a], m)
-        if prev is not None:
-            p, q = verts[a - 1], verts[a]
-            (pi, pj), (qi, qj) = prev, d
-            for i in range(min(pi, qi), max(pi, qi) + 1):
-                for j in range(min(pj, qj), max(pj, qj) + 1):
-                    cell = (i, j)
-                    if cell not in hits and _segment_hits_cell(p, q, cell, m):
-                        hits.add(cell)
-        hits.add(d)
-        prev = d
-    return hits
+        a = bisect_left(xs, t)  # x[a-1] < t <= x[a]
+        crossings.append((a, (t - xs[a - 1]) / (xs[a] - xs[a - 1]), 0))
+        b = bisect_right(neg_ys, -t)  # y[b-1] >= t > y[b]
+        (_, y0), (_, y1) = verts[b - 1], verts[b]
+        crossings.append((b, (t - y0) / (y1 - y0), 1))
+    crossings.sort()
+    i, j = 1, m
+    yield i, j
+    for _, _, down in crossings:
+        if down:
+            j -= 1
+        else:
+            i += 1
+        yield i, j
 
 
 _FAMILY_CELLS = {

@@ -399,12 +399,10 @@ class SingularStaircase:
             raise ValueError("staircase argument outside [0,1]")
         polyline = _staircase_vertices(self.depth)
         verts = polyline.vertices
-        # the first segment whose abscissae enclose x: the abscissae never
-        # decrease and run from 0 to 1
+        # the first segment whose abscissae enclose x: the abscissae strictly
+        # increase and run from 0 to 1
         t = max(bisect_left(polyline.xs, x) - 1, 0)
         (x0, y0), (x1, y1) = verts[t], verts[t + 1]
-        if x1 == x0:
-            return min(y0, y1)
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def _measure(self, tol: float) -> MeasureEstimate:
@@ -517,8 +515,9 @@ class _Staircase:
     def __init__(self, vertices: tuple[tuple[float, float], ...]):
         self.vertices = vertices
 
-    # the abscissae and negated ordinates, both non-decreasing, for
-    # bisecting where the polyline crosses a grid line or an abscissa
+    # the abscissae, strictly increasing, and the negated ordinates, never
+    # decreasing, for bisecting where the polyline crosses a grid line or an
+    # abscissa
     @cached_property
     def xs(self) -> tuple[float, ...]:
         return tuple(x for x, _ in self.vertices)

@@ -284,6 +284,9 @@ def test_linear_graph_cover_respects_base_boxes():
 
 
 def test_staircase_cover_depth_zero_matches_antidiagonal():
+    # only at some m: the staircase rows by the float faces, the hyperplane
+    # by the rational ones, and these m are among the 24 of 1..300 where the
+    # two covers agree (they first differ at m = 5)
     for m in (2, 3, 8, 16):
         assert grid_cover(SingularStaircase(0), m).indices == grid_cover(ANTIDIAG, m).indices
 
