@@ -71,9 +71,15 @@ class PointSet:
     early; operations that legitimately collapse points (projections)
     deduplicate before building their result.  Iteration is always in
     lexicographic order.
+
+    ``_weak`` is True only on the sets ``random_weak_antichain`` returns,
+    which its sampler has proved weak antichains, so ``greedy_partition``
+    does not screen them again.  Every other set, built here or by
+    ``_trusted``, read from a file, projected, or a certificate's part or a
+    scan's witness, has it False and is screened.
     """
 
-    __slots__ = ("dim", "points", "_index")
+    __slots__ = ("dim", "points", "_index", "_weak")
 
     def __init__(self, dim: int, points: Iterable[Sequence[int]] = ()):
         if dim < 1:
@@ -91,6 +97,7 @@ class PointSet:
         self.dim = dim
         self._index = frozenset(seen)
         self.points = tuple(sorted(seen))
+        self._weak = False
 
     @classmethod
     def _trusted(cls, dim: int, points: Iterable[Point]) -> "PointSet":
@@ -103,6 +110,7 @@ class PointSet:
         self.dim = dim
         self._index = frozenset(points)
         self.points = tuple(sorted(self._index))
+        self._weak = False
         return self
 
     @classmethod

@@ -220,9 +220,13 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
     coordinate i within their fiber (the points agreeing with them in every
     other coordinate).  For a weak antichain nothing remains after n rounds;
     leftovers prove the input was not one and the offending strongly ordered
-    pair is reported.  With ``check`` the input is screened up front.
+    pair is reported.  With ``check`` the input is screened up front for a
+    strongly ordered pair, unless it came from :func:`random_weak_antichain`,
+    whose sampler tested every accepted point against all earlier ones and
+    so already proved it a weak antichain; every other set, the library's
+    own included, is screened.
     """
-    if check:
+    if check and not A._weak:
         bad = _comparable_pair(A.points, lt)
         if bad is not None:
             raise NotWeakAntichainError(*bad)
@@ -420,6 +424,9 @@ def random_weak_antichain(
     out so far are kept as a bitset, so a candidate costs one bit test, and
     an accepted cell's strongly comparable cells come from masks tabled per
     pair of axes (per single axis where the pair tables would not fit).
+    Every accepted point has been tested against all earlier ones, so the
+    result is proved a weak antichain and carries ``_weak``, which lets
+    :func:`greedy_partition` skip its screen.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -431,7 +438,9 @@ def random_weak_antichain(
     elif max_tries < 0:
         raise ValueError("max_tries must be >= 0")
     if size == 0:
-        return PointSet._trusted(n, ())
+        A = PointSet._trusted(n, ())
+        A._weak = True
+        return A
     # randrange(k) on CPython 3.10-3.13, inlined: draw bits until one is below k
     getrandbits = random.Random(seed).getrandbits
     bits = k.bit_length()
@@ -468,7 +477,9 @@ def random_weak_antichain(
         raise TargetUnreachableError(
             f"size {size} not reached within {max_tries} samples (seed {seed})"
         )
-    return PointSet._trusted(n, chosen)
+    A = PointSet._trusted(n, chosen)
+    A._weak = True
+    return A
 
 
 def random_gap_scan(n: int, k: int, size: int, samples: int, seed: int = 0) -> GapScanResult:

@@ -544,12 +544,19 @@ def _staircase_vertices(depth: int) -> _Staircase:
             nxt.append((x0, y0, x0 + third, ym))
             nxt.append((x1 - third, ym, x1, y1))
         steep = nxt
-    rising: list[tuple[float, float]] = [(0.0, 0.0)]
-    for x0, y0, x1, y1 in steep:
-        if (x0, y0) != rising[-1]:
-            rising.append((x0, y0))
-        rising.append((x1, y1))
-    return _Staircase(tuple((x, 1.0 - y) for x, y in rising))
+
+    def falling():
+        # the rising pieces joined end to start, a start that repeats the
+        # previous end left out, then flipped to run from (0,1) to (1,0)
+        px = py = 0.0
+        yield 0.0, 1.0
+        for x0, y0, x1, y1 in steep:
+            if x0 != px or y0 != py:
+                yield x0, 1.0 - y0
+            yield x1, 1.0 - y1
+            px, py = x1, y1
+
+    return _Staircase(tuple(falling()))
 
 
 def staircase_polyline(depth: int) -> list[tuple[float, float]]:

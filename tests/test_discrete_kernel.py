@@ -28,12 +28,15 @@ import pytest
 from antichains import (
     BudgetExceededError,
     GapReport,
+    GridPoset,
     NotWeakAntichainError,
+    Order,
     PartitionCertificate,
     PointSet,
     TargetUnreachableError,
     exhaustive_gap_scan,
     greedy_partition,
+    max_antichain,
     projection_gap,
     projection_size,
     random_weak_antichain,
@@ -375,12 +378,65 @@ def test_find_strong_pair_matches_oracle_on_sorted_input():
 
 
 def test_greedy_partition_still_screens_its_input():
-    # the screen runs on library-built sets too, since it is a correctness check
+    # the screen runs on every set the sampler did not build, since it is a
+    # correctness check
     A = random_weak_antichain(3, 4, 6, seed=3)
     bad = PointSet(3, [*A, (9, 9, 9)])
     with pytest.raises(partition.NotWeakAntichainError) as err:
         greedy_partition(bad)
     assert (err.value.lower, err.value.upper) == _oracle_find_strong_pair(bad.points)
+
+
+# the sampler's bitset path in every box of BOXES, its pairwise path in one
+# box per dimension past the table cap
+PROOF_BOXES = [*BOXES, (1, 2000), (2, 2000), (3, 30), (4, 14)]
+
+
+def test_sampled_sets_carry_a_proof_that_holds():
+    paths = set()
+    for n, k in PROOF_BOXES:
+        paths.add(2 * n * k ** (n + 1) <= partition._TABLE_CAP)
+        for size in _sampler_sizes(n, k):
+            for seed in range(30):
+                A = random_weak_antichain(n, k, size, seed)
+                assert A._weak and _oracle_find_strong_pair(A.points) is None, (n, k, size, seed)
+                rebuilt = PointSet(A.dim, A.points)
+                assert not rebuilt._weak
+                cert = greedy_partition(rebuilt)
+                assert greedy_partition(A) == cert, (n, k, size, seed)
+                assert not any(part._weak for part in cert.parts)
+    assert paths == {True, False}
+
+
+def test_greedy_partition_skips_the_screen_only_on_sampled_sets(monkeypatch):
+    screened = []
+
+    def screen(pts, rel):
+        screened.append(pts)
+        return _comparable_pair(pts, rel)
+
+    monkeypatch.setattr(partition, "_comparable_pair", screen)
+    A = random_weak_antichain(4, 8, 12, seed=5)
+    greedy_partition(A)
+    assert screened == []
+    greedy_partition(PointSet(4, A.points))
+    assert screened == [A.points]
+
+
+def test_only_the_sampler_marks_a_set_proved():
+    A = random_weak_antichain(3, 4, 6, seed=3)
+    B = PointSet(3, A.points)
+    derived = [
+        B,
+        PointSet.in_box(3, 4, A.points),
+        PointSet._trusted(3, A.points),
+        project(A, 1),
+        *greedy_partition(B).parts,
+        *(exhaustive_gap_scan(2, 3, size).witness for size in range(4)),
+        max_antichain(GridPoset(2, 3, Order.STRONG)).witness,
+        max_antichain(GridPoset(3, 3)).witness,
+    ]
+    assert not any(S._weak for S in derived)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +556,8 @@ def _criterion2_sweep(trials: int) -> None:
         size = rng.randint(0, 16)
         A = random_weak_antichain(4, 8, size, seed=t)
         assert A == _oracle_random_weak_antichain(4, 8, size, seed=t), t
+        # greedy_partition trusts the sampler's proof, so check it pairwise
+        assert _oracle_find_strong_pair(A.points) is None, t
         cert = greedy_partition(A)
         assert cert == _oracle_greedy_partition(A), t
         cert.validate()

@@ -1,9 +1,16 @@
-"""Surface families: measures, projections, the inequality, and skewed projections."""
+"""Surface families: measures, projections, the inequality, and skewed projections.
+
+Run as a script, ``python tests/test_surfaces.py`` compares the depth-20
+staircase vertices with the two-list builder they replaced, bit for bit.
+"""
 
 import dataclasses
+import hashlib
 import inspect
 import math
 import random
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -344,6 +351,45 @@ def test_staircase_vertices_built_once_per_depth():
     assert _staircase_vertices.cache_info().currsize == 1
 
 
+def _oracle_staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
+    # the builder that kept a rising vertex list beside the steep pieces
+    steep = [(0.0, 0.0, 1.0, 1.0)]
+    for _ in range(depth):
+        nxt = []
+        for x0, y0, x1, y1 in steep:
+            third = (x1 - x0) / 3
+            ym = (y0 + y1) / 2
+            nxt.append((x0, y0, x0 + third, ym))
+            nxt.append((x1 - third, ym, x1, y1))
+        steep = nxt
+    rising: list[tuple[float, float]] = [(0.0, 0.0)]
+    for x0, y0, x1, y1 in steep:
+        if (x0, y0) != rising[-1]:
+            rising.append((x0, y0))
+        rising.append((x1, y1))
+    return tuple((x, 1.0 - y) for x, y in rising)
+
+
+def _vertex_digest(vertices) -> tuple[int, str]:
+    """Vertex count and a hash of every coordinate's bits, so -0.0 and 0.0 differ."""
+    bits = array("d", chain.from_iterable(vertices)).tobytes()
+    return len(vertices), hashlib.sha256(bits).hexdigest()
+
+
+def _assert_staircase_vertices_match_oracle(depth: int) -> None:
+    # one polyline alive at a time: at depth 20 each builder peaks at
+    # several hundred MB
+    expected = _vertex_digest(_oracle_staircase_vertices(depth))
+    _staircase_vertices.cache_clear()
+    assert _vertex_digest(_staircase_vertices(depth).vertices) == expected, depth
+    _staircase_vertices.cache_clear()
+
+
+def test_staircase_vertices_match_two_list_builder():
+    for depth in range(13):
+        _assert_staircase_vertices_match_oracle(depth)
+
+
 def test_staircase_graph_value():
     s = SingularStaircase(4)
     assert graph_value(s, (0.0,)) == pytest.approx(1.0)
@@ -607,3 +653,8 @@ def test_staircase_length_summed_once_per_depth(monkeypatch):
     second = surface_measure(SingularStaircase(7)).value
     assert len(calls) == 1
     assert first == second == length(staircase_polyline(7))
+
+
+if __name__ == "__main__":
+    _assert_staircase_vertices_match_oracle(20)
+    print("depth-20 staircase vertices agree with the two-list builder, bit for bit")
