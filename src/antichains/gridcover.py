@@ -1,35 +1,35 @@
 """Cube-grid covers of subsets of the unit cube and covering measure bounds.
 
-The unit cube splits into m^n half-open cells (the last cell of each axis
-is closed at 1).  Cell faces are the floats j/m: a coordinate v lies in row
-j of its axis iff (j-1)/m <= v < j/m, or v = 1 and j = m, and every route
-below but the hyperplane's assigns values to rows by that one rule.  The
-hyperplane decides in integers, on the rational faces j/m, so its cover
-differs where a float face rounds across the slice: x + y = 1 as a depth-0
-staircase and as Hyperplane(2) first differ at m = 5, where fl(1/5) +
-fl(4/5) exceeds 1 in exact arithmetic.  A grid cover records which cells
-meet a target set; the target can be an explicit point list, one of
-the analytic surface families, or an arbitrary membership predicate
+The unit cube splits into m^n half-open cells (the last cell of each axis is
+closed at 1).  Cell faces are the floats j/m: a coordinate v lies in row j of
+its axis iff (j-1)/m <= v < j/m, or v = 1 and j = m, and every route below
+but the hyperplane's assigns values to rows by that one rule.  The
+hyperplane's face table holds the integers 2j, so it decides on the rational
+faces j/m, and its cover differs where a float face rounds across the slice:
+x + y = 1 as a depth-0 staircase and as Hyperplane(2) first differ at m = 5,
+where fl(1/5) + fl(4/5) exceeds 1 in exact arithmetic.  A grid cover records
+which cells meet a target set; the target can be an explicit point list, one
+of the analytic surface families, or an arbitrary membership predicate
 sampled on a per-cell grid.  Covers of the analytic families are exact;
 predicate covers under-approximate and are flagged as such.
 
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
 finds the run of cells of that column that the graph meets without testing
-it cell by cell.  The hyperplane's run is in closed form, tabled once per
-base-coordinate sum.  The sphere's run ends only move down as the last base
-coordinate grows, so each walks down from the previous base cell's, tested
-on power sums built axis by axis from a table of powers.  A linear graph's
-run goes from the row of its attained interval's lower end to the row of its
-upper end, both bisected on the faces, and is settled in closed form: the
-exact interval test decides only the top row of a column whose interval is
-a point, starts at or above 1, or ends on a face or below 0.  A tabulated
-graph's values are the step extension at a base cell's corners, read from
-per-axis bitsets of the samples below each corner.  The staircase's
-polyline crosses each inner face once per axis, so its cover is the lattice
-path that steps right or down at each crossing in the order they occur; the
-crossings are bisected on the vertices, so a cover costs O(m log V) for V
-vertices.
+it cell by cell.  The hyperplane and the sphere are level sets of a sum of
+one increasing function per coordinate, so one walk serves both: on a table
+of that function at the faces, each run end only moves down as the last base
+coordinate grows and walks down from the previous base cell's, tested on
+sums built axis by axis.  A linear graph's run goes from the row of its
+attained interval's lower end to the row of its upper end, both bisected on
+the faces, and is settled in closed form: the exact interval test decides
+only the top row of a column whose interval is a point, starts at or above
+1, or ends on a face or below 0.  A tabulated graph's values are the step
+extension at a base cell's corners, read from per-axis bitsets of the
+samples below each corner.  The staircase's polyline crosses each inner face
+once per axis, so its cover is the lattice path that steps right or down at
+each crossing in the order they occur; the crossings are bisected on the
+vertices, so a cover costs O(m log V) for V vertices.
 """
 
 import math
@@ -173,41 +173,21 @@ def _cell_indices(m: int, dim: int):
     return product(range(1, m + 1), repeat=dim)
 
 
-def _hyperplane_cells(s: Hyperplane, m: int):
-    # integer arithmetic keeps the half-open test exact: the cell meets the
-    # slice iff sum(lower) <= n/2 < sum(upper), i.e. iff
-    # m*n < 2*sum(d) <= m*n + 2n, so over a base cell with sum sb the hit
-    # rows are h+1..h+n with h = (m*n - 2*sb) // 2, clipped to 1..m.  The
-    # run depends on sb alone, so it is tabled once per sum, and the runs
-    # over a head's m base cells are a slice of that table
-    n = s.n
-    mn = m * n
-    by_sum = []
-    for sb in range(m * (n - 1) + 1):
-        h = (mn - 2 * sb) // 2
-        by_sum.append(range(max(h + 1, 1), min(h + n, m) + 1))
+def _level_cells(n: int, m: int, power, level):
+    # the cells meeting a level set {phi(x_1) + ... + phi(x_n) = level} of a
+    # strictly increasing phi, tabled on the faces as power[j] = phi(j/m):
+    # the sum increases in every coordinate, so the half-open cell d meets
+    # it iff sum power[d_i - 1] <= level < sum power[d_i].  The base cell's
+    # sums are built axis by axis in coordinate order from the int 0, the
+    # head axes once for every last base row: an integer table stays in
+    # ints, and 0 + x is x for a float.  Over a base cell the rows with
+    # s_hi + power[j] > level >= s_lo + power[j-1] form one run.  Both sums
+    # grow with the last base row (power never decreases, float addition is
+    # monotone), so each end only moves down: it walks down from the
+    # previous base row's, on the cell test's sums
     rows = range(1, m + 1)
-    for head in _cell_indices(m, n - 2):
-        sh = sum(head)
-        for di, run in zip(rows, by_sum[sh + 1 : sh + m + 1]):
-            for j in run:
-                yield (*head, di, j)
-
-
-def _lpsphere_cells(s: LpSphere, m: int):
-    # the p-norm power sum is strictly increasing in every coordinate, so the
-    # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
-    # powers are tabulated once and the base cell's sums are built axis by
-    # axis in coordinate order, the head axes once for every last base row.
-    # Over a base cell the rows with s_hi + power[j] > 1 >= s_lo + power[j-1]
-    # form one run.  Both sums grow with the last base row (power never
-    # decreases, float addition is monotone), so each end only moves down:
-    # it walks down from the previous base row's, on the cell test's sums
-    p = s.p
-    power = [(c / m) ** p for c in range(m + 1)]
-    rows = range(1, m + 1)
-    partial = [((), 0.0, 0.0)]
-    for _ in range(s.n - 2):
+    partial = [((), 0, 0)]
+    for _ in range(n - 2):
         partial = [
             ((*base, di), s_hi + power[di], s_lo + power[di - 1])
             for base, s_hi, s_lo in partial
@@ -218,12 +198,23 @@ def _lpsphere_cells(s: LpSphere, m: int):
         for di in rows:
             s_hi = hi0 + power[di]
             s_lo = lo0 + power[di - 1]
-            while lo > 1 and s_hi + power[lo - 1] > 1.0:
+            # the sum test ends nearly every walk, so it goes first; at the
+            # bound it reads power[0] or power[-1], both real entries
+            while s_hi + power[lo - 1] > level and lo > 1:
                 lo -= 1
-            while hi and s_lo + power[hi - 1] > 1.0:
+            while s_lo + power[hi - 1] > level and hi:
                 hi -= 1
             for j in range(lo, hi + 1):
                 yield (*head, di, j)
+
+
+def _hyperplane_cells(s: Hyperplane, m: int):
+    # sum(x) = n/2 on the rational faces j/m, doubled into integers
+    return _level_cells(s.n, m, [2 * j for j in range(m + 1)], m * s.n)
+
+
+def _lpsphere_cells(s: LpSphere, m: int):
+    return _level_cells(s.n, m, [(c / m) ** s.p for c in range(m + 1)], 1.0)
 
 
 def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> bool:

@@ -697,8 +697,6 @@ def _step_pieces(s: TabulatedMonotone) -> list[tuple[float, float, float]]:
     for a, b in zip(breaks, breaks[1:]):
         if b > a:
             pieces.append((a, b, monotone_extension(s, (a,))))
-    if not pieces:
-        pieces.append((0.0, 1.0, monotone_extension(s, (0.0,))))
     return pieces
 
 

@@ -336,6 +336,22 @@ def test_usage_errors_exit_64(points_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["cover", "--surface", "hyperplane", "--n", "3", "--m", "abc"],
+            "usage error: argument --m/--m-list: bad integer list 'abc'\n",
+        ),
+        (["p-sweep", "--p-list", ","], "usage error: p-sweep needs a non-empty --p-list\n"),
+    ],
+)
+def test_bad_lists_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message)
+
+
 @pytest.mark.parametrize("value", ["two", "0"])
 def test_threads_environment_is_ignored(value, monkeypatch, capsys):
     monkeypatch.setenv("ANTICHAINS_THREADS", value)

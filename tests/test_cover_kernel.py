@@ -12,7 +12,9 @@ exactly the same cell sets.  The sphere's earlier column kernel, which
 bisected each run end on its power table and then settled it, is kept
 verbatim too: it adds the powers in the same order as the walk that
 replaced it, so the two decide each cell on the same rounded sums on
-every interpreter.
+every interpreter.  So is the hyperplane's earlier column kernel, which
+tabled each column's run in closed form once per base-coordinate sum,
+before the hyperplane and the sphere shared one level-set walk.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
@@ -20,8 +22,10 @@ checks that the staircase's abscissae strictly increase and its ordinates
 never do at depths 15..20 (0..14 run in tier-1), sweeps the staircase over
 depths 0..14 and m = 1..300, 729 and 1000, 10 random linear graphs,
 spheres and 3-D tabulated tables over m = 1..48, 10 random 4-D spheres and
-tables over m = 1..16, and the 3-D sphere walk against the
-bisect-and-settle kernel over m = 1..256, outside tier-1.
+tables over m = 1..16, the 3-D sphere walk against the bisect-and-settle
+kernel over m = 1..256, and the hyperplane's covers against its per-sum
+table kernel at n = 2 over m = 1..1000 and n = 3 over m = 1..128, outside
+tier-1.
 """
 
 import random
@@ -109,6 +113,27 @@ def _bisect_lpsphere_cells(s, m):
             while hi < m and s_lo + power[hi] <= 1.0:
                 hi += 1
             for j in range(lo, hi + 1):
+                yield (*head, di, j)
+
+
+def _table_hyperplane_cells(s: Hyperplane, m: int):
+    # integer arithmetic keeps the half-open test exact: the cell meets the
+    # slice iff sum(lower) <= n/2 < sum(upper), i.e. iff
+    # m*n < 2*sum(d) <= m*n + 2n, so over a base cell with sum sb the hit
+    # rows are h+1..h+n with h = (m*n - 2*sb) // 2, clipped to 1..m.  The
+    # run depends on sb alone, so it is tabled once per sum, and the runs
+    # over a head's m base cells are a slice of that table
+    n = s.n
+    mn = m * n
+    by_sum = []
+    for sb in range(m * (n - 1) + 1):
+        h = (mn - 2 * sb) // 2
+        by_sum.append(range(max(h + 1, 1), min(h + n, m) + 1))
+    rows = range(1, m + 1)
+    for head in _cell_indices(m, n - 2):
+        sh = sum(head)
+        for di, run in zip(rows, by_sum[sh + 1 : sh + m + 1]):
+            for j in run:
                 yield (*head, di, j)
 
 
@@ -432,6 +457,19 @@ def test_sphere_walk_matches_bisect_and_settle(n, top):
     _assert_sphere_walk_matches_bisect(n, range(1, top + 1))
 
 
+def _assert_hyperplane_matches_table(n, ms):
+    for m in ms:
+        assert grid_cover(Hyperplane(n), m).indices == frozenset(
+            _table_hyperplane_cells(Hyperplane(n), m)
+        ), (n, m)
+
+
+@pytest.mark.parametrize("n, top", [(2, 300), (3, 64), (4, 16), (5, 10)])
+def test_hyperplane_walk_matches_sum_table(n, top):
+    # integer face tables: the walk and the closed-form rows decide alike
+    _assert_hyperplane_matches_table(n, range(1, top + 1))
+
+
 def _assert_staircase_is_monotone(depth):
     # the crossing walk's order and denominators rest on this
     verts = _staircase_vertices(depth).vertices
@@ -535,8 +573,10 @@ def _sweep(surfaces: int) -> None:
     """The staircase's monotone coordinates at depths 15..20, its covers at
     depths 0..14 and m = 1..300, 729 and 1000, then ``surfaces`` random
     linear graphs, spheres and 3-D tables at m = 1..48, as many 4-D spheres
-    and tables at m = 1..16, and the sphere walk against the
-    bisect-and-settle kernel at n = 3 and m = 1..256 over SPHERE_PS."""
+    and tables at m = 1..16, the sphere walk against the
+    bisect-and-settle kernel at n = 3 and m = 1..256 over SPHERE_PS, and
+    the hyperplane against its per-sum table kernel at n = 2 and
+    m = 1..1000 and at n = 3 and m = 1..128."""
     for depth in range(15, 21):
         _assert_staircase_is_monotone(depth)
     for depth in range(15):
@@ -556,6 +596,8 @@ def _sweep(surfaces: int) -> None:
         for surface in (LpSphere(4, rng.uniform(1.0, 10.0)), _random_table(rng, 4)):
             _assert_matches_oracle(surface, range(1, 17))
     _assert_sphere_walk_matches_bisect(3, range(1, 257))
+    _assert_hyperplane_matches_table(2, range(1, 1001))
+    _assert_hyperplane_matches_table(3, range(1, 129))
 
 
 if __name__ == "__main__":
@@ -565,5 +607,6 @@ if __name__ == "__main__":
         "staircase coordinates monotone at depths 15..20; staircases and"
         f" {surfaces} random linear graphs, spheres and tables"
         " (3-D, and 4-D spheres and tables): covers agree; 3-D sphere walk"
-        " agrees with bisect and settle up to m = 256"
+        " agrees with bisect and settle up to m = 256; hyperplane walk agrees"
+        " with the per-sum table up to m = 1000 (n = 2) and 128 (n = 3)"
     )

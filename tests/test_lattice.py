@@ -306,6 +306,19 @@ def test_point_set_round_trip(tmp_path):
     assert load_point_set(path) == s
 
 
+def test_point_set_repr_hash_and_equality():
+    s = PointSet(2, [(3, 0), (0, 3), (1, 2)])
+    assert repr(s) == "PointSet(dim=2, [(0, 3), (1, 2), (3, 0)])"
+    long = PointSet(2, [(i, -i) for i in range(8)])
+    assert repr(long) == (
+        "PointSet(dim=2, [(0, 0), (1, -1), (2, -2), (3, -3), (4, -4), (5, -5), ... 2 more])"
+    )
+    twin = PointSet(2, [(1, 2), (3, 0), (0, 3)])
+    assert twin == s and hash(twin) == hash(s)
+    assert s.__eq__(s.points) is NotImplemented
+    assert s != s.points and s != "PointSet"
+
+
 def test_parse_point_set_errors():
     with pytest.raises(ValueError):
         parse_point_set("0,1\n1,0\n")

@@ -536,6 +536,70 @@ def test_skew_requires_dimension_two():
         skew_measures_2d(Hyperplane(3))
 
 
+def test_step_pieces_tile_the_unit_interval():
+    # the breaks start at 0.0 and end at 1.0, so some piece always exists;
+    # cuts at either end add no empty piece
+    for samples in ((), (((0.0,), 0.5),), (((0.5,), 0.75), ((1.0,), 0.25))):
+        pieces = surfaces._step_pieces(TabulatedMonotone(2, samples))
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == 1.0, samples
+        assert all(a < b for a, b, _ in pieces), samples
+        assert all(b == a for (_, b, _), (a, _, _) in zip(pieces, pieces[1:])), samples
+    assert surfaces._step_pieces(TabulatedMonotone(2, ())) == [(0.0, 1.0, 1.0)]
+
+
+def test_tabulated_graph_value_is_the_step_extension():
+    table = TabulatedMonotone(3, (((0.25, 0.5), 0.75), ((0.5, 0.25), 0.5), ((1.0, 1.0), 0.0)))
+    for x in ((0.0, 0.0), (0.25, 0.5), (0.3, 0.9), (0.6, 0.6), (1.0, 1.0), (1.0, 0.2)):
+        assert graph_value(table, x) == monotone_extension(table, x), x
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_staircase_projections_are_onto(depth):
+    stair = SingularStaircase(depth)
+    for axis in (1, 2):
+        assert projection_measure(stair, axis) == MeasureEstimate(1.0, "closed-form")
+    report = verify_projection_inequality(stair)
+    assert report.passes and report.right_total == 2.0
+    assert report.surface.value == pytest.approx(_staircase_length(depth))
+
+
+@pytest.mark.parametrize(
+    "call, exception, message",
+    [
+        (
+            lambda: surface_measure_quadrature(SingularStaircase(2)),
+            TypeError,
+            "no quadrature route for SingularStaircase",
+        ),
+        (
+            lambda: skew_measures_2d(LinearGraph((-0.5,), base=(((0.0, 0.5),),), offset=0.9)),
+            ValueError,
+            "skewed measures need the full unit base",
+        ),
+        (
+            lambda: skew_measures_2d(LinearGraph((-2.0,), offset=1.5)),
+            ValueError,
+            "graph values must stay inside the unit square",
+        ),
+        (lambda: MeasureEstimate(1.0, "guess"), ValueError, "unknown method 'guess'"),
+        (
+            lambda: MeasureEstimate(-0.5, "closed-form"),
+            ValueError,
+            "measure values are non-negative",
+        ),
+        (
+            lambda: MeasureEstimate(1.0, "quadrature", -1e-9),
+            ValueError,
+            "error bounds are non-negative",
+        ),
+    ],
+)
+def test_rejections_name_their_reason(call, exception, message):
+    with pytest.raises(exception) as info:
+        call()
+    assert type(info.value) is exception and str(info.value) == message
+
+
 def test_facet_union_measure():
     assert facet_union_measure(3) == 3.0
 
