@@ -111,9 +111,19 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
+def _check_resolution(m) -> None:
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"m must be an int, got {m!r}")
+
+
 @dataclass(frozen=True)
 class GridCover:
-    """The multi-indices of the side-1/m cells meeting a target set."""
+    """The multi-indices of the side-1/m cells meeting a target set.
+
+    A cover from ``grid_cover`` is valid by construction, since every route
+    makes only cells of [1,m]^dim, and is not scanned again; one built by
+    hand is checked index by index.
+    """
 
     m: int
     dim: int
@@ -121,6 +131,7 @@ class GridCover:
     exact: bool = True
 
     def __post_init__(self):
+        _check_resolution(self.m)
         if self.m < 1 or self.dim < 1:
             raise ValueError("cover needs m >= 1 and dim >= 1")
         # the distinct lengths and coordinates settle a valid cover; the
@@ -132,6 +143,22 @@ class GridCover:
         for d in self.indices:
             if len(d) != self.dim or not all(1 <= c <= self.m for c in d):
                 raise ValueError(f"index {d} outside [1,{self.m}]^{self.dim}")
+
+    @classmethod
+    def _trusted(
+        cls, m: int, dim: int, indices: frozenset[tuple[int, ...]], exact: bool = True
+    ) -> "GridCover":
+        """Build from cells of [1,m]^dim without re-checking them.
+
+        Only for covers ``grid_cover`` made itself; everything from outside
+        goes through the constructor.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "exact", exact)
+        return self
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -169,10 +196,6 @@ class PredicateRegion:
             raise ValueError("region needs dim >= 1 and samples_per_axis >= 1")
 
 
-def _cell_indices(m: int, dim: int):
-    return product(range(1, m + 1), repeat=dim)
-
-
 def _level_cells(n: int, m: int, power, level):
     # the cells meeting a level set {phi(x_1) + ... + phi(x_n) = level} of a
     # strictly increasing phi, tabled on the faces as power[j] = phi(j/m):
@@ -189,7 +212,7 @@ def _level_cells(n: int, m: int, power, level):
     partial = [((), 0, 0)]
     for _ in range(n - 2):
         partial = [
-            ((*base, di), s_hi + power[di], s_lo + power[di - 1])
+            (base + (di,), s_hi + power[di], s_lo + power[di - 1])
             for base, s_hi, s_lo in partial
             for di in rows
         ]
@@ -205,7 +228,7 @@ def _level_cells(n: int, m: int, power, level):
             while s_lo + power[hi - 1] > level and hi:
                 hi -= 1
             for j in range(lo, hi + 1):
-                yield (*head, di, j)
+                yield head + (di, j)
 
 
 def _hyperplane_cells(s: Hyperplane, m: int):
@@ -270,7 +293,7 @@ def _linear_cells(s: LinearGraph, m: int):
         partial = [((), s.offset, s.offset, True, True)]
         for terms in heads:
             partial = [
-                ((*base, di), f_lo + t_lo, f_hi + t_hi, lo_att and a_lo, hi_att and a_hi)
+                (base + (di,), f_lo + t_lo, f_hi + t_hi, lo_att and a_lo, hi_att and a_hi)
                 for base, f_lo, f_hi, lo_att, hi_att in partial
                 for di, t_lo, t_hi, a_lo, a_hi in terms
             ]
@@ -287,7 +310,7 @@ def _linear_cells(s: LinearGraph, m: int):
                     ):
                         hi -= 1
                 for j in range(bisect_right(lower, f_lo, 1), hi + 1):
-                    yield (*head, di, j)
+                    yield head + (di, j)
 
 
 def _tabulated_cells(s: TabulatedMonotone, m: int):
@@ -326,14 +349,14 @@ def _tabulated_cells(s: TabulatedMonotone, m: int):
     partial = [((), {everything})]
     for per_row in heads:
         partial = [
-            ((*base, di), {a & b for a in masks for b in per_row[di]})
+            (base + (di,), {a & b for a in masks for b in per_row[di]})
             for base, masks in partial
             for di in range(1, m + 1)
         ]
     for base, head_masks in partial:
         for di in range(1, m + 1):
             for mask in {a & b for a in head_masks for b in last[di]}:
-                yield (*base, di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
+                yield base + (di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
 
 
 def _staircase_cells(s: SingularStaircase, m: int):
@@ -384,14 +407,20 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     half-open intersection test; predicates are sampled at every one of the
     m^n cells and flagged inexact.  ``budget`` bounds what each route
     visits: the m^(n-1) base cells of an analytic family, the m^n cells of a
-    predicate.  Point clouds are not budgeted; a negative budget is an error.
+    predicate.  Point clouds are not budgeted.  A negative budget is an
+    error, and so is an ``m`` that is not an int of at least 1 (a bool
+    included).  Every route makes only cells of [1,m]^dim, so the cover is
+    built without ``GridCover``'s index check.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    _check_resolution(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(target, PointCloud):
-        return GridCover(m, target.dim, frozenset(cube_index(p, m) for p in target.points))
+        return GridCover._trusted(
+            m, target.dim, frozenset(cube_index(p, m) for p in target.points)
+        )
     if isinstance(target, PredicateRegion):
         dim = target.dim
         if m**dim > budget:
@@ -401,17 +430,17 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
             tuple((o + 0.5) / S for o in combo) for combo in product(range(S), repeat=dim)
         ]
         hits = set()
-        for d in _cell_indices(m, dim):
+        for d in product(range(1, m + 1), repeat=dim):
             for off in offsets:
                 pt = tuple((di - 1 + oi) / m for di, oi in zip(d, off))
                 if target.contains(pt):
                     hits.add(d)
                     break
-        return GridCover(m, dim, frozenset(hits), exact=False)
+        return GridCover._trusted(m, dim, frozenset(hits), exact=False)
     dim = surface_dim(target)
     if m ** (dim - 1) > budget:
         raise BudgetExceededError(f"{m ** (dim - 1)} base cells exceed budget {budget}")
-    return GridCover(m, dim, frozenset(_FAMILY_CELLS[type(target)](target, m)))
+    return GridCover._trusted(m, dim, frozenset(_FAMILY_CELLS[type(target)](target, m)))
 
 
 def covering_bound(cover: GridCover, s: int | None = None) -> MeasureEstimate:

@@ -25,7 +25,8 @@ spheres and 3-D tabulated tables over m = 1..48, 10 random 4-D spheres and
 tables over m = 1..16, the 3-D sphere walk against the bisect-and-settle
 kernel over m = 1..256, and the hyperplane's covers against its per-sum
 table kernel at n = 2 over m = 1..1000 and n = 3 over m = 1..128, outside
-tier-1.
+tier-1.  grid_cover builds its covers without GridCover's index check, so
+each swept cover is also rebuilt through it.
 """
 
 import random
@@ -37,6 +38,7 @@ import pytest
 
 from antichains import (
     BudgetExceededError,
+    GridCover,
     Hyperplane,
     LinearGraph,
     LpSphere,
@@ -407,10 +409,18 @@ def _random_table(rng, dim):
     return TabulatedMonotone(dim, tuple(samples.items()))
 
 
+def _checked_cover(target, m):
+    # grid_cover skips GridCover's index check, so the cover is also rebuilt
+    # through it
+    cover = grid_cover(target, m)
+    assert GridCover(cover.m, cover.dim, cover.indices, cover.exact) == cover, (target, m)
+    return cover
+
+
 def _assert_matches_oracle(surface, ms):
     oracle = _ORACLES[type(surface)]
     for m in ms:
-        assert grid_cover(surface, m).indices == frozenset(oracle(surface, m)), (surface, m)
+        assert _checked_cover(surface, m).indices == frozenset(oracle(surface, m)), (surface, m)
 
 
 def test_random_surfaces_match_oracle():
@@ -445,7 +455,7 @@ def _assert_sphere_walk_matches_bisect(n, ms):
     for p in SPHERE_PS:
         surface = LpSphere(n, p)
         for m in ms:
-            assert set(gridcover._lpsphere_cells(surface, m)) == set(
+            assert _checked_cover(surface, m).indices == frozenset(
                 _bisect_lpsphere_cells(surface, m)
             ), (n, p, m)
 
@@ -459,7 +469,7 @@ def test_sphere_walk_matches_bisect_and_settle(n, top):
 
 def _assert_hyperplane_matches_table(n, ms):
     for m in ms:
-        assert grid_cover(Hyperplane(n), m).indices == frozenset(
+        assert _checked_cover(Hyperplane(n), m).indices == frozenset(
             _table_hyperplane_cells(Hyperplane(n), m)
         ), (n, m)
 
@@ -576,13 +586,14 @@ def _sweep(surfaces: int) -> None:
     and tables at m = 1..16, the sphere walk against the
     bisect-and-settle kernel at n = 3 and m = 1..256 over SPHERE_PS, and
     the hyperplane against its per-sum table kernel at n = 2 and
-    m = 1..1000 and at n = 3 and m = 1..128."""
+    m = 1..1000 and at n = 3 and m = 1..128; every cover is also rebuilt
+    through GridCover's index check."""
     for depth in range(15, 21):
         _assert_staircase_is_monotone(depth)
     for depth in range(15):
         stair = SingularStaircase(depth)
         for m in (*range(1, 301), 729, 1000):
-            assert grid_cover(stair, m).indices == frozenset(
+            assert _checked_cover(stair, m).indices == frozenset(
                 _oracle_staircase_cells(stair, m)
             ), (depth, m)
     rng = random.Random(48)
@@ -608,5 +619,6 @@ if __name__ == "__main__":
         f" {surfaces} random linear graphs, spheres and tables"
         " (3-D, and 4-D spheres and tables): covers agree; 3-D sphere walk"
         " agrees with bisect and settle up to m = 256; hyperplane walk agrees"
-        " with the per-sum table up to m = 1000 (n = 2) and 128 (n = 3)"
+        " with the per-sum table up to m = 1000 (n = 2) and 128 (n = 3);"
+        " every cover passes GridCover's index check"
     )

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from bisect import bisect_right
 from itertools import product
 
@@ -143,6 +144,65 @@ def test_grid_cover_accepts_full_grid_and_empty_set():
     assert len(GridCover(5, 4, frozenset())) == 0
     with pytest.raises(ValueError, match="^cover needs m >= 1 and dim >= 1$"):
         GridCover(0, 2, frozenset())
+
+
+# each route of grid_cover at m = 1..24 (1..12 in four dimensions), with
+# points and samples on the cube's faces and corners
+TRUSTED_TARGETS = [
+    (Hyperplane(3), 24),
+    (Hyperplane(4), 12),
+    (LpSphere(3, 2.5), 24),
+    (LpSphere(4, 3), 12),
+    (LinearGraph((-0.5, -0.3), offset=0.9), 24),
+    (LinearGraph((1.5,), offset=-0.3), 24),
+    (
+        TabulatedMonotone(
+            3, (((0.0, 0.0), 1.0), ((0.5, 0.25), 0.5), ((0.25, 0.75), 0.25), ((1.0, 1.0), 0.0))
+        ),
+        24,
+    ),
+    (SingularStaircase(4), 24),
+    (PointCloud(3, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.0), (0.3, 0.7, 0.2))), 24),
+    (PredicateRegion(2, lambda x: abs(x[0] ** 2 + x[1] ** 2 - 0.5) < 0.05), 24),
+]
+
+
+@pytest.mark.parametrize(
+    "target, top",
+    TRUSTED_TARGETS,
+    ids=[f"{type(t).__name__}-{i}" for i, (t, _) in enumerate(TRUSTED_TARGETS)],
+)
+def test_trusted_covers_pass_the_checking_constructor(target, top):
+    # grid_cover skips GridCover's index check; every cover it builds must
+    # still pass it unchanged
+    for m in range(1, top + 1):
+        cov = grid_cover(target, m)
+        assert cov.indices, m
+        assert GridCover(cov.m, cov.dim, cov.indices, cov.exact) == cov, m
+
+
+def test_trusted_skips_the_index_check():
+    bad = frozenset({(1, 1), (0, 2)})
+    cov = GridCover._trusted(2, 2, bad, exact=False)
+    assert (cov.m, cov.dim, cov.indices, cov.exact) == (2, 2, bad, False)
+    with pytest.raises(ValueError, match=r"^index \(0, 2\) outside \[1,2\]\^2$"):
+        GridCover(2, 2, bad)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True, False])
+def test_non_int_resolution_is_rejected(m):
+    message = f"^m must be an int, got {re.escape(repr(m))}$"
+    for target in (
+        PointCloud(1, ((0.9,), (0.1,))),
+        PredicateRegion(2, lambda x: True),
+        LpSphere(3, 2),
+    ):
+        with pytest.raises(ValueError, match=message):
+            grid_cover(target, m)
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            grid_cover(target, 0)
+    with pytest.raises(ValueError, match=message):
+        GridCover(m, 1, frozenset())
 
 
 def test_chained_projection_bound_and_dim_bound():
