@@ -33,8 +33,10 @@ def require_tolerance(tol: float) -> None:
 class MeasureEstimate:
     """A non-negative measure value with an error bound and a method tag.
 
-    Covering estimates are one-sided upper bounds and must never be compared
-    as two-sided values; the flag keeps the two kinds apart in reports.
+    Covering estimates are covering sums, which bound the measure from above
+    only in the limit of fine grids, not at a fixed resolution (see
+    ``covering_bound``); they must never be compared as two-sided values, and
+    the ``upper_bound_only`` flag keeps the two kinds apart in reports.
     Quadrature estimates also record whether the error bound met the
     requested tolerance and how many integrand evaluations they cost.
     """

@@ -1,17 +1,19 @@
-"""Cube-grid covers of subsets of the unit cube and covering measure bounds.
+"""Cube-grid covers of subsets of the unit cube and their covering sums.
 
 The unit cube splits into m^n half-open cells (the last cell of each axis is
-closed at 1).  Cell faces are the floats j/m: a coordinate v lies in row j of
-its axis iff (j-1)/m <= v < j/m, or v = 1 and j = m, and every route below
-but the hyperplane's assigns values to rows by that one rule.  The
-hyperplane's face table holds the integers 2j, so it decides on the rational
-faces j/m, and its cover differs where a float face rounds across the slice:
-x + y = 1 as a depth-0 staircase and as Hyperplane(2) first differ at m = 5,
-where fl(1/5) + fl(4/5) exceeds 1 in exact arithmetic.  A grid cover records
-which cells meet a target set; the target can be an explicit point list, one
-of the analytic surface families, or an arbitrary membership predicate
-sampled on a per-cell grid.  Covers of the analytic families are exact;
-predicate covers under-approximate and are flagged as such.
+closed at 1): v lies in row j of its axis iff (j-1)/m <= v < j/m, or v = 1
+and j = m.  The hyperplane (table 2j) and the sphere with an integer p
+(table c^p against m^p) decide in integers on the rational faces j/m, ties
+at grid corners included; every other route takes the faces as floats, and
+a non-integer p decides a cell whose corner lies within rounding of the
+sphere on rounded powers (LpSphere(3, 1.5) at m = 36, corner (9, 16, 25)/36,
+rounds the right way).  The conventions differ where a float face rounds
+across a surface: x + y = 1 as a depth-0 staircase and as Hyperplane(2)
+first differ at m = 5, where fl(1/5) + fl(4/5) exceeds 1.  A grid cover
+records which cells meet a target set; the target can be an explicit point
+list, one of the analytic surface families, or an arbitrary membership
+predicate sampled on a per-cell grid.  Covers of the analytic families are
+exact; predicate covers under-approximate and are flagged as such.
 
 Every analytic family is the graph of a function of the first n-1
 coordinates, so its cover visits each of the m^(n-1) base cells once and
@@ -99,8 +101,9 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     Cells are half-open except at the top face: coordinate c lies in cell j
     iff (j-1)/m <= c < j/m with the faces rounded to floats, or c = 1 and
     j = m, so boundary points land on a unique, deterministic cell, the one
-    every surface cover but the hyperplane's uses.
+    every surface cover on the float faces uses.
     """
+    _require_int("m", m)
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = []
@@ -111,9 +114,9 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _check_resolution(m) -> None:
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"m must be an int, got {m!r}")
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,8 @@ class GridCover:
     exact: bool = True
 
     def __post_init__(self):
-        _check_resolution(self.m)
+        _require_int("m", self.m)
+        _require_int("dim", self.dim)
         if self.m < 1 or self.dim < 1:
             raise ValueError("cover needs m >= 1 and dim >= 1")
         # the distinct lengths and coordinates settle a valid cover; the
@@ -237,7 +241,15 @@ def _hyperplane_cells(s: Hyperplane, m: int):
 
 
 def _lpsphere_cells(s: LpSphere, m: int):
-    return _level_cells(s.n, m, [(c / m) ** s.p for c in range(m + 1)], 1.0)
+    # integer p: sum (d_i - 1)^p <= m^p < sum d_i^p, decided in ints.  Else,
+    # or where every sum without a top-row term is at most 1/2 (the cover is
+    # the shell of cells with a coordinate m), floats decide; power[m] is
+    # infinite, read only in upper sums, so no term is lost next to a 1.0
+    n, p = s.n, s.p
+    if p == int(p) and n * ((m - 1) / m) ** p > 0.5:
+        p = int(p)
+        return _level_cells(n, m, [c**p for c in range(m + 1)], m**p)
+    return _level_cells(n, m, [(c / m) ** p for c in range(m)] + [math.inf], 1.0)
 
 
 def _interval_overlap(a, a_closed, b, b_closed, c, c_closed, d, d_closed) -> bool:
@@ -414,7 +426,7 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    _check_resolution(m)
+    _require_int("m", m)
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(target, PointCloud):
@@ -444,12 +456,14 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
 
 
 def covering_bound(cover: GridCover, s: int | None = None) -> MeasureEstimate:
-    """One-sided upper bound on the s-dimensional measure of the covered set.
+    """The covering sum alpha_s * count * (sqrt(dim)/m)^s of the cover.
 
-    Every cell is a set of diameter sqrt(dim)/m, so the cover witnesses
-    alpha_s * count * (sqrt(dim)/m)^s as an upper bound at that scale.  The
-    default exponent dim-1 is the antichain case; pass ``s=dim`` to bound
-    the full-dimensional measure of a projection image.
+    The cells have diameter delta = sqrt(dim)/m, so the sum bounds H^s_delta,
+    which is at most H^s: at a fixed m it can lie below the measure
+    (SingularStaircase(12) at m = 1: 1.4142 for a length of 1.9923), and only
+    H^s <= lim inf over m of the sums holds.  ``upper_bound_only`` keeps it
+    apart from two-sided values.  The default exponent dim-1 is the
+    antichain case; pass ``s=dim`` for the measure of a projection image.
     """
     if s is None:
         if cover.dim < 2:

@@ -244,6 +244,13 @@ def test_cover_points_and_surface(points_file, capsys):
     assert len(lines) == 4
 
 
+def test_large_p_sphere_cover_keeps_every_cell(capsys):
+    # the arc meets 2m - 1 cells at every p, and the cover is exact
+    argv = ["cover", "--surface", "lpsphere", "--n", "2", "--p", "1000", "--m", "64"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and payload["count"] == 127 and payload["exact"] is True
+
+
 def test_cover_budget_counts_base_cells(capsys):
     argv = ["cover", "--surface", "linear", "--gradient=-0.5,-0.3", "--offset", "0.9"]
     argv += ["--m", "128"]

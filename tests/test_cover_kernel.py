@@ -8,13 +8,12 @@ segment-cell clip `_segment_hits_cell`, which the library's staircase
 kernel used until it became a walk over the polyline's face crossings, is
 kept verbatim here as that oracle's cell test.  The kernels find each
 column's run, or the staircase's lattice path, directly and must give
-exactly the same cell sets.  The sphere's earlier column kernel, which
-bisected each run end on its power table and then settled it, is kept
-verbatim too: it adds the powers in the same order as the walk that
-replaced it, so the two decide each cell on the same rounded sums on
-every interpreter.  So is the hyperplane's earlier column kernel, which
-tabled each column's run in closed form once per base-coordinate sum,
-before the hyperplane and the sphere shared one level-set walk.
+exactly the same cell sets.  The sphere's oracle is the exception: it
+decides each cell exactly, in ints for an integer p and in decimal
+otherwise, so it shares no rounding with the kernel and none with the
+interpreter's sum().  The hyperplane's earlier column kernel, which tabled
+each column's run in closed form once per base-coordinate sum, before the
+hyperplane and the sphere shared one level-set walk, is kept verbatim too.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
@@ -22,16 +21,18 @@ checks that the staircase's abscissae strictly increase and its ordinates
 never do at depths 15..20 (0..14 run in tier-1), sweeps the staircase over
 depths 0..14 and m = 1..300, 729 and 1000, 10 random linear graphs,
 spheres and 3-D tabulated tables over m = 1..48, 10 random 4-D spheres and
-tables over m = 1..16, the 3-D sphere walk against the bisect-and-settle
-kernel over m = 1..256, and the hyperplane's covers against its per-sum
-table kernel at n = 2 over m = 1..1000 and n = 3 over m = 1..128, outside
-tier-1.  grid_cover builds its covers without GridCover's index check, so
+tables over m = 1..16, the 3-D sphere against the exact oracle over
+m = 1..48 for every exponent of SPHERE_PS, and the hyperplane's covers
+against its per-sum table kernel at n = 2 over m = 1..1000 and n = 3 over
+m = 1..128, outside tier-1.  grid_cover builds its covers without GridCover's index check, so
 each swept cover is also rebuilt through it.
 """
 
+import decimal
+import math
 import random
 import sys
-from bisect import bisect_right
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -72,50 +73,25 @@ def _oracle_hyperplane_cells(s, m):
 
 
 def _oracle_lpsphere_cells(s, m):
+    # the sphere meets the half-open cell d iff sum (d_i - 1)^p <= m^p <
+    # sum d_i^p, decided exactly: in ints for an integer p, and otherwise in
+    # decimal with 60 digits past the units of m^p; a power that is an
+    # integer, such as 9^1.5, comes out exact, so ties at grid corners are
+    # decided too.  Neither depends on how the interpreter's sum() rounds
     n, p = s.n, s.p
+    if p == int(p):
+        power = [c ** int(p) for c in range(m + 1)]
+        add = sum
+    else:
+        ctx = decimal.Context(prec=int(p * math.log10(m + 1)) + 60)
+        power = [ctx.power(c, decimal.Decimal(p)) for c in range(m + 1)]
+
+        def add(terms):
+            return reduce(ctx.add, terms)
+
     for d in _cell_indices(m, n):
-        g_hi = sum((c / m) ** p for c in d)
-        if g_hi <= 1.0:
-            continue
-        g_lo = sum(((c - 1) / m) ** p for c in d)
-        if g_lo <= 1.0:
+        if add(power[c - 1] for c in d) <= power[m] < add(power[c] for c in d):
             yield d
-
-
-def _bisect_lpsphere_cells(s, m):
-    # the p-norm power sum is strictly increasing in every coordinate, so the
-    # sphere meets the half-open cell iff g(lower) <= 1 < g(upper); the
-    # powers are tabulated once and the base cell's sums are built axis by
-    # axis in coordinate order, the head axes once for every last base row.
-    # Over a base cell the rows with s_hi + power[j] > 1 >= s_lo + power[j-1]
-    # form one run; each end is bisected on the table, then settled with
-    # those same float sums
-    p = s.p
-    power = [(c / m) ** p for c in range(m + 1)]
-    rows = range(1, m + 1)
-    partial = [((), 0.0, 0.0)]
-    for _ in range(s.n - 2):
-        partial = [
-            ((*base, di), s_hi + power[di], s_lo + power[di - 1])
-            for base, s_hi, s_lo in partial
-            for di in rows
-        ]
-    for head, hi0, lo0 in partial:
-        for di in rows:
-            s_hi = hi0 + power[di]
-            s_lo = lo0 + power[di - 1]
-            lo = max(bisect_right(power, 1.0 - s_hi), 1)
-            while lo > 1 and s_hi + power[lo - 1] > 1.0:
-                lo -= 1
-            while lo <= m and s_hi + power[lo] <= 1.0:
-                lo += 1
-            hi = min(bisect_right(power, 1.0 - s_lo), m)
-            while hi >= 1 and s_lo + power[hi - 1] > 1.0:
-                hi -= 1
-            while hi < m and s_lo + power[hi] <= 1.0:
-                hi += 1
-            for j in range(lo, hi + 1):
-                yield (*head, di, j)
 
 
 def _table_hyperplane_cells(s: Hyperplane, m: int):
@@ -304,9 +280,16 @@ _FACE_TABLE = TabulatedMonotone(
 
 CASES = [
     *(Hyperplane(n) for n in (2, 3, 4)),
+    # p = 1 and 2, integer tables with ties at grid corners; 7.5, the float
+    # table; 16 to 1000, integer tables and the shell of cells with a
+    # coordinate m, where a power of 1.0 would absorb the smaller terms
     LpSphere(2, 1),
+    LpSphere(2, 16),
+    LpSphere(2, 1000),
     LpSphere(3, 2),
     LpSphere(3, 7.5),
+    LpSphere(3, 64),
+    LpSphere(3, 1000),
     LpSphere(4, 3),
     # negative, zero and positive gradient components; the graph leaves the
     # cube on part of the base
@@ -451,20 +434,14 @@ def test_random_surfaces_match_oracle():
 SPHERE_PS = (1, 1.1, 1.5, 2, 3, 4, 7.5, 8, 16, 64, 1000, 1e4)
 
 
-def _assert_sphere_walk_matches_bisect(n, ms):
+def _assert_sphere_exponents_match_oracle(n, ms):
     for p in SPHERE_PS:
-        surface = LpSphere(n, p)
-        for m in ms:
-            assert _checked_cover(surface, m).indices == frozenset(
-                _bisect_lpsphere_cells(surface, m)
-            ), (n, p, m)
+        _assert_matches_oracle(LpSphere(n, p), ms)
 
 
-@pytest.mark.parametrize("n, top", [(2, 64), (3, 40), (4, 16)])
-def test_sphere_walk_matches_bisect_and_settle(n, top):
-    # both kernels add the powers left to right, so unlike the sum()-based
-    # oracle they round alike on every interpreter
-    _assert_sphere_walk_matches_bisect(n, range(1, top + 1))
+@pytest.mark.parametrize("n, top", [(2, 64), (3, 16), (4, 8)])
+def test_sphere_exponents_match_exact_oracle(n, top):
+    _assert_sphere_exponents_match_oracle(n, range(1, top + 1))
 
 
 def _assert_hyperplane_matches_table(n, ms):
@@ -583,11 +560,10 @@ def _sweep(surfaces: int) -> None:
     """The staircase's monotone coordinates at depths 15..20, its covers at
     depths 0..14 and m = 1..300, 729 and 1000, then ``surfaces`` random
     linear graphs, spheres and 3-D tables at m = 1..48, as many 4-D spheres
-    and tables at m = 1..16, the sphere walk against the
-    bisect-and-settle kernel at n = 3 and m = 1..256 over SPHERE_PS, and
-    the hyperplane against its per-sum table kernel at n = 2 and
-    m = 1..1000 and at n = 3 and m = 1..128; every cover is also rebuilt
-    through GridCover's index check."""
+    and tables at m = 1..16, the 3-D sphere against the exact oracle at
+    m = 1..48 over SPHERE_PS, and the hyperplane against its per-sum table
+    kernel at n = 2 and m = 1..1000 and at n = 3 and m = 1..128; every
+    cover is also rebuilt through GridCover's index check."""
     for depth in range(15, 21):
         _assert_staircase_is_monotone(depth)
     for depth in range(15):
@@ -606,7 +582,7 @@ def _sweep(surfaces: int) -> None:
             _assert_matches_oracle(surface, range(1, 49))
         for surface in (LpSphere(4, rng.uniform(1.0, 10.0)), _random_table(rng, 4)):
             _assert_matches_oracle(surface, range(1, 17))
-    _assert_sphere_walk_matches_bisect(3, range(1, 257))
+    _assert_sphere_exponents_match_oracle(3, range(1, 49))
     _assert_hyperplane_matches_table(2, range(1, 1001))
     _assert_hyperplane_matches_table(3, range(1, 129))
 
@@ -617,8 +593,8 @@ if __name__ == "__main__":
     print(
         "staircase coordinates monotone at depths 15..20; staircases and"
         f" {surfaces} random linear graphs, spheres and tables"
-        " (3-D, and 4-D spheres and tables): covers agree; 3-D sphere walk"
-        " agrees with bisect and settle up to m = 256; hyperplane walk agrees"
-        " with the per-sum table up to m = 1000 (n = 2) and 128 (n = 3);"
+        " (3-D, and 4-D spheres and tables): covers agree; 3-D spheres agree"
+        " with the exact oracle up to m = 48 for 12 exponents; hyperplane walk"
+        " agrees with the per-sum table up to m = 1000 (n = 2) and 128 (n = 3);"
         " every cover passes GridCover's index check"
     )

@@ -26,6 +26,7 @@ from antichains import (
     d_const,
     grid_cover,
     random_weak_antichain,
+    surface_measure,
     volume_ratio_curve,
 )
 from antichains.gridcover import _row
@@ -104,6 +105,30 @@ def test_antidiagonal_cover_counts():
         assert len(grid_cover(ANTIDIAG, m)) == 2 * m - 1, m
 
 
+def test_planar_sphere_meets_2m_minus_1_cells():
+    # the arc from (0, 1) to (1, 0) crosses each inner face once per axis,
+    # so it meets 2m - 1 cells; where it passes through a grid corner (p = 2,
+    # m = 13: 5^2 + 12^2 = 13^2) it meets the cell whose lower corner that is
+    for p in (1, 2, 3, 4, 8, 16, 64, 1000):
+        for m in range(1, 65):
+            assert len(grid_cover(LpSphere(2, p), m)) == 2 * m - 1, (p, m)
+
+
+def test_sphere_corner_lies_in_the_cell_above_it():
+    # 8^2 + 12^2 + 9^2 = 17^2: the corner (8, 12, 9)/17 is in cell
+    # (9, 13, 10), and (8, 12, 9) only touches the sphere at its open corner
+    cells = grid_cover(LpSphere(3, 2), 17).indices
+    assert (9, 13, 10) in cells and (8, 12, 9) not in cells
+
+
+def test_huge_exponent_covers_the_shell():
+    # (7/8)^1e300 is 0, so the cells with a coordinate 8 are the cover, and
+    # no power of 1e300 digits is formed
+    cells = grid_cover(LpSphere(3, 1e300), 8).indices
+    assert cells == {d for d in product(range(1, 9), repeat=3) if 8 in d}
+    assert len(cells) == 169
+
+
 def test_covering_bound_examples():
     cov = grid_cover(ANTIDIAG, 2)
     est = covering_bound(cov)
@@ -112,6 +137,19 @@ def test_covering_bound_examples():
 
     single = grid_cover(PointCloud(2, ((0.25, 0.25),)), 10)
     assert abs(covering_bound(single).value - math.sqrt(2) / 10) < 1e-12
+
+
+def test_covering_sum_can_lie_below_the_measure():
+    # a covering sum bounds the measure only in the limit of fine grids; at
+    # m = 1 these exact one-cell covers give less than the measure
+    for surface, cover_sum, measure in (
+        (SingularStaircase(12), 1.4142, 1.9923),
+        (LpSphere(3, 50), 2.3562, 2.9334),
+    ):
+        est = covering_bound(grid_cover(surface, 1))
+        true = surface_measure(surface, 1e-3)
+        assert round(est.value, 4) == cover_sum and round(true.value, 4) == measure
+        assert est.value < true.value - true.error_bound
 
 
 def test_covering_bound_explicit_exponent():
@@ -203,6 +241,14 @@ def test_non_int_resolution_is_rejected(m):
             grid_cover(target, 0)
     with pytest.raises(ValueError, match=message):
         GridCover(m, 1, frozenset())
+    with pytest.raises(ValueError, match=message):
+        cube_index((0.9,), m)
+
+
+@pytest.mark.parametrize("dim", [1.5, 2.0, True, False])
+def test_non_int_dimension_is_rejected(dim):
+    with pytest.raises(ValueError, match=f"^dim must be an int, got {re.escape(repr(dim))}$"):
+        GridCover(2, dim, frozenset())
 
 
 def test_chained_projection_bound_and_dim_bound():
@@ -352,9 +398,9 @@ def test_staircase_cover_depth_zero_matches_antidiagonal():
 
 
 def test_p1_sphere_cover_matches_antidiagonal():
-    # the p = 1 sphere is the anti-diagonal, reached through the float
-    # power-sum test instead of the integer slab arithmetic
-    for m in range(2, 33):
+    # the p = 1 sphere is the anti-diagonal, and both decide in integers on
+    # the rational faces, the sphere on the power table c^1 against m
+    for m in range(1, 65):
         assert grid_cover(LpSphere(2, 1), m).indices == grid_cover(ANTIDIAG, m).indices
 
 
