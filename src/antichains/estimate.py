@@ -22,6 +22,12 @@ def require_finite(name: str, *values: float) -> None:
         raise NonFiniteError(f"{name} must be finite")
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def require_tolerance(tol: float) -> None:
     """Raise NonFiniteError unless ``tol`` is finite, ValueError unless it is positive."""
     require_finite("tolerance", tol)

@@ -30,17 +30,18 @@ only the top row of a column whose interval is a point, starts at or above
 extension at a base cell's corners, read from per-axis bitsets of the
 samples below each corner.  The staircase's polyline crosses each inner face
 once per axis, so its cover is the lattice path that steps right or down at
-each crossing in the order they occur; the crossings are bisected on the
-vertices, so a cover costs O(m log V) for V vertices.
+each crossing in the order they occur; each crossing is found by walking
+down the staircase's construction, so a cover costs O(m*depth) and builds no
+vertex list.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .estimate import COVERING, MeasureEstimate
+from .estimate import COVERING, MeasureEstimate, require_int
 from .partition import BudgetExceededError
 from .surfaces import (
     Hyperplane,
@@ -48,7 +49,8 @@ from .surfaces import (
     LpSphere,
     SingularStaircase,
     TabulatedMonotone,
-    _staircase_vertices,
+    _staircase_x_segment,
+    _staircase_y_segment,
     surface_dim,
 )
 
@@ -103,7 +105,7 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     j = m, so boundary points land on a unique, deterministic cell, the one
     every surface cover on the float faces uses.
     """
-    _require_int("m", m)
+    require_int("m", m)
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = []
@@ -112,11 +114,6 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
             raise ValueError(f"coordinate {c} outside [0,1]")
         idx.append(_row(c, m))
     return tuple(idx)
-
-
-def _require_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,8 @@ class GridCover:
     exact: bool = True
 
     def __post_init__(self):
-        _require_int("m", self.m)
-        _require_int("dim", self.dim)
+        require_int("m", self.m)
+        require_int("dim", self.dim)
         if self.m < 1 or self.dim < 1:
             raise ValueError("cover needs m >= 1 and dim >= 1")
         # the distinct lengths and coordinates settle a valid cover; the
@@ -379,17 +376,15 @@ def _staircase_cells(s: SingularStaircase, m: int):
     # steps right at each x crossing and down at each y crossing, in the
     # order they occur; at a tie the right step comes first, since the
     # crossing point lies in the right-hand cell.  Each crossing's segment is
-    # bisected on the cached coordinates, and its place on the segment is the
-    # quotient a segment-cell clip forms, so ties fall the same way
-    polyline = _staircase_vertices(s.depth)
-    verts, xs, neg_ys = polyline.vertices, polyline.xs, polyline.neg_ys
+    # found by descent, keyed by the index of its end vertex, and its place on
+    # the segment is the quotient a segment-cell clip forms, so ties fall the
+    # same way
     crossings = []
     for k in range(1, m):
         t = k / m
-        a = bisect_left(xs, t)  # x[a-1] < t <= x[a]
-        crossings.append((a, (t - xs[a - 1]) / (xs[a] - xs[a - 1]), 0))
-        b = bisect_right(neg_ys, -t)  # y[b-1] >= t > y[b]
-        (_, y0), (_, y1) = verts[b - 1], verts[b]
+        a, x0, _, x1, _ = _staircase_x_segment(s.depth, t)  # x0 < t <= x1
+        crossings.append((a, (t - x0) / (x1 - x0), 0))
+        b, y0, y1 = _staircase_y_segment(s.depth, t)  # y0 >= t > y1
         crossings.append((b, (t - y0) / (y1 - y0), 1))
     crossings.sort()
     i, j = 1, m
@@ -426,7 +421,7 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    _require_int("m", m)
+    require_int("m", m)
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(target, PointCloud):

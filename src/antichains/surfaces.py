@@ -9,12 +9,18 @@ measure, its projection measures, and enough analytic structure for the
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from itertools import pairwise
 from typing import get_args
 
-from .estimate import CLOSED_FORM, QUADRATURE, MeasureEstimate, require_finite, require_tolerance
+from .estimate import (
+    CLOSED_FORM,
+    QUADRATURE,
+    MeasureEstimate,
+    require_finite,
+    require_int,
+    require_tolerance,
+)
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -387,8 +393,7 @@ class SingularStaircase:
     depth: int
 
     def __post_init__(self):
-        if not 0 <= self.depth <= 20:
-            raise ValueError("depth must be in 0..20")
+        _require_depth(self.depth)
 
     def _dim(self) -> int:
         return 2
@@ -397,16 +402,11 @@ class SingularStaircase:
         x = x[0]
         if not 0.0 <= x <= 1.0:
             raise ValueError("staircase argument outside [0,1]")
-        polyline = _staircase_vertices(self.depth)
-        verts = polyline.vertices
-        # the first segment whose abscissae enclose x: the abscissae strictly
-        # increase and run from 0 to 1
-        t = max(bisect_left(polyline.xs, x) - 1, 0)
-        (x0, y0), (x1, y1) = verts[t], verts[t + 1]
+        _, x0, y0, x1, y1 = _staircase_x_segment(self.depth, x)
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def _measure(self, tol: float) -> MeasureEstimate:
-        return MeasureEstimate(_staircase_vertices(self.depth).length, CLOSED_FORM)
+        return MeasureEstimate(_polyline_length(_staircase_vertices(self.depth)), CLOSED_FORM)
 
     def _quadrature(self, tol: float) -> MeasureEstimate:
         raise TypeError(f"no quadrature route for {type(self).__name__}")
@@ -509,69 +509,93 @@ def _hyperplane_base_measure(n: int) -> float:
 # staircase polyline
 
 
-class _Staircase:
-    """A depth's polyline and what is derived from it alone, each derived once when first used."""
-
-    def __init__(self, vertices: tuple[tuple[float, float], ...]):
-        self.vertices = vertices
-
-    # the abscissae, strictly increasing, and the negated ordinates, never
-    # decreasing, for bisecting where the polyline crosses a grid line or an
-    # abscissa
-    @cached_property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.vertices)
-
-    @cached_property
-    def neg_ys(self) -> tuple[float, ...]:
-        return tuple(-y for _, y in self.vertices)
-
-    @cached_property
-    def length(self) -> float:
-        return _polyline_length(self.vertices)
+def _require_depth(depth) -> None:
+    require_int("depth", depth)
+    if not 0 <= depth <= 20:
+        raise ValueError("depth must be in 0..20")
 
 
-@lru_cache(maxsize=1)
-def _staircase_vertices(depth: int) -> _Staircase:
-    # one depth at a time, in one record: a depth-20 polyline holds about
-    # two million vertices, and its length sums as many hypot terms
-    steep = [(0.0, 0.0, 1.0, 1.0)]
-    for _ in range(depth):
-        nxt = []
-        for x0, y0, x1, y1 in steep:
+# The depth-k staircase splits the rising piece (0, 0, 1, 1) k times: a piece
+# (x0, y0, x1, y1) keeps its outer thirds (x0, y0, x0 + third, ym) and
+# (x1 - third, ym, x1, y1), third = (x1 - x0)/3 and ym = (y0 + y1)/2, and its
+# middle third becomes a flat at ym.  Flipped by y -> 1.0 - y, steep leaf L
+# (0-based, left to right) runs from vertex 2L to vertex 2L + 1 of the falling
+# polyline and the flat after it ends at vertex 2L + 2.  Every reader below
+# replays these float operations, so they all see the same vertices, and none
+# holds more than one root-to-leaf path: a depth-20 polyline has about two
+# million vertices.
+
+
+def _staircase_vertices(depth: int):
+    # each steep leaf's two ends, left to right: the flats have positive
+    # length, so no leaf starts where the previous one ends, and the first
+    # starts at (0.0, 1.0 - 0.0)
+    stack = [(0.0, 0.0, 1.0, 1.0, depth)]
+    while stack:
+        x0, y0, x1, y1, d = stack.pop()
+        if d:
             third = (x1 - x0) / 3
             ym = (y0 + y1) / 2
-            nxt.append((x0, y0, x0 + third, ym))
-            nxt.append((x1 - third, ym, x1, y1))
-        steep = nxt
-
-    def falling():
-        # the rising pieces joined end to start, a start that repeats the
-        # previous end left out, then flipped to run from (0,1) to (1,0)
-        px = py = 0.0
-        yield 0.0, 1.0
-        for x0, y0, x1, y1 in steep:
-            if x0 != px or y0 != py:
-                yield x0, 1.0 - y0
+            stack.append((x1 - third, ym, x1, y1, d - 1))
+            stack.append((x0, y0, x0 + third, ym, d - 1))
+        else:
+            yield x0, 1.0 - y0
             yield x1, 1.0 - y1
-            px, py = x1, y1
 
-    return _Staircase(tuple(falling()))
+
+def _staircase_x_segment(depth: int, t: float):
+    """The falling segment (end, x0, y0, x1, y1) with x0 < t <= x1, or the first at t = 0.
+
+    ``end`` is the index of its end vertex, the one ``bisect_left`` on the
+    abscissae finds for t.
+    """
+    x0, y0, x1, y1 = 0.0, 0.0, 1.0, 1.0
+    leaf = 0
+    for level in reversed(range(depth)):
+        third = (x1 - x0) / 3
+        ym = (y0 + y1) / 2
+        lx1 = x0 + third
+        rx0 = x1 - third
+        if t <= lx1:
+            x1, y1 = lx1, ym
+        elif t <= rx0:
+            # the flat after the left subtree's last leaf, leaf + 2**level - 1
+            return 2 * (leaf + (1 << level)), lx1, 1.0 - ym, rx0, 1.0 - ym
+        else:
+            x0, y0 = rx0, ym
+            leaf += 1 << level
+    return 2 * leaf + 1, x0, 1.0 - y0, x1, 1.0 - y1
+
+
+def _staircase_y_segment(depth: int, t: float):
+    """The falling segment (end, y0, y1) with y0 >= t > y1, for 0 < t <= 1.
+
+    Only a steep leaf spans ordinates, and ``end`` is the index of its end
+    vertex, the one ``bisect_right`` on the negated ordinates finds for -t.
+    """
+    y0, y1 = 0.0, 1.0
+    leaf = 0
+    for level in reversed(range(depth)):
+        ym = (y0 + y1) / 2
+        if t > 1.0 - ym:
+            y1 = ym
+        else:
+            y0 = ym
+            leaf += 1 << level
+    return 2 * leaf + 1, 1.0 - y0, 1.0 - y1
 
 
 def staircase_polyline(depth: int) -> list[tuple[float, float]]:
     """Vertices of the decreasing depth-k staircase from (0,1) to (1,0)."""
-    if not 0 <= depth <= 20:
-        raise ValueError("depth must be in 0..20")
-    return list(_staircase_vertices(depth).vertices)
+    _require_depth(depth)
+    return list(_staircase_vertices(depth))
 
 
 def _polyline_length(vertices) -> float:
     # fsum, so the length is the same float on every interpreter (3.12's sum
-    # of floats is compensated, earlier ones add in order)
-    return math.fsum(
-        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(vertices, vertices[1:])
-    )
+    # of floats is compensated, earlier ones add in order); it is correctly
+    # rounded, so it can read the vertices one at a time
+    return math.fsum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in pairwise(vertices))
 
 
 # ---------------------------------------------------------------------------

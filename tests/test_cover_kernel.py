@@ -13,12 +13,17 @@ decides each cell exactly, in ints for an integer p and in decimal
 otherwise, so it shares no rounding with the kernel and none with the
 interpreter's sum().  The hyperplane's earlier column kernel, which tabled
 each column's run in closed form once per base-coordinate sum, before the
-hyperplane and the sphere shared one level-set walk, is kept verbatim too.
+hyperplane and the sphere shared one level-set walk, is kept verbatim too,
+as is the staircase kernel that bisected each crossing on the polyline's
+coordinates before it was found by descent; the descent must yield that
+kernel's path in the same order.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
 checks that the staircase's abscissae strictly increase and its ordinates
-never do at depths 15..20 (0..14 run in tier-1), sweeps the staircase over
+never do at depths 15..20 (0..14 run in tier-1), compares its descent with
+the bisect kernel, path order included, at those depths and m = 1000 and
+4096 (0..12 run in tier-1), sweeps the staircase over
 depths 0..14 and m = 1..300, 729 and 1000, 10 random linear graphs,
 spheres and 3-D tabulated tables over m = 1..48, 10 random 4-D spheres and
 tables over m = 1..16, the 3-D sphere against the exact oracle over
@@ -32,6 +37,7 @@ import decimal
 import math
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import product
 
@@ -54,7 +60,6 @@ from antichains import (
 )
 from antichains import gridcover
 from antichains.gridcover import _interval_overlap
-from antichains.surfaces import _staircase_vertices
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -239,6 +244,31 @@ def _oracle_staircase_cells(s, m):
                 if d not in hits and _segment_hits_cell(p, q, d, m):
                     hits.add(d)
     return hits
+
+
+def _bisect_staircase_cells(verts, m):
+    # the library kernel before the crossings were found by descent: each
+    # crossing's segment bisected on the polyline's coordinates, kept
+    # verbatim apart from taking the vertices instead of a cached record
+    xs = tuple(x for x, _ in verts)
+    neg_ys = tuple(-y for _, y in verts)
+    crossings = []
+    for k in range(1, m):
+        t = k / m
+        a = bisect_left(xs, t)  # x[a-1] < t <= x[a]
+        crossings.append((a, (t - xs[a - 1]) / (xs[a] - xs[a - 1]), 0))
+        b = bisect_right(neg_ys, -t)  # y[b-1] >= t > y[b]
+        (_, y0), (_, y1) = verts[b - 1], verts[b]
+        crossings.append((b, (t - y0) / (y1 - y0), 1))
+    crossings.sort()
+    i, j = 1, m
+    yield i, j
+    for _, _, down in crossings:
+        if down:
+            j -= 1
+        else:
+            i += 1
+        yield i, j
 
 
 _ORACLES = {
@@ -459,7 +489,7 @@ def test_hyperplane_walk_matches_sum_table(n, top):
 
 def _assert_staircase_is_monotone(depth):
     # the crossing walk's order and denominators rest on this
-    verts = _staircase_vertices(depth).vertices
+    verts = staircase_polyline(depth)
     assert all(x0 < x1 and y0 >= y1 for (x0, y0), (x1, y1) in zip(verts, verts[1:])), depth
 
 
@@ -471,7 +501,7 @@ def test_staircase_abscissae_increase_and_ordinates_never_do():
 def test_staircase_cover_is_a_lattice_path():
     # one step right or down per inner face crossed, from the top-left cell
     # to the bottom-right one
-    for depth in range(15):
+    for depth in (*range(15), 16, 20):
         stair = SingularStaircase(depth)
         for m in (*range(1, 65), 243, 729, 1000):
             path = sorted(grid_cover(stair, m).indices, key=lambda d: (d[0], -d[1]))
@@ -479,6 +509,21 @@ def test_staircase_cover_is_a_lattice_path():
             assert len(path) == 2 * m - 1, (depth, m)
             steps = {(i1 - i0, j1 - j0) for (i0, j0), (i1, j1) in zip(path, path[1:])}
             assert steps <= {(1, 0), (0, -1)}, (depth, m)
+
+
+def _assert_descent_matches_bisect(depths, ms):
+    # as lists: the descent must yield the path in the bisect kernel's order
+    for depth in depths:
+        stair = SingularStaircase(depth)
+        verts = staircase_polyline(depth)
+        for m in ms:
+            assert list(gridcover._staircase_cells(stair, m)) == list(
+                _bisect_staircase_cells(verts, m)
+            ), (depth, m)
+
+
+def test_staircase_descent_matches_bisect():
+    _assert_descent_matches_bisect(range(13), (*range(1, 65), *STAIRCASE_MS))
 
 
 def test_antidiagonal_counts_up_to_200():
@@ -557,8 +602,9 @@ def test_budget_bounds_all_cells_of_a_predicate():
 
 
 def _sweep(surfaces: int) -> None:
-    """The staircase's monotone coordinates at depths 15..20, its covers at
-    depths 0..14 and m = 1..300, 729 and 1000, then ``surfaces`` random
+    """The staircase's monotone coordinates at depths 15..20, its descent
+    against the bisect kernel at those depths and m = 1000 and 4096, its
+    covers at depths 0..14 and m = 1..300, 729 and 1000, then ``surfaces`` random
     linear graphs, spheres and 3-D tables at m = 1..48, as many 4-D spheres
     and tables at m = 1..16, the 3-D sphere against the exact oracle at
     m = 1..48 over SPHERE_PS, and the hyperplane against its per-sum table
@@ -566,6 +612,7 @@ def _sweep(surfaces: int) -> None:
     cover is also rebuilt through GridCover's index check."""
     for depth in range(15, 21):
         _assert_staircase_is_monotone(depth)
+    _assert_descent_matches_bisect(range(15, 21), (1000, 4096))
     for depth in range(15):
         stair = SingularStaircase(depth)
         for m in (*range(1, 301), 729, 1000):
@@ -591,7 +638,8 @@ if __name__ == "__main__":
     surfaces = int(sys.argv[1])
     _sweep(surfaces)
     print(
-        "staircase coordinates monotone at depths 15..20; staircases and"
+        "staircase coordinates monotone and descent equal to the bisect kernel"
+        " at depths 15..20; staircases and"
         f" {surfaces} random linear graphs, spheres and tables"
         " (3-D, and 4-D spheres and tables): covers agree; 3-D spheres agree"
         " with the exact oracle up to m = 48 for 12 exponents; hyperplane walk"

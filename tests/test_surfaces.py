@@ -9,7 +9,10 @@ import hashlib
 import inspect
 import math
 import random
+import re
+import tracemalloc
 from array import array
+from bisect import bisect_left
 from itertools import chain
 
 import pytest
@@ -22,7 +25,6 @@ from antichains import (
     NonFiniteError,
     SingularStaircase,
     TabulatedMonotone,
-    box_dimension,
     facet_union_measure,
     format_surface_descriptor,
     graph_value,
@@ -42,7 +44,6 @@ from antichains import (
 )
 from antichains import surfaces
 from antichains.quadrature import integrate_adaptive
-from antichains.surfaces import _staircase_vertices
 
 
 # frozen staircase-length oracle: 2^k steep pieces of size (3^-k, 2^-k) plus
@@ -341,14 +342,31 @@ def test_staircase_polyline_is_a_fresh_list():
     assert staircase_polyline(3) is not staircase_polyline(3)
 
 
-def test_staircase_vertices_built_once_per_depth():
-    # the cache keeps one depth, so a box-dimension fit builds its polyline once
-    _staircase_vertices.cache_clear()
-    box_dimension(SingularStaircase(6), (4, 8, 16, 32))
-    surface_measure(SingularStaircase(6))
-    assert _staircase_vertices.cache_info().misses == 1
-    staircase_polyline(2)
-    assert _staircase_vertices.cache_info().currsize == 1
+def test_deep_staircase_builds_no_vertex_list():
+    # covers, values and lengths walk the construction: a depth-20 polyline
+    # of 2,097,152 vertices would take hundreds of MB
+    s = SingularStaircase(20)
+    for call in (
+        lambda: grid_cover(s, 256),
+        lambda: graph_value(s, (0.3,)),
+        lambda: surface_measure(s),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("depth", [2.5, 3.0, True, False])
+def test_non_int_depth_is_rejected(depth):
+    message = f"^depth must be an int, got {re.escape(repr(depth))}$"
+    with pytest.raises(ValueError, match=message):
+        SingularStaircase(depth)
+    with pytest.raises(ValueError, match=message):
+        staircase_polyline(depth)
 
 
 def _oracle_staircase_vertices(depth: int) -> tuple[tuple[float, float], ...]:
@@ -380,9 +398,7 @@ def _assert_staircase_vertices_match_oracle(depth: int) -> None:
     # one polyline alive at a time: at depth 20 each builder peaks at
     # several hundred MB
     expected = _vertex_digest(_oracle_staircase_vertices(depth))
-    _staircase_vertices.cache_clear()
-    assert _vertex_digest(_staircase_vertices(depth).vertices) == expected, depth
-    _staircase_vertices.cache_clear()
+    assert _vertex_digest(staircase_polyline(depth)) == expected, depth
 
 
 def test_staircase_vertices_match_two_list_builder():
@@ -410,14 +426,28 @@ def _oracle_staircase_value(verts, x):
     return verts[-1][1]
 
 
+def _bisect_staircase_value(verts, xs, x):
+    # the bisection that the descent replaced, kept verbatim apart from
+    # taking the vertices and abscissae instead of a cached record
+    # the first segment whose abscissae enclose x: the abscissae strictly
+    # increase and run from 0 to 1
+    t = max(bisect_left(xs, x) - 1, 0)
+    (x0, y0), (x1, y1) = verts[t], verts[t + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
 def test_staircase_graph_value_matches_linear_walk():
+    # and the bisection, bit for bit
     rng = random.Random(17)
     for depth in range(13):
         s = SingularStaircase(depth)
         verts = staircase_polyline(depth)
-        xs = [x for x, _ in verts] + [rng.random() for _ in range(100)] + [0, 1, 0.5]
+        abscissae = [x for x, _ in verts]
+        xs = abscissae + [rng.random() for _ in range(100)] + [0, 1, 0.5]
         for x in xs:
-            assert graph_value(s, (x,)) == _oracle_staircase_value(verts, x), (depth, x)
+            value = graph_value(s, (x,))
+            assert value == _oracle_staircase_value(verts, x), (depth, x)
+            assert value.hex() == _bisect_staircase_value(verts, abscissae, x).hex(), (depth, x)
 
 
 def test_staircase_lookups_copy_no_polyline(monkeypatch):
@@ -703,20 +733,18 @@ def test_family_dataclass_shape(surface, signature, text):
         setattr(surface, names[0], None)
 
 
-def test_staircase_length_summed_once_per_depth(monkeypatch):
-    calls = []
-    length = surfaces._polyline_length
+def _oracle_polyline_length(vertices) -> float:
+    # the length summed over the vertex list, kept verbatim
+    return math.fsum(
+        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(vertices, vertices[1:])
+    )
 
-    def counted(vertices):
-        calls.append(len(vertices))
-        return length(vertices)
 
-    monkeypatch.setattr(surfaces, "_polyline_length", counted)
-    _staircase_vertices.cache_clear()
-    first = surface_measure(SingularStaircase(7)).value
-    second = surface_measure(SingularStaircase(7)).value
-    assert len(calls) == 1
-    assert first == second == length(staircase_polyline(7))
+def test_staircase_length_is_the_polyline_sum():
+    # the same float as the fsum over the vertex list, at every depth
+    for depth in range(15):
+        value = surface_measure(SingularStaircase(depth)).value
+        assert value.hex() == _oracle_polyline_length(staircase_polyline(depth)).hex(), depth
 
 
 if __name__ == "__main__":
