@@ -402,14 +402,16 @@ def _cmd_slab(args):
 
 def _cmd_staircase(args):
     with _as_usage():
+        stair = SingularStaircase(depth=args.depth)
+    est = surface_measure(stair)
+    payload = {"depth": args.depth, "length": est.value, "vertices": 2 ** (args.depth + 1)}
+    # 2^(depth+1) vertices: built only when they are printed
+    verts = None
+    if args.vertices or args.format == "csv":
         verts = staircase_polyline(args.depth)
-    est = surface_measure(SingularStaircase(depth=args.depth))
-    payload = {"depth": args.depth, "length": est.value, "vertices": len(verts)}
-    if args.vertices:
-        payload["polyline"] = [list(v) for v in verts]
-    header = ["x", "y"]
-    rows = [[x, y] for x, y in verts]
-    return payload, rows, header, True
+        if args.vertices:
+            payload["polyline"] = verts
+    return payload, verts, ["x", "y"], True
 
 
 def _cmd_p_sweep(args):

@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from .estimate import COVERING, MeasureEstimate, require_int
 from .partition import BudgetExceededError
@@ -135,12 +135,6 @@ class GridCover:
         require_int("dim", self.dim)
         if self.m < 1 or self.dim < 1:
             raise ValueError("cover needs m >= 1 and dim >= 1")
-        # the distinct lengths and coordinates settle a valid cover; the
-        # per-index loop runs only to name an offending index
-        if set(map(len, self.indices)) <= {self.dim} and all(
-            1 <= c <= self.m for c in set(chain.from_iterable(self.indices))
-        ):
-            return
         for d in self.indices:
             if len(d) != self.dim or not all(1 <= c <= self.m for c in d):
                 raise ValueError(f"index {d} outside [1,{self.m}]^{self.dim}")

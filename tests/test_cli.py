@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -273,6 +274,20 @@ def test_slab_and_staircase(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "x,y" and len(lines) == 9  # 8 vertices at depth 2
+
+
+def test_staircase_json_builds_no_vertex_list(capsys):
+    # without --vertices the JSON holds the length and the vertex count only;
+    # the depth-16 polyline alone would take tens of MB
+    tracemalloc.start()
+    try:
+        code = main(["staircase", "--depth", "16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["vertices"] == 2**17
+    assert peak < 4 * 2**20, peak
 
 
 def test_p_sweep_csv_increasing(capsys):

@@ -1,14 +1,20 @@
-"""Differential tests: chain-decomposition widths against the matching route they replaced.
+"""Differential tests: chain-decomposition widths against the searches they replaced.
 
-The oracle below is the previous ``max_antichain``, kept verbatim apart from
-its name: it builds the whole strict comparability graph, runs Hopcroft-Karp
-and extracts the König witness by alternating reachability.  The chain
-kernel must give the same width and the same witness tuple.
+Two oracles are kept verbatim apart from their names.  The first builds the
+whole strict comparability graph, runs Hopcroft-Karp and extracts the König
+witness by alternating reachability; the second runs that alternating search
+over unit steps on the chain cover's own matching.  The library reads the
+witness straight off the chain cover and must give the same width and the
+same witness tuple as both.
 
-The sweep over larger grids takes about a minute, almost all of it in the
-oracle, so tier-1 stops at 1,024 points; run the rest with
+The matching oracle takes about a minute beyond 1,024 points, so tier-1
+stops there; the alternating search runs in tier-1 up to 16,384 points, in
+about 2 s.  Run the rest with
 
     PYTHONPATH=src python tests/test_extremal_kernel.py 1024 4096
+    PYTHONPATH=src python tests/test_extremal_kernel.py 16384 65536
+
+The first sweep checks both oracles, the second only the alternating search.
 """
 
 import sys
@@ -25,7 +31,10 @@ from antichains import (
     max_antichain,
     middle_layer_index,
 )
-from antichains.extremal import _chains
+from antichains import extremal
+from antichains.extremal import WidthResult, _chains
+from antichains.lattice import PointSet
+from antichains.partition import BudgetExceededError
 
 # ---------------------------------------------------------------------------
 # oracle: the matching route, verbatim
@@ -132,15 +141,75 @@ def _oracle_max_antichain(poset):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the alternating search over the chain cover's matching, verbatim
+
+
+def _alternating_max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
+    """Exact maximum antichain of a grid poset via a minimum chain cover.
+
+    The chains of ``_chains`` are a minimum chain cover, so the width is
+    their number.  The witness is the König set of their matching: the
+    points whose left copy an alternating path from a chain top reaches
+    while the right copy stays unreached.  The right copies reached are the
+    strict up-set of the left points reached, so the search walks unit
+    steps, and each right point reached leads back to its chain predecessor.
+    """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if poset.size > budget:
+        raise BudgetExceededError(
+            f"grid has {poset.size} points, budget is {budget}"
+        )
+    n, m, size = poset.n, poset.m, poset.size
+    strides = [m ** (n - 1 - i) for i in range(n)]
+    chains = _chains(poset)
+    left = bytearray(size)
+    right = bytearray(size)
+    for chain in chains:
+        left[chain[-1]] = 1
+    # under the strong order nothing lies strictly above a chain top, which
+    # has a coordinate m - 1, so there the search reaches nothing
+    if poset.order is Order.STRICT:
+        pred = [-1] * size
+        for chain in chains:
+            for lo, hi in zip(chain, chain[1:]):
+                pred[hi] = lo
+        # every point taken from the stack is a reached left or right copy,
+        # and either way its unit steps up are reached right copies
+        stack = [chain[-1] for chain in chains]
+        while stack:
+            u = stack.pop()
+            for s in strides:
+                v = u + s
+                if u // s % m < m - 1 and not right[v]:
+                    right[v] = 1
+                    stack.append(v)
+                    w = pred[v]
+                    if w >= 0 and not left[w]:
+                        left[w] = 1
+                        stack.append(w)
+
+    witness = [
+        tuple(idx // s % m for s in strides)
+        for idx in range(size)
+        if left[idx] and not right[idx]
+    ]
+    width = len(chains)
+    if len(witness) != width:
+        raise RuntimeError("witness extraction disagrees with the matching size")
+    return WidthResult(width=width, witness=PointSet._trusted(n, witness), method="matching")
+
+
+# ---------------------------------------------------------------------------
 # grids
 
 
-def _grids(lo, hi):
-    """Every grid with lo < m^n <= hi, n <= 12 and m <= 64, in both orders."""
+def _grids(lo, hi, max_n=12, max_m=64):
+    """Every grid with lo < m^n <= hi, n <= max_n and m <= max_m, in both orders."""
     return [
         GridPoset(n, m, order)
-        for n in range(1, 13)
-        for m in range(1, 65)
+        for n in range(1, max_n + 1)
+        for m in range(1, max_m + 1)
         if lo < m**n <= hi
         for order in (Order.STRICT, Order.STRONG)
     ]
@@ -156,6 +225,42 @@ def test_agrees_with_matching_oracle_up_to_1024_points():
     for poset in grids:
         res = max_antichain(poset, budget=1024)
         assert (res.width, tuple(res.witness)) == _oracle_max_antichain(poset), poset
+
+
+def _alternating_grids(lo, hi):
+    return _grids(lo, hi, max_n=16, max_m=256)
+
+
+def _agrees_with_alternating_search(poset, budget):
+    res = max_antichain(poset, budget=budget)
+    old = _alternating_max_antichain(poset, budget=budget)
+    return (res.width, tuple(res.witness), res.method) == (
+        old.width,
+        tuple(old.witness),
+        old.method,
+    )
+
+
+def test_agrees_with_alternating_search_up_to_16384_points():
+    grids = _alternating_grids(0, 16384)
+    assert len(grids) == 2 * 452
+    for poset in grids:
+        assert _agrees_with_alternating_search(poset, 16384), poset
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [
+        # (0,0),(0,1) stops below rank 2
+        [[0, 1], [2, 5, 8], [3, 4, 7], [6]],
+        # (2,2) starts above rank 2
+        [[0, 1, 2, 5], [3, 4, 7], [6], [8]],
+    ],
+)
+def test_cover_missing_the_middle_rank_raises(monkeypatch, cover):
+    monkeypatch.setattr(extremal, "_chains", lambda poset: cover)
+    with pytest.raises(RuntimeError, match="middle rank"):
+        max_antichain(GridPoset(2, 3))
 
 
 @pytest.mark.parametrize("poset", _grids(0, 1024), ids=lambda p: f"{p.n}-{p.m}-{p.order.name}")
@@ -190,8 +295,15 @@ def test_grid_beyond_the_matching_route():
 
 if __name__ == "__main__":
     lo, hi = (int(a) for a in sys.argv[1:3])
-    grids = _grids(lo, hi)
+    grids = _alternating_grids(lo, hi)
     for poset in grids:
-        res = max_antichain(poset, budget=hi)
-        assert (res.width, tuple(res.witness)) == _oracle_max_antichain(poset), poset
-    print(f"{len(grids)} grids with {lo} < m^n <= {hi}: width and witness agree")
+        assert _agrees_with_alternating_search(poset, hi), poset
+    print(f"{len(grids)} grids with {lo} < m^n <= {hi}: alternating search agrees")
+    # beyond 4,096 points the matching oracle's comparability graph alone
+    # has millions of edges
+    if hi <= 4096:
+        grids = _grids(lo, hi)
+        for poset in grids:
+            res = max_antichain(poset, budget=hi)
+            assert (res.width, tuple(res.witness)) == _oracle_max_antichain(poset), poset
+        print(f"{len(grids)} grids with {lo} < m^n <= {hi}: matching oracle agrees")
