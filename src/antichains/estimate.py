@@ -28,6 +28,18 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _sum_in_order(values) -> float:
+    """Add floats left to right from 0.0, as ``sum()`` does up to CPython 3.11.
+
+    From 3.12 on ``sum()`` of floats is compensated, so reports that add with
+    it would print different totals on different interpreters.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def require_tolerance(tol: float) -> None:
     """Raise NonFiniteError unless ``tol`` is finite, ValueError unless it is positive."""
     require_finite("tolerance", tol)

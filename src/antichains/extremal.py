@@ -13,6 +13,7 @@ it, and the chosen points reach the bound (Dilworth, 1950).
 from dataclasses import dataclass
 from itertools import product
 
+from .estimate import require_int
 from .lattice import Order, PointSet
 from .partition import BudgetExceededError
 
@@ -42,6 +43,8 @@ class GridPoset:
     order: Order = Order.STRICT
 
     def __post_init__(self):
+        require_int("n", self.n)
+        require_int("m", self.m)
         if self.n < 1 or self.m < 1:
             raise ValueError("grid needs n >= 1 and m >= 1")
         if self.order not in (Order.STRICT, Order.STRONG):
@@ -52,14 +55,21 @@ class GridPoset:
         return self.m**self.n
 
 
+def _check_grid(n: int, m: int) -> None:
+    require_int("n", n)
+    require_int("m", m)
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+
+
 def layer_size(n: int, m: int, ell: int) -> int:
     """Number of grid points with coordinate sum ``ell``.
 
     Computed as the degree-``ell`` coefficient of (1 + t + ... + t^(m-1))^n;
     sums outside 0..n(m-1) have no points and return 0.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    _check_grid(n, m)
+    require_int("ell", ell)
     if ell < 0 or ell > n * (m - 1):
         return 0
     coeffs = [1]
@@ -78,8 +88,8 @@ def middle_layer_index(n: int, m: int) -> int:
 
 def layer_construct(n: int, m: int, ell: int) -> PointSet:
     """The full layer of coordinate-sum ``ell``; a maximum antichain at the middle sum."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    _check_grid(n, m)
+    require_int("ell", ell)
     return PointSet(n, (p for p in product(range(m), repeat=n) if sum(p) == ell))
 
 
@@ -88,8 +98,7 @@ def wn_construct(n: int, m: int) -> PointSet:
 
     This is a maximum weak antichain of the grid.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    _check_grid(n, m)
     return PointSet(n, (p for p in product(range(m), repeat=n) if 0 in p))
 
 

@@ -30,9 +30,9 @@ only the top row of a column whose interval is a point, starts at or above
 extension at a base cell's corners, read from per-axis bitsets of the
 samples below each corner.  The staircase's polyline crosses each inner face
 once per axis, so its cover is the lattice path that steps right or down at
-each crossing in the order they occur; each crossing is found by walking
-down the staircase's construction, so a cover costs O(m*depth) and builds no
-vertex list.
+each crossing in the order they occur; an x crossing is found by walking
+down the staircase's construction and a y crossing by arithmetic on its
+dyadic ordinates, so a cover costs O(m*depth) and builds no vertex list.
 """
 
 import math
@@ -41,7 +41,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .estimate import COVERING, MeasureEstimate, require_int
+from .estimate import COVERING, MeasureEstimate, _sum_in_order, require_int
 from .partition import BudgetExceededError
 from .surfaces import (
     Hyperplane,
@@ -370,9 +370,9 @@ def _staircase_cells(s: SingularStaircase, m: int):
     # steps right at each x crossing and down at each y crossing, in the
     # order they occur; at a tie the right step comes first, since the
     # crossing point lies in the right-hand cell.  Each crossing's segment is
-    # found by descent, keyed by the index of its end vertex, and its place on
-    # the segment is the quotient a segment-cell clip forms, so ties fall the
-    # same way
+    # read off the construction (by descent for x, by arithmetic for y), keyed
+    # by the index of its end vertex, and its place on the segment is the
+    # quotient a segment-cell clip forms, so ties fall the same way
     crossings = []
     for k in range(1, m):
         t = k / m
@@ -497,10 +497,10 @@ def box_dimension(target, m_list: Sequence[int]) -> BoxDimensionFit:
     xs = [math.log(m) for m in ms]
     ys = [math.log(c) for c in counts]
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    mean_x = _sum_in_order(xs) / n
+    mean_y = _sum_in_order(ys) / n
+    sxx = _sum_in_order((x - mean_x) ** 2 for x in xs)
+    sxy = _sum_in_order((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
     residual = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))

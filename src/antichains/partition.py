@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter, lt
 
+from .estimate import require_int
 # ``project`` is unused here, but bench/tracing.py rebinds partition.project
 from .lattice import Point, PointSet, _comparable_pair, project  # noqa: F401
 
@@ -277,6 +278,8 @@ def projection_gap(A: PointSet) -> GapReport:
 
 
 def _check_box(n: int, k: int) -> None:
+    require_int("n", n)
+    require_int("k", k)
     if n < 1 or k < 1:
         raise ValueError("box needs n >= 1 and k >= 1")
 
@@ -314,7 +317,8 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     least one.  ``budget`` bounds the number of subsets, C(k^n, size),
     although the search skips every subset that is not a weak antichain; it
     must be >= 0 and is checked before anything grows with the box.  Scans
-    of size 0 or 1 build nothing: every single cell has gap n - 1.
+    of size 0 or 1 build nothing, since every single cell has gap n - 1; nor
+    does a scan above the box's capacity k^n - (k-1)^n, which finds no set.
 
     The search is depth-first over increasing cell indices, extends a head
     (the first size-1 cells of a set) only by cells not strongly comparable
@@ -328,6 +332,7 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     cells' values are tabled per box where their (n+1)*k^(2n) bits fit
     ``_TABLE_CAP`` and computed when a cell is taken otherwise.
     """
+    require_int("size", size)
     if size < 0:
         raise ValueError("size must be >= 0")
     _check_box(n, k)
@@ -340,6 +345,9 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
             f"{total} subsets of size {size} exceed budget {budget}; "
             "use random_gap_scan instead"
         )
+    if size > cells - (k - 1) ** n:
+        # above the box's capacity: no weak antichain, so nothing to table
+        return GapScanResult(n, k, size, None, None, 0)
     if size == 0:
         return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
     if size == 1:
@@ -428,6 +436,9 @@ def random_weak_antichain(
     result is proved a weak antichain and carries ``_weak``, which lets
     :func:`greedy_partition` skip its screen.
     """
+    require_int("n", n)
+    require_int("k", k)
+    require_int("size", size)
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     capacity = k**n - (k - 1) ** n
@@ -484,6 +495,7 @@ def random_weak_antichain(
 
 def random_gap_scan(n: int, k: int, size: int, samples: int, seed: int = 0) -> GapScanResult:
     """Minimum observed gap over sampled weak antichains (no optimality claim)."""
+    require_int("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     best_gap: int | None = None

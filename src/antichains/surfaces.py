@@ -17,6 +17,7 @@ from .estimate import (
     CLOSED_FORM,
     QUADRATURE,
     MeasureEstimate,
+    _sum_in_order,
     require_finite,
     require_int,
     require_tolerance,
@@ -282,10 +283,10 @@ class LinearGraph:
         return self.offset + sum(c * v for c, v in zip(self.gradient, x))
 
     def _base_volume(self) -> float:
-        return sum(math.prod(hi - lo for lo, hi in box) for box in self.base)
+        return _sum_in_order(math.prod(hi - lo for lo, hi in box) for box in self.base)
 
     def _measure(self, tol: float) -> MeasureEstimate:
-        slope = math.sqrt(1.0 + sum(c * c for c in self.gradient))
+        slope = math.sqrt(1.0 + _sum_in_order(c * c for c in self.gradient))
         return MeasureEstimate(slope * self._base_volume(), CLOSED_FORM)
 
     _quadrature = _measure
@@ -520,10 +521,11 @@ def _require_depth(depth) -> None:
 # (x1 - third, ym, x1, y1), third = (x1 - x0)/3 and ym = (y0 + y1)/2, and its
 # middle third becomes a flat at ym.  Flipped by y -> 1.0 - y, steep leaf L
 # (0-based, left to right) runs from vertex 2L to vertex 2L + 1 of the falling
-# polyline and the flat after it ends at vertex 2L + 2.  Every reader below
-# replays these float operations, so they all see the same vertices, and none
-# holds more than one root-to-leaf path: a depth-20 polyline has about two
-# million vertices.
+# polyline and the flat after it ends at vertex 2L + 2.  The halvings are
+# exact, so leaf L falls from 1.0 - L/2**k to 1.0 - (L+1)/2**k and the readers
+# compute the ordinates; the thirds round, so every reader replays them and
+# all see the same abscissae.  None holds more than one root-to-leaf path: a
+# depth-20 polyline has about two million vertices.
 
 
 def _staircase_vertices(depth: int):
@@ -549,22 +551,23 @@ def _staircase_x_segment(depth: int, t: float):
     ``end`` is the index of its end vertex, the one ``bisect_left`` on the
     abscissae finds for t.
     """
-    x0, y0, x1, y1 = 0.0, 0.0, 1.0, 1.0
+    x0, x1 = 0.0, 1.0
     leaf = 0
     for level in reversed(range(depth)):
         third = (x1 - x0) / 3
-        ym = (y0 + y1) / 2
         lx1 = x0 + third
         rx0 = x1 - third
         if t <= lx1:
-            x1, y1 = lx1, ym
+            x1 = lx1
         elif t <= rx0:
-            # the flat after the left subtree's last leaf, leaf + 2**level - 1
-            return 2 * (leaf + (1 << level)), lx1, 1.0 - ym, rx0, 1.0 - ym
-        else:
-            x0, y0 = rx0, ym
+            # the flat after the left subtree's last leaf, at that leaf's lower end
             leaf += 1 << level
-    return 2 * leaf + 1, x0, 1.0 - y0, x1, 1.0 - y1
+            y = 1.0 - leaf / 2**depth
+            return 2 * leaf, lx1, y, rx0, y
+        else:
+            x0 = rx0
+            leaf += 1 << level
+    return 2 * leaf + 1, x0, 1.0 - leaf / 2**depth, x1, 1.0 - (leaf + 1) / 2**depth
 
 
 def _staircase_y_segment(depth: int, t: float):
@@ -573,16 +576,12 @@ def _staircase_y_segment(depth: int, t: float):
     Only a steep leaf spans ordinates, and ``end`` is the index of its end
     vertex, the one ``bisect_right`` on the negated ordinates finds for -t.
     """
-    y0, y1 = 0.0, 1.0
-    leaf = 0
-    for level in reversed(range(depth)):
-        ym = (y0 + y1) / 2
-        if t > 1.0 - ym:
-            y1 = ym
-        else:
-            y0 = ym
-            leaf += 1 << level
-    return 2 * leaf + 1, 1.0 - y0, 1.0 - y1
+    # leaf L spans 1 - L/2**depth >= t > 1 - (L+1)/2**depth, so L is the floor of
+    # (1 - t)*2**depth; 1.0 - t rounds, but never below L/2**depth, a float
+    leaf = int((1.0 - t) * 2**depth)
+    if t > 1.0 - leaf / 2**depth:
+        leaf -= 1
+    return 2 * leaf + 1, 1.0 - leaf / 2**depth, 1.0 - (leaf + 1) / 2**depth
 
 
 def staircase_polyline(depth: int) -> list[tuple[float, float]]:
@@ -686,8 +685,8 @@ def verify_projection_inequality(s: Surface, tol: float | None = None) -> Inequa
     tol = _tolerance(s, tol)
     left = surface_measure(s, tol)
     projections = tuple(projection_measure(s, i, tol) for i in range(1, n + 1))
-    right_total = sum(p.value for p in projections)
-    slack = left.error_bound + sum(p.error_bound for p in projections) + tol
+    right_total = _sum_in_order(p.value for p in projections)
+    slack = left.error_bound + _sum_in_order(p.error_bound for p in projections) + tol
     return InequalityReport(
         surface=left,
         projections=projections,
@@ -740,16 +739,7 @@ def _tabulated_skew(s: TabulatedMonotone) -> tuple[float, float]:
         if b >= v:
             lo_x = max(a, v)
             d2.append((lo_x - v, b - v))
-    measures = []
-    for d in (d1, d2):
-        # a plain loop in sorted order: sum() of floats is compensated from
-        # CPython 3.12 on, so it would round differently across versions
-        total = 0.0
-        for lo, hi in sorted(d):
-            if hi > lo:
-                total += hi - lo
-        measures.append(total)
-    return tuple(measures)
+    return tuple(_sum_in_order(hi - lo for lo, hi in sorted(d) if hi > lo) for d in (d1, d2))
 
 
 def skew_measures_2d(s: Surface, tol: float | None = None) -> SkewReport:

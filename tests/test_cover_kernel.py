@@ -16,14 +16,19 @@ each column's run in closed form once per base-coordinate sum, before the
 hyperplane and the sphere shared one level-set walk, is kept verbatim too,
 as is the staircase kernel that bisected each crossing on the polyline's
 coordinates before it was found by descent; the descent must yield that
-kernel's path in the same order.
+kernel's path in the same order.  So are the staircase's x and y segment
+descents that replayed the construction's halvings before the ordinates
+were computed from the leaf index; the readers must return their tuples.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
 checks that the staircase's abscissae strictly increase and its ordinates
 never do at depths 15..20 (0..14 run in tier-1), compares its descent with
 the bisect kernel, path order included, at those depths and m = 1000 and
-4096 (0..12 run in tier-1), sweeps the staircase over
+4096 (0..12 run in tier-1), compares its segment readers with the
+descents they replaced at those depths on every face k/m for m <= 300,
+729, 1000 and 4096 and every ordinate one and two ulps either side (0..14
+run in tier-1), sweeps the staircase over
 depths 0..14 and m = 1..300, 729 and 1000, 10 random linear graphs,
 spheres and 3-D tabulated tables over m = 1..48, 10 random 4-D spheres and
 tables over m = 1..16, the 3-D sphere against the exact oracle over
@@ -39,7 +44,7 @@ import random
 import sys
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -60,6 +65,7 @@ from antichains import (
 )
 from antichains import gridcover
 from antichains.gridcover import _interval_overlap
+from antichains.surfaces import _staircase_x_segment, _staircase_y_segment
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -269,6 +275,48 @@ def _bisect_staircase_cells(verts, m):
         else:
             i += 1
         yield i, j
+
+
+def _oracle_staircase_x_segment(depth: int, t: float):
+    """The falling segment (end, x0, y0, x1, y1) with x0 < t <= x1, or the first at t = 0.
+
+    ``end`` is the index of its end vertex, the one ``bisect_left`` on the
+    abscissae finds for t.
+    """
+    x0, y0, x1, y1 = 0.0, 0.0, 1.0, 1.0
+    leaf = 0
+    for level in reversed(range(depth)):
+        third = (x1 - x0) / 3
+        ym = (y0 + y1) / 2
+        lx1 = x0 + third
+        rx0 = x1 - third
+        if t <= lx1:
+            x1, y1 = lx1, ym
+        elif t <= rx0:
+            # the flat after the left subtree's last leaf, leaf + 2**level - 1
+            return 2 * (leaf + (1 << level)), lx1, 1.0 - ym, rx0, 1.0 - ym
+        else:
+            x0, y0 = rx0, ym
+            leaf += 1 << level
+    return 2 * leaf + 1, x0, 1.0 - y0, x1, 1.0 - y1
+
+
+def _oracle_staircase_y_segment(depth: int, t: float):
+    """The falling segment (end, y0, y1) with y0 >= t > y1, for 0 < t <= 1.
+
+    Only a steep leaf spans ordinates, and ``end`` is the index of its end
+    vertex, the one ``bisect_right`` on the negated ordinates finds for -t.
+    """
+    y0, y1 = 0.0, 1.0
+    leaf = 0
+    for level in reversed(range(depth)):
+        ym = (y0 + y1) / 2
+        if t > 1.0 - ym:
+            y1 = ym
+        else:
+            y0 = ym
+            leaf += 1 << level
+    return 2 * leaf + 1, 1.0 - y0, 1.0 - y1
 
 
 _ORACLES = {
@@ -526,6 +574,45 @@ def test_staircase_descent_matches_bisect():
     _assert_descent_matches_bisect(range(13), (*range(1, 65), *STAIRCASE_MS))
 
 
+def _faces(ms):
+    return sorted({k / m for m in ms for k in range(m + 1)})
+
+
+def _near_ordinates(depth):
+    # every ordinate 1 - j/2**depth of the polyline, and the floats one and
+    # two ulps either side of it: the ties of the y descent's comparisons
+    for j in range(2**depth + 1):
+        up = down = 1.0 - j / 2**depth
+        yield up
+        for _ in range(2):
+            up, down = math.nextafter(up, 2.0), math.nextafter(down, -1.0)
+            yield up
+            yield down
+
+
+def _assert_segments_match_descent(depth, x_ts, y_ts):
+    # the segment readers against the descents that replayed the halvings,
+    # over their domains: 0 <= t <= 1 for x and 0 < t <= 1 for y
+    for t in x_ts:
+        if 0.0 <= t <= 1.0:
+            want = _oracle_staircase_x_segment(depth, t)
+            assert _staircase_x_segment(depth, t) == want, (depth, t)
+    for t in y_ts:
+        if 0.0 < t <= 1.0:
+            want = _oracle_staircase_y_segment(depth, t)
+            assert _staircase_y_segment(depth, t) == want, (depth, t)
+
+
+def test_staircase_segments_match_descent():
+    faces = _faces((*range(1, 65), *STAIRCASE_MS))
+    for depth in range(15):
+        near_xs = [
+            u for x, _ in staircase_polyline(depth)
+            for u in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))
+        ]
+        _assert_segments_match_descent(depth, faces + near_xs, chain(faces, _near_ordinates(depth)))
+
+
 def test_antidiagonal_counts_up_to_200():
     for m in range(1, 201):
         assert len(grid_cover(Hyperplane(2), m)) == 2 * m - 1, m
@@ -604,6 +691,7 @@ def test_budget_bounds_all_cells_of_a_predicate():
 def _sweep(surfaces: int) -> None:
     """The staircase's monotone coordinates at depths 15..20, its descent
     against the bisect kernel at those depths and m = 1000 and 4096, its
+    segment readers against the halving descents at those depths, its
     covers at depths 0..14 and m = 1..300, 729 and 1000, then ``surfaces`` random
     linear graphs, spheres and 3-D tables at m = 1..48, as many 4-D spheres
     and tables at m = 1..16, the 3-D sphere against the exact oracle at
@@ -613,6 +701,9 @@ def _sweep(surfaces: int) -> None:
     for depth in range(15, 21):
         _assert_staircase_is_monotone(depth)
     _assert_descent_matches_bisect(range(15, 21), (1000, 4096))
+    faces = _faces((*range(1, 301), 729, 1000, 4096))
+    for depth in range(15, 21):
+        _assert_segments_match_descent(depth, faces, chain(faces, _near_ordinates(depth)))
     for depth in range(15):
         stair = SingularStaircase(depth)
         for m in (*range(1, 301), 729, 1000):
@@ -638,8 +729,8 @@ if __name__ == "__main__":
     surfaces = int(sys.argv[1])
     _sweep(surfaces)
     print(
-        "staircase coordinates monotone and descent equal to the bisect kernel"
-        " at depths 15..20; staircases and"
+        "staircase coordinates monotone, descent equal to the bisect kernel and"
+        " segments equal to the halving descents at depths 15..20; staircases and"
         f" {surfaces} random linear graphs, spheres and tables"
         " (3-D, and 4-D spheres and tables): covers agree; 3-D spheres agree"
         " with the exact oracle up to m = 48 for 12 exponents; hyperplane walk"

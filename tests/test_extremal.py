@@ -1,6 +1,7 @@
 """Layer constructions, the zero-coordinate set, and matching-based widths."""
 
 import math
+import re
 
 import pytest
 
@@ -137,3 +138,29 @@ def test_grid_poset_validation():
         GridPoset(0, 3)
     with pytest.raises(ValueError):
         GridPoset(2, 3, Order.LEQ)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, False])
+def test_non_int_grid_arguments_are_rejected(bad):
+    # GridPoset(2, 2.5) used to build with size 6.25 and GridPoset(True, 3)
+    # to pass for n = 1; a bool is not an int
+    def message(name):
+        return f"^{name} must be an int, got {re.escape(repr(bad))}$"
+
+    for name, call in (
+        ("n", lambda: GridPoset(bad, 3)),
+        ("m", lambda: GridPoset(2, bad)),
+        ("n", lambda: layer_size(bad, 3, 1)),
+        ("m", lambda: layer_size(2, bad, 1)),
+        ("ell", lambda: layer_size(2, 3, bad)),
+        ("n", lambda: layer_construct(bad, 3, 1)),
+        ("m", lambda: layer_construct(2, bad, 1)),
+        ("ell", lambda: layer_construct(2, 3, bad)),
+        ("n", lambda: wn_construct(bad, 3)),
+        ("m", lambda: wn_construct(2, bad)),
+    ):
+        with pytest.raises(ValueError, match=message(name)):
+            call()
+    # the type is checked before the range
+    with pytest.raises(ValueError, match=message("n")):
+        GridPoset(bad, 0)

@@ -1,16 +1,19 @@
 """Greedy partition certificates, gap reports, and box scans."""
 
 import random
+import re
 from itertools import combinations, product
 
 import pytest
 
 from antichains import (
     BudgetExceededError,
+    GapScanResult,
     NotWeakAntichainError,
     PartitionCertificate,
     PointSet,
     TargetUnreachableError,
+    box_points,
     classify,
     exhaustive_gap_scan,
     greedy_partition,
@@ -19,6 +22,7 @@ from antichains import (
     random_gap_scan,
     random_weak_antichain,
 )
+from antichains import partition
 
 
 def test_greedy_partition_singleton():
@@ -244,6 +248,42 @@ def test_exhaustive_gap_scan_empty_size():
 def test_exhaustive_gap_scan_budget():
     with pytest.raises(BudgetExceededError):
         exhaustive_gap_scan(3, 4, 10, budget=100)
+
+
+def test_exhaustive_gap_scan_above_capacity_builds_nothing(monkeypatch):
+    # no weak antichain exceeds k^n - (k-1)^n cells, so no mask is tabled;
+    # at k = 500 the single-axis masks alone took about 80 MB
+    def no_table(n, k):
+        raise AssertionError(f"mask table built for n={n}, k={k}")
+
+    monkeypatch.setattr(partition, "_mask_table", no_table)
+    assert exhaustive_gap_scan(2, 500, 249_999) == GapScanResult(2, 500, 249_999, None, None, 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, False])
+def test_non_int_box_arguments_are_rejected(bad):
+    # random_weak_antichain(2, 3.0, 2) used to raise AttributeError and
+    # exhaustive_gap_scan(True, 2, 1) to return n=True; a bool is not an int
+    def message(name):
+        return f"^{name} must be an int, got {re.escape(repr(bad))}$"
+
+    for name, call in (
+        ("n", lambda: box_points(bad, 3)),
+        ("k", lambda: box_points(2, bad)),
+        ("n", lambda: exhaustive_gap_scan(bad, 2, 1)),
+        ("k", lambda: exhaustive_gap_scan(2, bad, 1)),
+        ("size", lambda: exhaustive_gap_scan(2, 2, bad)),
+        ("n", lambda: random_weak_antichain(bad, 3, 2)),
+        ("k", lambda: random_weak_antichain(2, bad, 2)),
+        ("size", lambda: random_weak_antichain(2, 3, bad)),
+        ("samples", lambda: random_gap_scan(2, 3, 2, bad)),
+        ("n", lambda: random_gap_scan(bad, 3, 2, 1)),
+    ):
+        with pytest.raises(ValueError, match=message(name)):
+            call()
+    # the type is checked before the range
+    with pytest.raises(ValueError, match=message("n")):
+        random_weak_antichain(bad, 0, 2)
 
 
 def test_random_weak_antichain_basics():
