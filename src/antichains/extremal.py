@@ -10,6 +10,7 @@ an antichain meets each chain at most once, so the number of chains bounds
 it, and the chosen points reach the bound (Dilworth, 1950).
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -65,21 +66,18 @@ def _check_grid(n: int, m: int) -> None:
 def layer_size(n: int, m: int, ell: int) -> int:
     """Number of grid points with coordinate sum ``ell``.
 
-    Computed as the degree-``ell`` coefficient of (1 + t + ... + t^(m-1))^n;
+    By inclusion-exclusion over the j coordinates forced to m or more,
+    sum_j (-1)^j C(n, j) C(ell - jm + n - 1, n - 1), exactly in integers;
     sums outside 0..n(m-1) have no points and return 0.
     """
     _check_grid(n, m)
     require_int("ell", ell)
     if ell < 0 or ell > n * (m - 1):
         return 0
-    coeffs = [1]
-    for _ in range(n):
-        nxt = [0] * (len(coeffs) + m - 1)
-        for j, c in enumerate(coeffs):
-            for t in range(m):
-                nxt[j + t] += c
-        coeffs = nxt
-    return coeffs[ell]
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(ell - j * m + n - 1, n - 1)
+        for j in range(min(n, ell // m) + 1)
+    )
 
 
 def middle_layer_index(n: int, m: int) -> int:
@@ -152,6 +150,7 @@ def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
     comparability graph, so ``method`` keeps reading ``"matching"``, a
     label of the public output.
     """
+    require_int("budget", budget)
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if poset.size > budget:

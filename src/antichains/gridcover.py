@@ -78,6 +78,7 @@ def alpha(s: float) -> float:
 
 def d_const(n: int) -> float:
     """The dimension constant n^((n-1)/2) * alpha(n-1) of the covering bound."""
+    require_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return n ** ((n - 1) / 2) * alpha(n - 1)
@@ -167,6 +168,7 @@ class PointCloud:
     points: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        require_int("dim", self.dim)
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} has dimension {len(p)}, expected {self.dim}")
@@ -187,6 +189,8 @@ class PredicateRegion:
     samples_per_axis: int = 4
 
     def __post_init__(self):
+        require_int("dim", self.dim)
+        require_int("samples_per_axis", self.samples_per_axis)
         if self.dim < 1 or self.samples_per_axis < 1:
             raise ValueError("region needs dim >= 1 and samples_per_axis >= 1")
 
@@ -413,6 +417,7 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     included).  Every route makes only cells of [1,m]^dim, so the cover is
     built without ``GridCover``'s index check.
     """
+    require_int("budget", budget)
     if budget < 0:
         raise ValueError("budget must be >= 0")
     require_int("m", m)

@@ -1,20 +1,21 @@
 """Integer lattice points, dominance orders, and coordinate projections.
 
 Points are plain tuples of integers.  :class:`PointSet` holds a finite set
-of points sharing one dimension and keeps them canonicalised (sorted
-lexicographically) so that serialisation and reports are deterministic.
+of points sharing one dimension as one tuple sorted lexicographically, so
+that serialisation and reports are deterministic and membership bisects.
 Coordinate axes are numbered 1..n throughout, matching the usual
 mathematical convention for projections.
 """
 
 import enum
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from itertools import combinations
 from operator import le, lt
 from typing import NamedTuple
 
-from .estimate import NonFiniteError
+from .estimate import NonFiniteError, require_int
 
 __all__ = [
     "Order",
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 Point = tuple[int, ...]
+
+#: coordinate types that compare with ints consistently with their equality and
+#: hash, so a probe made of them can bisect a sorted tuple of int points (NaN
+#: orders below and above nothing, so it lands somewhere and is never equal)
+_BISECTABLE = (int, float, bool)
 
 
 class Order(enum.Enum):
@@ -70,7 +76,8 @@ class PointSet:
     Duplicate points are rejected at construction so input mistakes surface
     early; operations that legitimately collapse points (projections)
     deduplicate before building their result.  Iteration is always in
-    lexicographic order.
+    lexicographic order.  The sorted tuple ``points`` is the only store:
+    equality and hashing read it, and membership bisects it.
 
     ``_weak`` is True only on the sets ``random_weak_antichain`` returns,
     which its sampler has proved weak antichains, so ``greedy_partition``
@@ -79,9 +86,10 @@ class PointSet:
     scan's witness, has it False and is screened.
     """
 
-    __slots__ = ("dim", "points", "_index", "_weak")
+    __slots__ = ("dim", "points", "_weak")
 
     def __init__(self, dim: int, points: Iterable[Sequence[int]] = ()):
+        require_int("dim", dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
         seen: set[Point] = set()
@@ -95,7 +103,6 @@ class PointSet:
                 raise ValueError(f"duplicate point {t}")
             seen.add(t)
         self.dim = dim
-        self._index = frozenset(seen)
         self.points = tuple(sorted(seen))
         self._weak = False
 
@@ -104,18 +111,19 @@ class PointSet:
         """Build from distinct ``dim``-tuples of ints without re-checking them.
 
         Only for sets the library derived from valid input; everything from
-        outside goes through ``__init__``.
+        outside goes through ``__init__``.  Duplicates are not removed, so
+        the caller must pass each point once.
         """
         self = cls.__new__(cls)
         self.dim = dim
-        self._index = frozenset(points)
-        self.points = tuple(sorted(self._index))
+        self.points = tuple(sorted(points))
         self._weak = False
         return self
 
     @classmethod
     def in_box(cls, dim: int, k: int, points: Iterable[Sequence[int]] = ()) -> "PointSet":
         """Construct a set restricted to the box [0,k)^dim; out-of-box points are errors."""
+        require_int("k", k)
         if k < 1:
             raise ValueError("box side k must be >= 1")
         ps = cls(dim, points)
@@ -131,15 +139,22 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self._index
+        t = tuple(p)
+        pts = self.points
+        if not all(type(c) in _BISECTABLE for c in t):
+            # a str, None, a Fraction or a list need not order against ints,
+            # or could raise doing so; such a probe gets set membership's answer
+            return t in frozenset(pts)
+        i = bisect_left(pts, t)
+        return i < len(pts) and pts[i] == t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.dim == other.dim and self._index == other._index
+        return self.dim == other.dim and self.points == other.points
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._index))
+        return hash((self.dim, self.points))
 
     def __repr__(self) -> str:
         body = ", ".join(map(str, self.points[:6]))

@@ -192,7 +192,7 @@ class PartitionCertificate:
         for i, part in enumerate(self.parts, start=1):
             if part.dim != n:
                 raise ValueError(f"part {i} has dimension {part.dim}, expected {n}")
-        source = self.source._index
+        source = set(self.source.points)
         seen: set[Point] = set()
         total = 0
         for i, part in enumerate(self.parts, start=1):
@@ -201,7 +201,7 @@ class PartitionCertificate:
             if not (source.issuperset(pts) and seen.isdisjoint(pts)):
                 # name the first offending point
                 for p in pts:
-                    if p not in self.source:
+                    if p not in source:
                         raise ValueError(f"part {i} contains {p} not in the source")
                     if p in seen:
                         raise ValueError(f"point {p} appears in two parts")
@@ -336,6 +336,7 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     if size < 0:
         raise ValueError("size must be >= 0")
     _check_box(n, k)
+    require_int("budget", budget)
     if budget < 0:
         raise ValueError("budget must be >= 0")
     cells = k**n
@@ -446,7 +447,8 @@ def random_weak_antichain(
         raise ValueError(f"size {size} outside 0..{capacity} for this box")
     if max_tries is None:
         max_tries = 400 * (size + 1)
-    elif max_tries < 0:
+    require_int("max_tries", max_tries)
+    if max_tries < 0:
         raise ValueError("max_tries must be >= 0")
     if size == 0:
         A = PointSet._trusted(n, ())

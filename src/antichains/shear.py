@@ -11,7 +11,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .estimate import require_finite
+from .estimate import require_finite, require_int
 
 __all__ = [
     "ShearParams",
@@ -41,6 +41,7 @@ class ShearParams:
     epsilon: float
 
     def __post_init__(self):
+        require_int("n", self.n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         require_finite("epsilon", self.epsilon)
@@ -75,6 +76,7 @@ def shear_points(points: Iterable[Sequence[float]], params: ShearParams) -> list
 
 def rescale_to_unit(points: Iterable[Sequence[int]], k: int) -> list[tuple[float, ...]]:
     """Map integer points of [0,k)^n into the unit cube by dividing by k."""
+    require_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     return [tuple(c / k for c in p) for p in points]
@@ -113,6 +115,7 @@ def lipschitz_sample_check(
     pairs record no ratio.  Raises :class:`LipschitzBoundExceeded` if any
     ratio exceeds the bound beyond floating-point slack.
     """
+    require_finite("bound", bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
     rng = random.Random(seed)

@@ -86,6 +86,7 @@ class Hyperplane:
     n: int
 
     def __post_init__(self):
+        require_int("n", self.n)
         if self.n < 2:
             raise ValueError("hyperplane surface needs n >= 2")
 
@@ -146,6 +147,7 @@ class LpSphere:
     p: float
 
     def __post_init__(self):
+        require_int("n", self.n)
         if self.n < 2:
             raise ValueError("sphere surface needs n >= 2")
         require_finite("p", self.p)
@@ -325,6 +327,7 @@ class TabulatedMonotone:
     samples: tuple[tuple[tuple[float, ...], float], ...]
 
     def __post_init__(self):
+        require_int("dim", self.dim)
         if self.dim < 2:
             raise ValueError("tabulated surface needs dimension >= 2")
         seen = set()
@@ -467,8 +470,10 @@ def irwin_hall_cdf(n: int, t: float) -> float:
     Inclusion-exclusion over the corners of the cube cut off by the plane
     of constant coordinate sum.
     """
+    require_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    require_finite("t", t)
     if t <= 0:
         return 0.0
     if t >= n:
@@ -481,6 +486,7 @@ def irwin_hall_cdf(n: int, t: float) -> float:
 
 def slab_volume(n: int, c: float) -> float:
     """Volume of {x in [0,1]^n : (n-c)/2 <= sum x_i < (n+c)/2}."""
+    require_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     require_finite("c", c)
@@ -491,6 +497,7 @@ def slab_volume(n: int, c: float) -> float:
 
 def facet_union_measure(n: int) -> float:
     """Measure of the union of the n zero-coordinate facets of the cube."""
+    require_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return float(n)

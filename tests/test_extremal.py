@@ -26,6 +26,30 @@ def test_layer_size_examples():
     assert layer_size(2, 3, 2) == 3
 
 
+def _oracle_layer_size(n: int, m: int, ell: int) -> int:
+    """The degree-ell coefficient of (1 + t + ... + t^(m-1))^n by convolution, as layer_size was."""
+    if ell < 0 or ell > n * (m - 1):
+        return 0
+    coeffs = [1]
+    for _ in range(n):
+        nxt = [0] * (len(coeffs) + m - 1)
+        for j, c in enumerate(coeffs):
+            for t in range(m):
+                nxt[j + t] += c
+        coeffs = nxt
+    return coeffs[ell]
+
+
+def test_layer_size_matches_convolution_oracle():
+    for n in range(1, 7):
+        for m in range(1, 9):
+            for ell in range(-1, n * (m - 1) + 2):
+                assert layer_size(n, m, ell) == _oracle_layer_size(n, m, ell), (n, m, ell)
+    # far past the oracle's sweep, the layers still add up to the grid
+    assert sum(layer_size(12, 64, ell) for ell in range(12 * 63 + 1)) == 64**12
+    assert layer_size(12, 64, 378) == _oracle_layer_size(12, 64, 378)
+
+
 def test_layer_size_out_of_range_is_zero():
     assert layer_size(2, 3, -1) == 0
     assert layer_size(2, 3, 5) == 0
@@ -131,6 +155,13 @@ def test_budget_guard():
         max_antichain(GridPoset(4, 10), budget=4096)
     with pytest.raises(ValueError, match="^budget must be >= 0$"):
         max_antichain(GridPoset(1, 1), budget=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 4096.0, True])
+def test_non_int_budget_is_rejected(bad):
+    # every comparison with NaN is False, so a NaN budget used to bound nothing
+    with pytest.raises(ValueError, match=f"^budget must be an int, got {re.escape(repr(bad))}$"):
+        max_antichain(GridPoset(2, 3), budget=bad)
 
 
 def test_grid_poset_validation():

@@ -247,8 +247,32 @@ def test_non_int_resolution_is_rejected(m):
 
 @pytest.mark.parametrize("dim", [1.5, 2.0, True, False])
 def test_non_int_dimension_is_rejected(dim):
-    with pytest.raises(ValueError, match=f"^dim must be an int, got {re.escape(repr(dim))}$"):
+    message = f"^dim must be an int, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=message):
         GridCover(2, dim, frozenset())
+    # PredicateRegion(2.5, f) and PointCloud(1.5, ()) used to build, and
+    # grid_cover made covers of them that skip GridCover's check
+    with pytest.raises(ValueError, match=message):
+        PredicateRegion(dim, lambda x: True)
+    with pytest.raises(ValueError, match=message):
+        PointCloud(dim, ())
+    with pytest.raises(ValueError, match=f"^samples_per_axis must be an int, got {re.escape(repr(dim))}$"):
+        PredicateRegion(2, lambda x: True, samples_per_axis=dim)
+    # d_const(2.5) used to return 1.80
+    with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(dim))}$"):
+        d_const(dim)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 100.0, True])
+def test_non_int_budget_is_rejected(budget):
+    # every comparison with NaN is False, so grid_cover(Hyperplane(3), 4,
+    # budget=nan) used to return its 34 cells and a predicate ran unbounded
+    message = f"^budget must be an int, got {re.escape(repr(budget))}$"
+    for target in (Hyperplane(3), PredicateRegion(2, lambda x: True), PointCloud(1, ((0.5,),))):
+        with pytest.raises(ValueError, match=message):
+            grid_cover(target, 4, budget=budget)
+    with pytest.raises(ValueError, match="^budget must be >= 0$"):
+        grid_cover(Hyperplane(3), 4, budget=-1)
 
 
 def test_chained_projection_bound_and_dim_bound():

@@ -1,28 +1,37 @@
 """Dominance orders, classification, projections, and the point-set format.
 
 ``classify`` runs the shared comparability screen; the per-pair loop it
-replaced is kept below as its oracle.  Run as a script,
-``python tests/test_lattice.py SETS`` compares the two on SETS random
-collections (100,000 in CI) outside tier-1.
+replaced is kept below as its oracle.  A point set stores one sorted tuple;
+its ``==``, ``hash``, ``in``, iteration and ``len`` are checked against a
+frozenset of its points, the store it replaced.  Run as a script,
+``python tests/test_lattice.py SETS`` runs both comparisons on SETS random
+collections and SETS random point sets (100,000 in CI) outside tier-1.
 """
 
 import math
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from antichains import (
+    GridPoset,
     NonFiniteError,
     Order,
     PointSet,
     classify,
     dominates,
+    exhaustive_gap_scan,
     format_point_set,
+    greedy_partition,
     load_point_set,
+    max_antichain,
     parse_point_set,
     project,
+    random_weak_antichain,
     save_point_set,
     skew_project,
     skew_split,
@@ -275,6 +284,17 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(0)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    def test_rejects_non_int_dim_and_side(self, bad):
+        # PointSet(1.5, []) and PointSet.in_box(2, 2.5, [(2, 0)]) used to build
+        message = f"must be an int, got {bad!r}$"
+        with pytest.raises(ValueError, match="^dim " + message):
+            PointSet(bad, [])
+        with pytest.raises(ValueError, match="^dim " + message):
+            PointSet.in_box(bad, 3)
+        with pytest.raises(ValueError, match="^k " + message):
+            PointSet.in_box(2, bad, [(2, 0)])
+
     def test_canonical_order(self):
         s = PointSet(2, [(2, 0), (0, 2), (1, 1)])
         assert s.points == ((0, 2), (1, 1), (2, 0))
@@ -333,7 +353,143 @@ def test_parse_skips_blanks_and_comments():
     assert s == PointSet(2, [(0, 1), (1, 0)])
 
 
+# ---------------------------------------------------------------------------
+# PointSet against a frozenset of its points
+
+
+def _built_point_sets(rng):
+    """Point sets from every way the library builds one, with the points each should hold.
+
+    The constructor, ``in_box`` and the file format check their input; the
+    sampler, greedy parts, ``project``, scan and width witnesses are built
+    by ``PointSet._trusted``, which relies on its callers to pass distinct
+    points, so their expected points are recomputed where that is cheap and
+    otherwise are the set's own (whose length then checks distinctness).
+    """
+    n = rng.randint(1, 4)
+    k = rng.randint(1, 4)
+    raw = [tuple(rng.randint(-2, k) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+    raw = list(dict.fromkeys(raw))
+    built = [(PointSet(n, raw), frozenset(raw))]
+    boxed = [p for p in raw if all(0 <= c < k for c in p)]
+    built.append((PointSet.in_box(n, k, boxed), frozenset(boxed)))
+    built.append((parse_point_set(format_point_set(built[0][0])), frozenset(raw)))
+    capacity = k**n - (k - 1) ** n
+    # a 2-D box of side 2048 is past the sampler's table cap: the pairwise path
+    side, dim = (2048, 2) if rng.random() < 0.1 else (k, n)
+    cap = side**dim - (side - 1) ** dim
+    A = random_weak_antichain(dim, side, rng.randint(0, min(cap, 6)), seed=rng.randrange(1 << 30))
+    built.append((A, frozenset(A.points)))
+    # a sampled set skips the screen, its checked copy does not, and a small
+    # set often splits over several rounds
+    for source in (A, PointSet(A.dim, A.points), built[0][0]):
+        if classify(source).is_weak_antichain:
+            for part in greedy_partition(source).parts:
+                built.append((part, frozenset(part.points)))
+    for S, _ in built[:4]:
+        if S.dim >= 2:
+            axis = rng.randint(1, S.dim)
+            image = frozenset(p[: axis - 1] + p[axis:] for p in S.points)
+            built.append((project(S, axis), image))
+    if k**n <= 27:
+        size = rng.randint(0, min(capacity, 3))
+        witness = exhaustive_gap_scan(n, k, size).witness
+        if witness is not None:
+            built.append((witness, frozenset(witness.points)))
+    order = rng.choice((Order.STRICT, Order.STRONG))
+    witness = max_antichain(GridPoset(n, k, order)).witness
+    built.append((witness, frozenset(witness.points)))
+    return built
+
+
+def _probes(rng, S):
+    """Probes of ``S``: its points and near misses, as ints, floats, bools and worse."""
+    n = S.dim
+    pts = list(S.points) or [(0,) * n]
+    for p in rng.sample(pts, min(len(pts), 3)) + [tuple(rng.randint(-1, 4) for _ in range(n))]:
+        i = rng.randrange(n)
+        yield p
+        yield list(p)
+        yield tuple(map(float, p))
+        yield tuple(c == 1 if c in (0, 1) else c for c in p)
+        yield p[:-1]
+        yield p + (0,)
+        for odd in (math.nan, p[i] + 0.5, math.inf, "0", None, Fraction(p[i]), Decimal(p[i])):
+            yield p[:i] + (odd,) + p[i + 1 :]
+        yield p[:i] + (complex(p[i]),) + p[i + 1 :]
+    yield ()
+
+
+def _point_set_sweep(sets: int, seed: int = 0) -> dict:
+    """Check ``==``, ``hash``, ``in``, iteration and ``len`` of built sets against frozensets.
+
+    Counts the probes that were in and out of their set.
+    """
+    rng = random.Random(seed)
+    counts = {True: 0, False: 0}
+    done = 0
+    while done < sets:
+        built = _built_point_sets(rng)
+        for S, expected in built:
+            assert len(S) == len(expected), S
+            assert list(S) == sorted(expected), S
+            assert S == PointSet(S.dim, reversed(S.points)) and not S != S
+            assert hash(S) == hash(PointSet._trusted(S.dim, list(expected)))
+            for probe in _probes(rng, S):
+                got = probe in S
+                assert got == (tuple(probe) in expected), (S, probe)
+                counts[got] += 1
+        for (S, a), (T, b) in combinations(built, 2):
+            assert (S == T) == ((S.dim, a) == (T.dim, b)), (S, T)
+            assert (S != T) == (not S == T)
+            if S == T:
+                assert hash(S) == hash(T)
+        done += len(built)
+    return counts
+
+
+def test_point_set_matches_frozenset_oracle():
+    counts = _point_set_sweep(3000, seed=3)
+    assert min(counts.values()) >= 1000, counts
+
+
+def test_point_set_membership_of_odd_probes():
+    s = PointSet(2, [(0, 1), (1, 0), (2, -3)])
+    for probe in [(0, 1), [1, 0], (0.0, 1.0), (False, True), (Fraction(2), -3), (2, complex(-3))]:
+        assert probe in s, probe
+    for probe in [
+        (0, "1"),
+        ("a", 0),
+        (None, 1),
+        (0, None),
+        (math.nan, 1),
+        (1, math.nan),
+        (0.5, 1),
+        (0,),
+        (0, 1, 0),
+        (),
+        (Decimal("NaN"), 0),
+        (complex(0, 1), 1),
+    ]:
+        assert probe not in s, probe
+    assert (0, 1) not in PointSet(2) and () not in PointSet(1)
+    # a probe that is not hashable is still an error, as it was for the frozenset
+    with pytest.raises(TypeError):
+        ([0], 1) in s
+
+
+def test_point_set_stores_one_sorted_tuple():
+    s = PointSet(2, [(1, 0), (0, 1)])
+    assert PointSet.__slots__ == ("dim", "points", "_weak")
+    assert s.points == ((0, 1), (1, 0))
+    assert s == PointSet._trusted(2, [(1, 0), (0, 1)])
+    assert s != PointSet(3, [(1, 0, 0), (0, 1, 0)]) and PointSet(1) != PointSet(2)
+    assert hash(PointSet(1)) != hash(PointSet(2))
+
+
 if __name__ == "__main__":
     sets = int(sys.argv[1])
     outcomes = {tuple(k): v for k, v in _classify_sweep(sets).items()}
     print(f"{sets} collections: classify agrees with the per-pair loop {outcomes}")
+    counts = _point_set_sweep(sets)
+    print(f"{sets} point sets: ==, hash, in, iteration and len agree with frozensets {counts}")

@@ -1,5 +1,6 @@
 """Greedy partition certificates, gap reports, and box scans."""
 
+import math
 import random
 import re
 from itertools import combinations, product
@@ -248,6 +249,20 @@ def test_exhaustive_gap_scan_empty_size():
 def test_exhaustive_gap_scan_budget():
     with pytest.raises(BudgetExceededError):
         exhaustive_gap_scan(3, 4, 10, budget=100)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 100.0, 2.5, True])
+def test_non_int_budget_and_max_tries_are_rejected(bad):
+    # a NaN budget used to run the scan unbounded, since every comparison
+    # with NaN is False, and max_tries=2.5 raised a raw TypeError from range
+    def message(name):
+        return f"^{name} must be an int, got {re.escape(repr(bad))}$"
+
+    with pytest.raises(ValueError, match=message("budget")):
+        exhaustive_gap_scan(2, 3, 2, budget=bad)
+    for size in (0, 2):
+        with pytest.raises(ValueError, match=message("max_tries")):
+            random_weak_antichain(2, 3, size, max_tries=bad)
 
 
 def test_exhaustive_gap_scan_above_capacity_builds_nothing(monkeypatch):

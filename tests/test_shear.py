@@ -9,6 +9,7 @@ from antichains import (
     SHEAR_INVERSE,
     SKEW_INVERSE_2D,
     LipschitzBoundExceeded,
+    NonFiniteError,
     ShearParams,
     classify,
     lipschitz_sample_check,
@@ -78,6 +79,17 @@ def test_shear_params_validation():
     assert ShearParams(2, 0.1).inverse_lipschitz == pytest.approx(1 / math.sqrt(0.6))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_non_int_dimension_and_side_are_rejected(bad):
+    # ShearParams(1.5, 0.1) used to build, and rescale_to_unit([(1,)], 2.5)
+    # to return [(0.4,)]
+    message = f"must be an int, got {bad!r}$"
+    with pytest.raises(ValueError, match="^n " + message):
+        ShearParams(bad, 0.1)
+    with pytest.raises(ValueError, match="^k " + message):
+        rescale_to_unit([(1,)], bad)
+
+
 def test_shear_dimension_mismatch():
     with pytest.raises(ValueError):
         shear((1, 2, 3), ShearParams(2, 0.1))
@@ -138,6 +150,17 @@ def test_lipschitz_check_explicit_pairs_and_coincident_pairs():
         params=params,
     )
     assert worst > 0
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+def test_lipschitz_check_rejects_non_finite_bound(bound):
+    # a NaN bound used to let every ratio pass (1.67 came back where 0.5 raises)
+    params = ShearParams(2, 0.2)
+    with pytest.raises(LipschitzBoundExceeded):
+        lipschitz_sample_check(SHEAR_INVERSE, 0.5, 50, params=params)
+    for kind, kwargs in ((SHEAR_INVERSE, {"params": params}), (SKEW_INVERSE_2D, {})):
+        with pytest.raises(NonFiniteError, match="^bound must be finite$"):
+            lipschitz_sample_check(kind, bound, 50, **kwargs)
 
 
 def test_lipschitz_check_argument_validation():

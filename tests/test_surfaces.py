@@ -360,6 +360,34 @@ def test_deep_staircase_builds_no_vertex_list():
         assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_non_int_dimensions_are_rejected(bad):
+    # Hyperplane(2.5), LpSphere(3.0, 2) and TabulatedMonotone(2.5, ()) used to
+    # build, and then surface_measure and verify_projection_inequality raised
+    # raw TypeErrors; irwin_hall_cdf(2.5, 1.0) raised one too, and
+    # facet_union_measure(2.5) returned 2.5
+    def message(name):
+        return f"^{name} must be an int, got {re.escape(repr(bad))}$"
+
+    for name, call in (
+        ("n", lambda: Hyperplane(bad)),
+        ("n", lambda: LpSphere(bad, 2)),
+        ("dim", lambda: TabulatedMonotone(bad, ())),
+        ("n", lambda: irwin_hall_cdf(bad, 1.0)),
+        ("n", lambda: slab_volume(bad, 1.0)),
+        ("n", lambda: facet_union_measure(bad)),
+    ):
+        with pytest.raises(ValueError, match=message(name)):
+            call()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_irwin_hall_cdf_rejects_non_finite_t(t):
+    # a NaN t used to raise a bare "cannot convert float NaN to integer"
+    with pytest.raises(NonFiniteError, match="^t must be finite$"):
+        irwin_hall_cdf(3, t)
+
+
 @pytest.mark.parametrize("depth", [2.5, 3.0, True, False])
 def test_non_int_depth_is_rejected(depth):
     message = f"^depth must be an int, got {re.escape(repr(depth))}$"
