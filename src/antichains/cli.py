@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import __version__
-from .estimate import MeasureEstimate, NonFiniteError
+from .estimate import MeasureEstimate, NonFiniteError, require_int
 from .extremal import GridPoset, layer_construct, layer_size, max_antichain, middle_layer_index, wn_construct
 from .gridcover import PointCloud, covering_bound, grid_cover
 from .lattice import Order, PointSet, classify, load_point_set
@@ -215,8 +215,7 @@ def _cmd_gap_scan(args):
     random = args.sample is not None
     with _as_usage():
         # one rule for both modes, though the random mode spends no budget
-        if args.budget < 0:
-            raise ValueError("budget must be >= 0")
+        require_int("budget", args.budget, 0)
         results = [
             random_gap_scan(args.n, args.k, size, args.sample, seed=args.seed)
             if random

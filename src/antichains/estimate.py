@@ -1,9 +1,16 @@
-"""Numeric measure estimates tagged with how they were produced."""
+"""Measure estimates tagged with how they were produced, and the input checks all modules share."""
 
 import math
 from dataclasses import dataclass
 
-__all__ = ["MeasureEstimate", "NonFiniteError", "CLOSED_FORM", "QUADRATURE", "COVERING"]
+__all__ = [
+    "MeasureEstimate",
+    "NonFiniteError",
+    "BudgetExceededError",
+    "CLOSED_FORM",
+    "QUADRATURE",
+    "COVERING",
+]
 
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
@@ -16,16 +23,32 @@ class NonFiniteError(ValueError):
     """A parameter or a computed value is NaN or infinite."""
 
 
+class BudgetExceededError(RuntimeError):
+    """An exhaustive enumeration would exceed the configured budget."""
+
+
 def require_finite(name: str, *values: float) -> None:
     """Raise NonFiniteError unless every value is a finite number."""
     if not all(math.isfinite(v) for v in values):
         raise NonFiniteError(f"{name} must be finite")
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an int; a bool is not one."""
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, a bool not counting as one.
+
+    With ``least``, also unless ``value >= least``; the type is checked first.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def require_axis(axis, dim: int) -> None:
+    """Raise ValueError unless ``axis`` is an int in 1..dim."""
+    require_int("axis", axis)
+    if not 1 <= axis <= dim:
+        raise ValueError(f"axis {axis} out of range 1..{dim}")
 
 
 def _sum_in_order(values) -> float:

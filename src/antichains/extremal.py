@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .estimate import require_int
+from .estimate import BudgetExceededError, require_int
 from .lattice import Order, PointSet
-from .partition import BudgetExceededError
 
 __all__ = [
     "GridPoset",
@@ -150,9 +149,7 @@ def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
     comparability graph, so ``method`` keeps reading ``"matching"``, a
     label of the public output.
     """
-    require_int("budget", budget)
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    require_int("budget", budget, 0)
     if poset.size > budget:
         raise BudgetExceededError(
             f"grid has {poset.size} points, budget is {budget}"

@@ -41,8 +41,14 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .estimate import COVERING, MeasureEstimate, _sum_in_order, require_int
-from .partition import BudgetExceededError
+from .estimate import (
+    COVERING,
+    BudgetExceededError,
+    MeasureEstimate,
+    _sum_in_order,
+    require_finite,
+    require_int,
+)
 from .surfaces import (
     Hyperplane,
     LinearGraph,
@@ -71,6 +77,7 @@ __all__ = [
 
 def alpha(s: float) -> float:
     """Volume of an s-dimensional ball of radius 1/2 (the measure normaliser)."""
+    require_finite("s", s)
     if s < 0:
         raise ValueError("s must be >= 0")
     return math.pi ** (s / 2) / (2**s * math.gamma(s / 2 + 1))
@@ -78,9 +85,7 @@ def alpha(s: float) -> float:
 
 def d_const(n: int) -> float:
     """The dimension constant n^((n-1)/2) * alpha(n-1) of the covering bound."""
-    require_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_int("n", n, 1)
     return n ** ((n - 1) / 2) * alpha(n - 1)
 
 
@@ -106,9 +111,7 @@ def cube_index(x: Sequence[float], m: int) -> tuple[int, ...]:
     j = m, so boundary points land on a unique, deterministic cell, the one
     every surface cover on the float faces uses.
     """
-    require_int("m", m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_int("m", m, 1)
     idx = []
     for c in x:
         if not 0.0 <= c <= 1.0:
@@ -168,7 +171,7 @@ class PointCloud:
     points: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        require_int("dim", self.dim)
+        require_int("dim", self.dim, 1)
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} has dimension {len(p)}, expected {self.dim}")
@@ -417,12 +420,8 @@ def grid_cover(target, m: int, budget: int = 2_000_000) -> GridCover:
     included).  Every route makes only cells of [1,m]^dim, so the cover is
     built without ``GridCover``'s index check.
     """
-    require_int("budget", budget)
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    require_int("m", m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_int("budget", budget, 0)
+    require_int("m", m, 1)
     if isinstance(target, PointCloud):
         return GridCover._trusted(
             m, target.dim, frozenset(cube_index(p, m) for p in target.points)

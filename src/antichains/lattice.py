@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import le, lt
 from typing import NamedTuple
 
-from .estimate import NonFiniteError, require_int
+from .estimate import NonFiniteError, require_axis, require_int
 
 __all__ = [
     "Order",
@@ -89,9 +89,7 @@ class PointSet:
     __slots__ = ("dim", "points", "_weak")
 
     def __init__(self, dim: int, points: Iterable[Sequence[int]] = ()):
-        require_int("dim", dim)
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        require_int("dim", dim, 1)
         seen: set[Point] = set()
         for p in points:
             t = tuple(p)
@@ -208,8 +206,7 @@ def project(points: PointSet, axis: int) -> PointSet:
     """Delete coordinate ``axis`` (1-based); duplicates in the image collapse."""
     if points.dim < 2:
         raise ValueError("projection needs dimension >= 2")
-    if not 1 <= axis <= points.dim:
-        raise ValueError(f"axis {axis} out of range 1..{points.dim}")
+    require_axis(axis, points.dim)
     i = axis - 1
     image = {p[:i] + p[i + 1 :] for p in points}
     return PointSet._trusted(points.dim - 1, image)
@@ -248,8 +245,7 @@ def skew_project(points: PointSet, axis: int) -> PointSet:
     """
     if points.dim < 2:
         raise ValueError("skew projection needs dimension >= 2")
-    if not 1 <= axis <= points.dim:
-        raise ValueError(f"axis {axis} out of range 1..{points.dim}")
+    require_axis(axis, points.dim)
     i = axis - 1
     image = set()
     for p in points:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter, lt
 
-from .estimate import require_int
+from .estimate import BudgetExceededError, require_axis, require_int
 # ``project`` is unused here, but bench/tracing.py rebinds partition.project
 from .lattice import Point, PointSet, _comparable_pair, project  # noqa: F401
 
@@ -43,10 +43,6 @@ class NotWeakAntichainError(ValueError):
         self.upper = upper
 
 
-class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured budget."""
-
-
 class TargetUnreachableError(RuntimeError):
     """Rejection sampling did not reach the target size within its retry budget."""
 
@@ -70,8 +66,7 @@ def projection_size(points: PointSet, axis: int) -> int:
     In dimension 1 the deleted-coordinate image is a single abstract point,
     so the size is 1 for non-empty sets and 0 otherwise.
     """
-    if not 1 <= axis <= points.dim:
-        raise ValueError(f"axis {axis} out of range 1..{points.dim}")
+    require_axis(axis, points.dim)
     return len(set(map(_deleters(points.dim)[axis - 1], points.points)))
 
 
@@ -195,7 +190,7 @@ class PartitionCertificate:
         source = set(self.source.points)
         seen: set[Point] = set()
         total = 0
-        for i, part in enumerate(self.parts, start=1):
+        for i, (part, key) in enumerate(zip(self.parts, _deleters(n)), start=1):
             pts = part.points
             total += len(pts)
             if not (source.issuperset(pts) and seen.isdisjoint(pts)):
@@ -206,7 +201,7 @@ class PartitionCertificate:
                     if p in seen:
                         raise ValueError(f"point {p} appears in two parts")
             seen.update(pts)
-            if projection_size(part, i) != len(pts):
+            if len(set(map(key, pts))) != len(pts):
                 raise ValueError(f"deleting coordinate {i} is not injective on part {i}")
             if self.per_part_projection_sizes[i - 1] != len(pts):
                 raise ValueError("recorded projection sizes disagree with the parts")
@@ -332,13 +327,9 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     cells' values are tabled per box where their (n+1)*k^(2n) bits fit
     ``_TABLE_CAP`` and computed when a cell is taken otherwise.
     """
-    require_int("size", size)
-    if size < 0:
-        raise ValueError("size must be >= 0")
+    require_int("size", size, 0)
     _check_box(n, k)
-    require_int("budget", budget)
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    require_int("budget", budget, 0)
     cells = k**n
     total = math.comb(cells, size)
     if total > budget:
@@ -447,9 +438,7 @@ def random_weak_antichain(
         raise ValueError(f"size {size} outside 0..{capacity} for this box")
     if max_tries is None:
         max_tries = 400 * (size + 1)
-    require_int("max_tries", max_tries)
-    if max_tries < 0:
-        raise ValueError("max_tries must be >= 0")
+    require_int("max_tries", max_tries, 0)
     if size == 0:
         A = PointSet._trusted(n, ())
         A._weak = True
@@ -497,9 +486,7 @@ def random_weak_antichain(
 
 def random_gap_scan(n: int, k: int, size: int, samples: int, seed: int = 0) -> GapScanResult:
     """Minimum observed gap over sampled weak antichains (no optimality claim)."""
-    require_int("samples", samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    require_int("samples", samples, 1)
     best_gap: int | None = None
     best_witness: PointSet | None = None
     for t in range(samples):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import fsum, prod
 
-from .estimate import require_finite, require_tolerance
+from .estimate import require_finite, require_int, require_tolerance
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "INSIDE", "OUTSIDE", "STRADDLE"]
 
@@ -54,9 +54,10 @@ def integrate_adaptive(
     ValueError).  ``box`` needs at least one axis and ``lo <= hi`` on each
     (else ValueError), with finite bounds (else NonFiniteError); an axis
     with ``lo == hi`` gives the zero result.  ``max_depth``, ``min_depth``
-    and ``max_evals`` must be >= 0 (else ValueError).  The root and its 2^d
-    children are always evaluated; beyond them, a cell shallower than
-    ``min_depth`` is always split and a cell at ``max_depth`` never is.
+    and ``max_evals`` must be ints >= 0, and a bool is not one (else
+    ValueError).  The root and its 2^d children are always evaluated;
+    beyond them, a cell shallower than ``min_depth`` is always split and a
+    cell at ``max_depth`` never is.
     Refinement stops once the summed charge is at most ``tol``, once
     ``max_evals`` evaluations are spent, or once no cell that carries a
     charge can be split.  Every unresolved cell charges its error to the
@@ -66,6 +67,7 @@ def integrate_adaptive(
     require_tolerance(tol)
     knobs = {"max_depth": max_depth, "min_depth": min_depth, "max_evals": max_evals}
     for name, value in knobs.items():
+        require_int(name, value)
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     if not box:

@@ -41,9 +41,7 @@ class ShearParams:
     epsilon: float
 
     def __post_init__(self):
-        require_int("n", self.n)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        require_int("n", self.n, 1)
         require_finite("epsilon", self.epsilon)
         if not 0.0 < self.epsilon < 1.0 / (2 * self.n):
             raise ValueError(f"epsilon must lie in (0, {1.0 / (2 * self.n)})")
@@ -76,9 +74,7 @@ def shear_points(points: Iterable[Sequence[float]], params: ShearParams) -> list
 
 def rescale_to_unit(points: Iterable[Sequence[int]], k: int) -> list[tuple[float, ...]]:
     """Map integer points of [0,k)^n into the unit cube by dividing by k."""
-    require_int("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     return [tuple(c / k for c in p) for p in points]
 
 

@@ -18,6 +18,7 @@ from .estimate import (
     QUADRATURE,
     MeasureEstimate,
     _sum_in_order,
+    require_axis,
     require_finite,
     require_int,
     require_tolerance,
@@ -125,7 +126,7 @@ class Hyperplane:
             converged=res.converged, evaluations=res.evaluations,
         )
 
-    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+    def _projection(self, axis: int) -> MeasureEstimate:
         # all partial derivatives are -1, so every projection has the base measure
         return MeasureEstimate(_hyperplane_base_measure(self.n), CLOSED_FORM)
 
@@ -231,7 +232,7 @@ class LpSphere:
 
     _quadrature = _measure
 
-    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+    def _projection(self, axis: int) -> MeasureEstimate:
         # every projection fills the positive-orthant unit ball in n-1 dims
         return MeasureEstimate(_orthant_ball_volume(self.n - 1, self.p), CLOSED_FORM)
 
@@ -293,7 +294,7 @@ class LinearGraph:
 
     _quadrature = _measure
 
-    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+    def _projection(self, axis: int) -> MeasureEstimate:
         weight = 1.0 if axis == self._dim() else abs(self.gradient[axis - 1])
         return MeasureEstimate(weight * self._base_volume(), CLOSED_FORM)
 
@@ -361,7 +362,7 @@ class TabulatedMonotone:
 
     _quadrature = _measure
 
-    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+    def _projection(self, axis: int) -> MeasureEstimate:
         # step extension: base projections are null, the base itself is full
         return MeasureEstimate(1.0 if axis == self.dim else 0.0, CLOSED_FORM)
 
@@ -415,7 +416,7 @@ class SingularStaircase:
     def _quadrature(self, tol: float) -> MeasureEstimate:
         raise TypeError(f"no quadrature route for {type(self).__name__}")
 
-    def _projection(self, axis: int, tol: float) -> MeasureEstimate:
+    def _projection(self, axis: int) -> MeasureEstimate:
         # continuous and onto in both coordinates
         return MeasureEstimate(1.0, CLOSED_FORM)
 
@@ -470,9 +471,7 @@ def irwin_hall_cdf(n: int, t: float) -> float:
     Inclusion-exclusion over the corners of the cube cut off by the plane
     of constant coordinate sum.
     """
-    require_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_int("n", n, 1)
     require_finite("t", t)
     if t <= 0:
         return 0.0
@@ -486,9 +485,7 @@ def irwin_hall_cdf(n: int, t: float) -> float:
 
 def slab_volume(n: int, c: float) -> float:
     """Volume of {x in [0,1]^n : (n-c)/2 <= sum x_i < (n+c)/2}."""
-    require_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_int("n", n, 1)
     require_finite("c", c)
     if not 0.0 <= c <= n:
         raise ValueError(f"c must be in [0, {n}]")
@@ -497,9 +494,7 @@ def slab_volume(n: int, c: float) -> float:
 
 def facet_union_measure(n: int) -> float:
     """Measure of the union of the n zero-coordinate facets of the cube."""
-    require_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_int("n", n, 1)
     return float(n)
 
 
@@ -660,10 +655,9 @@ def projection_measure(s: Surface, axis: int, tol: float | None = None) -> Measu
     coordinate integrates the corresponding absolute partial derivative,
     which each family resolves in closed form.
     """
-    n = surface_dim(s)
-    if not 1 <= axis <= n:
-        raise ValueError(f"axis {axis} out of range 1..{n}")
-    return s._projection(axis, _tolerance(s, tol))
+    require_axis(axis, surface_dim(s))
+    _tolerance(s, tol)  # every family's projection is closed-form, but a bad tol is still an error
+    return s._projection(axis)
 
 
 @dataclass(frozen=True)

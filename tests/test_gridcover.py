@@ -14,6 +14,7 @@ from antichains import (
     Hyperplane,
     LinearGraph,
     LpSphere,
+    NonFiniteError,
     PointCloud,
     PredicateRegion,
     SingularStaircase,
@@ -40,10 +41,33 @@ def test_alpha_values():
     assert abs(alpha(2) - math.pi / 4) < 1e-12
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_alpha_rejects_non_finite_exponents(s):
+    # alpha(nan) and alpha(inf) used to return NaN, and covering_bound(cover,
+    # s=nan) failed only on the NaN value it computed
+    with pytest.raises(NonFiniteError, match="^s must be finite$"):
+        alpha(s)
+    with pytest.raises(NonFiniteError, match="^s must be finite$"):
+        covering_bound(GridCover(2, 2, frozenset({(1, 1)})), s=s)
+
+
 def test_d_const_values():
     assert abs(d_const(1) - 1.0) < 1e-12
     assert abs(d_const(2) - math.sqrt(2)) < 1e-12
     assert abs(d_const(3) - 3 * math.pi / 4) < 1e-12
+
+
+def test_sizes_below_their_least_value_are_rejected():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        d_const(0)
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        cube_index((0.5,), 0)
+    # grid_cover(PointCloud(0, ()), 4) used to return a cover of dim 0, which
+    # GridCover itself rejects, and volume_ratio_curve(PointCloud(-1, ()),
+    # [2, 4]) returned [0.0, 0.0]
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            PointCloud(dim, ())
 
 
 def test_cube_index_examples():

@@ -186,6 +186,15 @@ def test_project_errors():
         project(PointSet(1, [(0,)]), 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_non_int_axis_is_rejected(bad):
+    # project(s, True) used to delete axis 1 and project(s, 1.5) to raise a
+    # raw TypeError from slicing; skew_project did the same
+    for call in (project, skew_project):
+        with pytest.raises(ValueError, match=f"^axis must be an int, got {bad!r}$"):
+            call(PointSet(2, [(0, 1)]), bad)
+
+
 def test_projection_injective_on_antichains():
     rng = random.Random(13)
     found = 0
@@ -281,7 +290,7 @@ class TestPointSet:
         assert format_point_set(PointSet(2, [(1, 0)])) == "dim=2\n1,0\n"
 
     def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
             PointSet(0)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True])

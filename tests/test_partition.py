@@ -23,7 +23,7 @@ from antichains import (
     random_gap_scan,
     random_weak_antichain,
 )
-from antichains import partition
+from antichains import estimate, partition
 
 
 def test_greedy_partition_singleton():
@@ -277,8 +277,9 @@ def test_exhaustive_gap_scan_above_capacity_builds_nothing(monkeypatch):
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, False])
 def test_non_int_box_arguments_are_rejected(bad):
-    # random_weak_antichain(2, 3.0, 2) used to raise AttributeError and
-    # exhaustive_gap_scan(True, 2, 1) to return n=True; a bool is not an int
+    # random_weak_antichain(2, 3.0, 2) used to raise AttributeError,
+    # exhaustive_gap_scan(True, 2, 1) to return n=True and
+    # projection_size(s, True) to count axis 1; a bool is not an int
     def message(name):
         return f"^{name} must be an int, got {re.escape(repr(bad))}$"
 
@@ -293,6 +294,7 @@ def test_non_int_box_arguments_are_rejected(bad):
         ("size", lambda: random_weak_antichain(2, 3, bad)),
         ("samples", lambda: random_gap_scan(2, 3, 2, bad)),
         ("n", lambda: random_gap_scan(bad, 3, 2, 1)),
+        ("axis", lambda: projection_size(PointSet(3, [(0, 1, 2)]), bad)),
     ):
         with pytest.raises(ValueError, match=message(name)):
             call()
@@ -332,6 +334,17 @@ def test_random_weak_antichain_retry_budget():
     for size in (0, 1):
         with pytest.raises(ValueError, match="^max_tries must be >= 0$"):
             random_weak_antichain(2, 3, size, max_tries=-5)
+
+
+def test_budget_error_is_defined_once():
+    # the cover and width searches raise the class estimate defines, and
+    # partition re-exports the same object
+    assert partition.BudgetExceededError is estimate.BudgetExceededError
+
+
+def test_random_gap_scan_needs_a_sample():
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        random_gap_scan(2, 3, 1, 0)
 
 
 def test_random_gap_scan_respects_floor():

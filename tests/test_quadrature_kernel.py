@@ -752,6 +752,20 @@ def test_rejects_negative_knobs(knob, value):
 
 
 @pytest.mark.parametrize("knob", ["max_depth", "min_depth", "max_evals"])
+@pytest.mark.parametrize("value", [2.5, math.nan, 3.0, True])
+def test_rejects_non_int_knobs(knob, value):
+    # max_evals=nan or 2.5 used to stop after 3 evaluations, min_depth=nan
+    # turned off the forced splits but still read converged, and
+    # max_depth=3.0 raised a raw TypeError from the index packing
+    g, calls = _counted(_kinked)
+    with pytest.raises(ValueError) as err:
+        integrate_adaptive(g, ((0.0, 1.0),), 1e-3, **{knob: value})
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{knob} must be an int, got {value!r}"
+    assert not calls
+
+
+@pytest.mark.parametrize("knob", ["max_depth", "min_depth", "max_evals"])
 def test_zero_knobs_are_accepted(knob):
     # the root and its 2^d children are evaluated whatever the knobs say
     for d in (1, 2, 3):

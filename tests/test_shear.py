@@ -74,8 +74,10 @@ def test_shear_params_validation():
         ShearParams(2, 0.0)
     with pytest.raises(ValueError):
         ShearParams(2, 0.25)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         ShearParams(0, 0.1)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        rescale_to_unit([(1,)], 0)
     assert ShearParams(2, 0.1).inverse_lipschitz == pytest.approx(1 / math.sqrt(0.6))
 
 

@@ -365,7 +365,8 @@ def test_non_int_dimensions_are_rejected(bad):
     # Hyperplane(2.5), LpSphere(3.0, 2) and TabulatedMonotone(2.5, ()) used to
     # build, and then surface_measure and verify_projection_inequality raised
     # raw TypeErrors; irwin_hall_cdf(2.5, 1.0) raised one too, and
-    # facet_union_measure(2.5) returned 2.5
+    # facet_union_measure(2.5) returned 2.5; projection_measure(Hyperplane(3),
+    # 2.5) returned a closed form for an axis that does not exist
     def message(name):
         return f"^{name} must be an int, got {re.escape(repr(bad))}$"
 
@@ -376,8 +377,19 @@ def test_non_int_dimensions_are_rejected(bad):
         ("n", lambda: irwin_hall_cdf(bad, 1.0)),
         ("n", lambda: slab_volume(bad, 1.0)),
         ("n", lambda: facet_union_measure(bad)),
+        ("axis", lambda: projection_measure(Hyperplane(3), bad)),
     ):
         with pytest.raises(ValueError, match=message(name)):
+            call()
+
+
+def test_dimension_below_one_is_rejected():
+    for call in (
+        lambda: irwin_hall_cdf(0, 0.5),
+        lambda: slab_volume(0, 0.0),
+        lambda: facet_union_measure(0),
+    ):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             call()
 
 
