@@ -2,9 +2,10 @@
 
 Discrete side: dominance orders on integer lattice points, the greedy
 partition certificate behind the counting inequality, projection-gap scans,
-and exact grid-poset widths via chain covers.  Continuous side: cube-grid
-covering bounds, surface and projection measures of order-reversing graphs,
-the shear map, skewed projections in the plane, and the singular staircase.
+and exact grid-poset widths as layers a chain cover certifies.  Continuous
+side: cube-grid covering bounds, surface and projection measures of
+order-reversing graphs, the shear map, skewed projections in the plane, and
+the singular staircase.
 """
 
 from .estimate import CLOSED_FORM, COVERING, QUADRATURE, MeasureEstimate, NonFiniteError

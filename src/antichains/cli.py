@@ -282,8 +282,8 @@ def _cmd_width(args):
 
 
 def _cmd_layer(args):
-    ell = middle_layer_index(args.n, args.m) if args.ell is None else args.ell
     with _as_usage():
+        ell = middle_layer_index(args.n, args.m) if args.ell is None else args.ell
         points = layer_construct(args.n, args.m, ell)
         size = layer_size(args.n, args.m, ell)
     payload = {

@@ -1,13 +1,15 @@
 """Extremal antichain constructions on grid posets and exact width search.
 
-Widths come from a chain decomposition instead of a matching search.  A grid
-is a product of chains, so under the strict order it splits into symmetric
-chains, one per point of the middle layer (de Bruijn, van Ebbenhorst
-Tengbergen & Kruyswijk, 1951); under the strong order the diagonals through
-the zero-coordinate points partition it.  A chain cover together with one
-point from each chain, the points pairwise incomparable, certifies the width:
-an antichain meets each chain at most once, so the number of chains bounds
-it, and the chosen points reach the bound (Dilworth, 1950).
+Widths are closed-form layers, certified by chain covers.  A grid is a
+product of chains, so under the strict order it splits into symmetric
+chains (de Bruijn, van Ebbenhorst Tengbergen & Kruyswijk, 1951): one runs
+by unit steps from rank r to rank N - r, the rank being the coordinate sum
+and N = n(m - 1), so each meets rank ceil(N/2) exactly once, and that
+layer, an antichain, has one point per chain.  Under the strong order the
+diagonals through the zero-coordinate points partition the grid, and their
+tops are the points with a coordinate m - 1, which are pairwise strongly
+incomparable.  An antichain meets each chain at most once, so either set
+reaches the bound the cover gives (Dilworth, 1950).
 """
 
 import math
@@ -80,14 +82,20 @@ def layer_size(n: int, m: int, ell: int) -> int:
 
 
 def middle_layer_index(n: int, m: int) -> int:
+    _check_grid(n, m)
     return (n * (m - 1)) // 2
+
+
+def _grid_where(n: int, m: int, keep) -> PointSet:
+    """The grid points that ``keep`` accepts; ``product`` yields them distinct and sorted."""
+    return PointSet._trusted(n, filter(keep, product(range(m), repeat=n)))
 
 
 def layer_construct(n: int, m: int, ell: int) -> PointSet:
     """The full layer of coordinate-sum ``ell``; a maximum antichain at the middle sum."""
     _check_grid(n, m)
     require_int("ell", ell)
-    return PointSet(n, (p for p in product(range(m), repeat=n) if sum(p) == ell))
+    return _grid_where(n, m, lambda p: sum(p) == ell)
 
 
 def wn_construct(n: int, m: int) -> PointSet:
@@ -96,7 +104,7 @@ def wn_construct(n: int, m: int) -> PointSet:
     This is a maximum weak antichain of the grid.
     """
     _check_grid(n, m)
-    return PointSet(n, (p for p in product(range(m), repeat=n) if 0 in p))
+    return _grid_where(n, m, lambda p: 0 in p)
 
 
 @dataclass(frozen=True)
@@ -106,48 +114,18 @@ class WidthResult:
     method: str  # "matching" or "construction"
 
 
-def _chains(poset: GridPoset) -> list[list[int]]:
-    """A chain decomposition of the grid whose consecutive pairs are a maximum matching.
-
-    Points are mixed-radix indices, coordinate 0 most significant, so index
-    order is lexicographic order.  Each chain runs bottom to top by single
-    steps: unit steps for the strict order, (1,...,1) for the strong one.
-    """
-    n, m = poset.n, poset.m
-    if poset.order is Order.STRONG:
-        diag = sum(m**i for i in range(n))
-        return [
-            [idx + t * diag for t in range(m - max(p))]
-            for idx, p in enumerate(product(range(m), repeat=n))
-            if 0 in p
-        ]
-    # product of a chain c_0 < ... < c_h with [m]: hook j is (c_i, j) for
-    # i <= h - j, followed by (c_(h-j), t) for t > j
-    chains = [list(range(m))]
-    for _ in range(n - 1):
-        chains = [
-            [c * m + j for c in chain[: len(chain) - j]]
-            + [chain[-1 - j] * m + t for t in range(j + 1, m)]
-            for chain in chains
-            for j in range(min(len(chain), m))
-        ]
-    return chains
-
-
 def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
-    """Exact maximum antichain of a grid poset via a minimum chain cover.
+    """Exact maximum antichain of a grid poset, in closed form.
 
-    The chains of ``_chains`` are a minimum chain cover, so the width is
-    their number, and the witness takes one point of each.  Under the
-    strict order with n >= 2 that is the point of rank ceil(N/2), N =
-    n(m - 1), the rank being the coordinate sum: each chain climbs by unit
-    steps from rank r to rank N - r, and points of one rank are
-    incomparable.  Otherwise it is the chain's top: under the strong order
-    it has a coordinate m - 1, so nothing lies strongly above it, and a
-    line, whose one chain would serve with any of its points, gives its top
-    as well.  The chains' consecutive pairs are a maximum matching of the
-    comparability graph, so ``method`` keeps reading ``"matching"``, a
-    label of the public output.
+    Under the strict order with n >= 2 the symmetric chains each meet rank
+    ceil(N/2), N = n(m - 1), exactly once, so the witness is that whole
+    layer and the width its size.  Otherwise it is the set of chain tops,
+    the points with a coordinate m - 1: under the strong order they top the
+    diagonals one to one, with the zero-coordinate points at the bottoms,
+    and nothing lies strongly above them; a line is one chain, and its top
+    serves as well as any point.  The chains' consecutive pairs are a
+    maximum matching of the comparability graph, so ``method`` keeps
+    reading ``"matching"``, a label of the public output.
     """
     require_int("budget", budget, 0)
     if poset.size > budget:
@@ -155,19 +133,11 @@ def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
             f"grid has {poset.size} points, budget is {budget}"
         )
     n, m = poset.n, poset.m
-    strides = [m ** (n - 1 - i) for i in range(n)]
-    chains = _chains(poset)
-    picks = []
-    for chain in chains:
-        i = -1
-        if poset.order is Order.STRICT and n > 1:
-            i = (n * (m - 1) + 1) // 2 - sum(chain[0] // s % m for s in strides)
-            # a negative index would wrap round to a wrong point
-            if not 0 <= i < len(chain):
-                raise RuntimeError("chain misses the middle rank")
-        picks.append(chain[i])
-    witness = [tuple(idx // s % m for s in strides) for idx in sorted(picks)]
-    return WidthResult(width=len(chains), witness=PointSet._trusted(n, witness), method="matching")
+    if poset.order is Order.STRICT and n > 1:
+        witness = layer_construct(n, m, (n * (m - 1) + 1) // 2)
+    else:
+        witness = _grid_where(n, m, lambda p: m - 1 in p)
+    return WidthResult(width=len(witness), witness=witness, method="matching")
 
 
 def best_construction(poset: GridPoset) -> WidthResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import fsum, prod
 
-from .estimate import require_finite, require_int, require_tolerance
+from .estimate import _sum_in_order, require_finite, require_int, require_tolerance
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "INSIDE", "OUTSIDE", "STRADDLE"]
 
@@ -121,7 +121,7 @@ def integrate_adaptive(
         for e, off, axes in zip(ests, offsets, product(*pairs)):
             evals += n_children
             child_ests = [f(mid) * vol for mid in product(*axes)]
-            s = sum(child_ests)
+            s = _sum_in_order(child_ests)
             diff = abs(s - e)
             if k >= max_depth:
                 final.append((s, diff))
@@ -157,10 +157,12 @@ def integrate_adaptive(
     accepted = error <= tol * (1 + 1e-9)
     values = [s for s, _ in final]
     for _, k, _, est, ests in heap:
-        s = sum(ests)
+        s = _sum_in_order(ests)
         values.append((4 * s - est) / 3 if accepted and k >= min_depth else s)
     if not accepted:
-        error = fsum([abs(sum(ests) - est) for *_, est, ests in heap] + [e for _, e in final])
+        error = fsum(
+            [abs(_sum_in_order(ests) - est) for *_, est, ests in heap] + [e for _, e in final]
+        )
     return QuadratureResult(
         value=fsum(values),
         error_bound=error,

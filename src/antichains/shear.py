@@ -11,7 +11,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .estimate import require_finite, require_int
+from .estimate import _sum_in_order, require_finite, require_int
 
 __all__ = [
     "ShearParams",
@@ -56,7 +56,7 @@ def shear(x: Sequence[float], params: ShearParams) -> tuple[float, ...]:
     """Subtract epsilon times the coordinate sum from every coordinate."""
     if len(x) != params.n:
         raise ValueError(f"point has dimension {len(x)}, expected {params.n}")
-    s = sum(x)
+    s = _sum_in_order(x)
     return tuple(c - params.epsilon * s for c in x)
 
 
@@ -64,7 +64,7 @@ def shear_inverse(y: Sequence[float], params: ShearParams) -> tuple[float, ...]:
     """Exact inverse: coordinate sums scale by 1 - n*epsilon, so they recover first."""
     if len(y) != params.n:
         raise ValueError(f"point has dimension {len(y)}, expected {params.n}")
-    s = sum(y) / (1.0 - params.n * params.epsilon)
+    s = _sum_in_order(y) / (1.0 - params.n * params.epsilon)
     return tuple(c + params.epsilon * s for c in y)
 
 

@@ -95,7 +95,7 @@ class Hyperplane:
         return self.n
 
     def _value(self, x) -> float:
-        return self.n / 2 - sum(x)
+        return self.n / 2 - _sum_in_order(x)
 
     def _measure(self, tol: float) -> MeasureEstimate:
         return MeasureEstimate(math.sqrt(self.n) * _hyperplane_base_measure(self.n), CLOSED_FORM)
@@ -114,7 +114,7 @@ class Hyperplane:
         hi_b, lo_b = n / 2, n / 2 - 1
 
         def integrand(x):
-            ssum = sum(x)
+            ssum = _sum_in_order(x)
             return rt * max(0.0, min(1.0, hi_b - ssum) - max(0.0, lo_b - ssum))
 
         if n == 2:
@@ -159,7 +159,7 @@ class LpSphere:
         return self.n
 
     def _value(self, x) -> float:
-        rest = 1.0 - sum(c**self.p for c in x)
+        rest = 1.0 - _sum_in_order(c**self.p for c in x)
         return rest ** (1.0 / self.p) if rest > 0 else 0.0
 
     def _measure(self, tol: float) -> MeasureEstimate:
@@ -222,7 +222,10 @@ class LpSphere:
                 v.append(rest)
                 top = max(v)
                 w = [c / top for c in v]
-                return jac * math.sqrt(sum(c**q for c in w)) * sum(c**p for c in w) ** scale / top**n
+                return (
+                    jac * math.sqrt(_sum_in_order(c**q for c in w))
+                    * _sum_in_order(c**p for c in w) ** scale / top**n
+                )
 
         res = integrate_adaptive(integrand, box, tol / pieces)
         return MeasureEstimate(
@@ -283,7 +286,7 @@ class LinearGraph:
         return len(self.gradient) + 1
 
     def _value(self, x) -> float:
-        return self.offset + sum(c * v for c, v in zip(self.gradient, x))
+        return self.offset + _sum_in_order(c * v for c, v in zip(self.gradient, x))
 
     def _base_volume(self) -> float:
         return _sum_in_order(math.prod(hi - lo for lo, hi in box) for box in self.base)

@@ -308,6 +308,23 @@ def test_shear_subcommand(points_file, capsys):
     assert payload["scale"] == 2
 
 
+def test_float_outputs_do_not_depend_on_the_interpreter(points_file, capsys):
+    # sum() of floats is compensated from CPython 3.12 on, which would print
+    # 0.04000000000000001, and 2.355571040536535 with bound
+    # 0.04547374978962058, here
+    code, payload = run_json(
+        capsys,
+        ["shear", "--points", points_file("dim=3\n1,2,3\n"), "--epsilon", "0.1", "--scale", "10"],
+    )
+    assert code == 0
+    assert payload["points"] == [[0.039999999999999994, 0.14, 0.24]]
+    code, payload = run_json(
+        capsys, ["measure", "--surface", "lpsphere", "--n", "4", "--p", "4", "--tol", "0.5"]
+    )
+    assert code == 0
+    assert (payload["value"], payload["errorBound"]) == (2.3555710405365344, 0.04547374978962065)
+
+
 def test_negative_point_files_get_the_derived_scale_one(points_file, capsys):
     # the derived scale, largest coordinate plus 1, is at least 1
     path = points_file(NEGATIVE)

@@ -3,22 +3,25 @@
 The oracles below are the earlier cell routines, which test every one of
 the m^n cells (every segment's bounding box, for the staircase), kept
 verbatim apart from their names; the staircase's boxes are widened by one
-row each side, so they need no cell rule of their own.  The staircase's
-segment-cell clip `_segment_hits_cell`, which the library's staircase
-kernel used until it became a walk over the polyline's face crossings, is
-kept verbatim here as that oracle's cell test.  The kernels find each
-column's run, or the staircase's lattice path, directly and must give
-exactly the same cell sets.  The sphere's oracle is the exception: it
-decides each cell exactly, in ints for an integer p and in decimal
-otherwise, so it shares no rounding with the kernel and none with the
-interpreter's sum().  The hyperplane's earlier column kernel, which tabled
-each column's run in closed form once per base-coordinate sum, before the
-hyperplane and the sphere shared one level-set walk, is kept verbatim too,
-as is the staircase kernel that bisected each crossing on the polyline's
-coordinates before it was found by descent; the descent must yield that
-kernel's path in the same order.  So are the staircase's x and y segment
-descents that replayed the construction's halvings before the ordinates
-were computed from the leaf index; the readers must return their tuples.
+row each side, so they need no cell rule of their own, and a segment whose
+ends lie strictly inside one cell's float faces tests only that cell (on
+every depth and m of the sweep below, the same cells as the full boxes).
+The staircase's segment-cell clip `_segment_hits_cell`, which the
+library's staircase kernel used until it became a walk over the polyline's
+face crossings, is kept verbatim here as that oracle's cell test.  The
+kernels find each column's run, or the staircase's lattice path, directly
+and must give exactly the same cell sets.  The sphere's oracle is the
+exception: it decides each cell exactly, in ints for an integer p and in
+decimal otherwise, so it shares no rounding with the kernel and none with
+the interpreter's sum().  The hyperplane's earlier column kernel, which
+tabled each column's run in closed form once per base-coordinate sum,
+before the hyperplane and the sphere shared one level-set walk, is kept
+verbatim too, as is the staircase kernel that bisected each crossing on
+the polyline's coordinates before it was found by descent; the descent
+must yield that kernel's path in the same order.  So are the staircase's x
+and y segment descents that replayed the construction's halvings before
+the ordinates were computed from the leaf index; the readers must return
+their tuples.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
@@ -43,7 +46,7 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, product
 
 import pytest
@@ -235,20 +238,40 @@ def _segment_hits_cell(p, q, d, m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
+def _staircase_segments(depth: int) -> list:
+    # the sweep asks for every m at one depth before the next
+    verts = staircase_polyline(depth)
+    return list(zip(verts, verts[1:]))
+
+
+def _inside_cell(p, q, i: int, j: int, m: int) -> bool:
+    """Whether p and q lie strictly inside cell (i, j)'s faces, the floats the segment test reads."""
+    x_lo, x_hi, y_lo, y_hi = (i - 1) / m, i / m, (j - 1) / m, j / m
+    return x_lo < p[0] < x_hi and x_lo < q[0] < x_hi and y_lo < p[1] < y_hi and y_lo < q[1] < y_hi
+
+
 def _oracle_staircase_cells(s, m):
     # each segment's bounding box of cells, widened by one row each side
     # since the product int(c * m) can miss a face by a rounding error, and
-    # the segment test decides every cell of it
-    verts = staircase_polyline(s.depth)
+    # the segment test decides every cell of it; a segment whose ends lie
+    # strictly inside one cell's faces stays in that cell, and only that
+    # cell is tested
     hits = set()
-    for p, q in zip(verts, verts[1:]):
-        i_lo, i_hi = sorted((int(p[0] * m) + 1, int(q[0] * m) + 1))
-        j_lo, j_hi = sorted((int(p[1] * m) + 1, int(q[1] * m) + 1))
-        for i in range(max(i_lo - 1, 1), min(i_hi + 1, m) + 1):
-            for j in range(max(j_lo - 1, 1), min(j_hi + 1, m) + 1):
-                d = (i, j)
-                if d not in hits and _segment_hits_cell(p, q, d, m):
-                    hits.add(d)
+    for p, q in _staircase_segments(s.depth):
+        i, j = int(p[0] * m) + 1, int(p[1] * m) + 1
+        if _inside_cell(p, q, i, j, m):
+            cells = [(i, j)]
+        else:
+            i_lo, i_hi = sorted((i, int(q[0] * m) + 1))
+            j_lo, j_hi = sorted((j, int(q[1] * m) + 1))
+            cells = product(
+                range(max(i_lo - 1, 1), min(i_hi + 1, m) + 1),
+                range(max(j_lo - 1, 1), min(j_hi + 1, m) + 1),
+            )
+        for d in cells:
+            if d not in hits and _segment_hits_cell(p, q, d, m):
+                hits.add(d)
     return hits
 
 

@@ -164,6 +164,13 @@ def test_non_int_budget_is_rejected(bad):
         max_antichain(GridPoset(2, 3), budget=bad)
 
 
+@pytest.mark.parametrize("n, m", [(0, 3), (2, 0), (-1, 3)])
+def test_middle_layer_index_rejects_empty_grids(n, m):
+    # middle_layer_index(2, 0) used to return -1
+    with pytest.raises(ValueError, match="^need n >= 1 and m >= 1$"):
+        middle_layer_index(n, m)
+
+
 def test_grid_poset_validation():
     with pytest.raises(ValueError):
         GridPoset(0, 3)
@@ -189,6 +196,8 @@ def test_non_int_grid_arguments_are_rejected(bad):
         ("ell", lambda: layer_construct(2, 3, bad)),
         ("n", lambda: wn_construct(bad, 3)),
         ("m", lambda: wn_construct(2, bad)),
+        ("n", lambda: middle_layer_index(bad, 3)),
+        ("m", lambda: middle_layer_index(2, bad)),
     ):
         with pytest.raises(ValueError, match=message(name)):
             call()

@@ -1,11 +1,13 @@
-"""Differential tests: chain-decomposition widths against the searches they replaced.
+"""Differential tests: closed-form grid widths against the searches they replaced.
 
-Two oracles are kept verbatim apart from their names.  The first builds the
-whole strict comparability graph, runs Hopcroft-Karp and extracts the König
-witness by alternating reachability; the second runs that alternating search
-over unit steps on the chain cover's own matching.  The library reads the
-witness straight off the chain cover and must give the same width and the
-same witness tuple as both.
+Three oracles are kept verbatim apart from their names.  The first builds
+the whole strict comparability graph, runs Hopcroft-Karp and extracts the
+König witness by alternating reachability; the second is the chain cover
+the library once built, symmetric chains or diagonals, checked here to
+partition the grid by single steps; the third runs the König alternating
+search over unit steps on the chain cover's own matching.  The library returns the
+middle layer or the set of chain tops in closed form and must give the same
+width and the same witness tuple as the first and third.
 
 The matching oracle takes about a minute beyond 1,024 points, so tier-1
 stops there; the alternating search runs in tier-1 up to 16,384 points, in
@@ -31,8 +33,7 @@ from antichains import (
     max_antichain,
     middle_layer_index,
 )
-from antichains import extremal
-from antichains.extremal import WidthResult, _chains
+from antichains.extremal import WidthResult
 from antichains.lattice import PointSet
 from antichains.partition import BudgetExceededError
 
@@ -138,6 +139,38 @@ def _oracle_max_antichain(poset):
     if len(witness) != width:
         raise RuntimeError("witness extraction disagrees with the matching size")
     return width, tuple(witness)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the chain cover, verbatim
+
+
+def _chains(poset: GridPoset) -> list[list[int]]:
+    """A chain decomposition of the grid whose consecutive pairs are a maximum matching.
+
+    Points are mixed-radix indices, coordinate 0 most significant, so index
+    order is lexicographic order.  Each chain runs bottom to top by single
+    steps: unit steps for the strict order, (1,...,1) for the strong one.
+    """
+    n, m = poset.n, poset.m
+    if poset.order is Order.STRONG:
+        diag = sum(m**i for i in range(n))
+        return [
+            [idx + t * diag for t in range(m - max(p))]
+            for idx, p in enumerate(product(range(m), repeat=n))
+            if 0 in p
+        ]
+    # product of a chain c_0 < ... < c_h with [m]: hook j is (c_i, j) for
+    # i <= h - j, followed by (c_(h-j), t) for t > j
+    chains = [list(range(m))]
+    for _ in range(n - 1):
+        chains = [
+            [c * m + j for c in chain[: len(chain) - j]]
+            + [chain[-1 - j] * m + t for t in range(j + 1, m)]
+            for chain in chains
+            for j in range(min(len(chain), m))
+        ]
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +281,6 @@ def test_agrees_with_alternating_search_up_to_16384_points():
         assert _agrees_with_alternating_search(poset, 16384), poset
 
 
-@pytest.mark.parametrize(
-    "cover",
-    [
-        # (0,0),(0,1) stops below rank 2
-        [[0, 1], [2, 5, 8], [3, 4, 7], [6]],
-        # (2,2) starts above rank 2
-        [[0, 1, 2, 5], [3, 4, 7], [6], [8]],
-    ],
-)
-def test_cover_missing_the_middle_rank_raises(monkeypatch, cover):
-    monkeypatch.setattr(extremal, "_chains", lambda poset: cover)
-    with pytest.raises(RuntimeError, match="middle rank"):
-        max_antichain(GridPoset(2, 3))
-
-
 @pytest.mark.parametrize("poset", _grids(0, 1024), ids=lambda p: f"{p.n}-{p.m}-{p.order.name}")
 def test_chains_partition_the_grid_by_single_steps(poset):
     n, m = poset.n, poset.m
@@ -280,6 +298,9 @@ def test_chains_partition_the_grid_by_single_steps(poset):
             assert sum(chain[0]) + sum(chain[-1]) == n * (m - 1)
         else:
             assert 0 in chain[0] and m - 1 in chain[-1]
+    # the closed-form witness takes one point from every chain
+    witness = set(max_antichain(poset, budget=1024).witness)
+    assert [sum(p in witness for p in chain) for chain in chains] == [1] * len(chains)
 
 
 def test_grid_beyond_the_matching_route():

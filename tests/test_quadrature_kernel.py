@@ -14,8 +14,9 @@ integrated out), so both sides compute the same surface measure from
 different problems.
 
 ``_previous_integrate_adaptive`` is the global-adaptive loop as it was
-before its tables and per-child calls were taken out, also verbatim; the
-current loop must return bit-identical results.  Run as a script,
+before its tables and per-child calls were taken out, also verbatim but for
+its sums, which add left to right; the current loop must return
+bit-identical results.  Run as a script,
 
     PYTHONPATH=src python tests/test_quadrature_kernel.py 2000
 
@@ -36,7 +37,7 @@ from math import fsum, prod
 import pytest
 
 from antichains import surfaces
-from antichains.estimate import NonFiniteError, require_tolerance
+from antichains.estimate import NonFiniteError, _sum_in_order, require_tolerance
 from antichains.quadrature import QuadratureResult, integrate_adaptive
 
 # the region labels of the previous classifiers, defined here so the oracle stands alone
@@ -242,7 +243,9 @@ def _oracle_integrate_global(
 
 
 # ---------------------------------------------------------------------------
-# the previous global-adaptive loop, verbatim but for its name
+# the previous global-adaptive loop, verbatim but for its name and its three
+# sums of ``ests``, which add left to right as the library's do, so that the
+# bit-for-bit check holds on interpreters whose sum() is compensated
 
 
 def _previous_integrate_adaptive(
@@ -305,7 +308,7 @@ def _previous_integrate_adaptive(
         # a cell with its own estimate: evaluate its children and file it
         nonlocal total
         ests = child_estimates(k, idx)
-        s = sum(ests)
+        s = _sum_in_order(ests)
         diff = abs(s - est)
         if k >= max_depth:
             final.append((s, diff))
@@ -339,10 +342,12 @@ def _previous_integrate_adaptive(
     accepted = error <= tol * (1 + 1e-9)
     values = [s for s, _ in final]
     for _, k, _, est, ests in heap:
-        s = sum(ests)
+        s = _sum_in_order(ests)
         values.append((4 * s - est) / 3 if accepted and k >= min_depth else s)
     if not accepted:
-        error = fsum([abs(sum(ests) - est) for *_, est, ests in heap] + [e for _, e in final])
+        error = fsum(
+            [abs(_sum_in_order(ests) - est) for *_, est, ests in heap] + [e for _, e in final]
+        )
     return QuadratureResult(
         value=fsum(values),
         error_bound=error,

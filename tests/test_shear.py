@@ -28,6 +28,14 @@ def test_shear_examples():
     assert shear((1, 1), params) == pytest.approx((0.8, 0.8))
 
 
+def test_shear_adds_coordinates_left_to_right():
+    # a compensated sum, as sum() is from CPython 3.12 on, would end the
+    # first coordinate of each in ...7cp-5 and ...58p-3
+    params = ShearParams(3, 0.1)
+    assert shear((0.1, 0.2, 0.3), params)[0].hex() == "0x1.47ae147ae147ap-5"
+    assert shear_inverse((0.1, 0.2, 0.3), params)[0].hex() == "0x1.7c57c57c57c59p-3"
+
+
 def test_shear_sum_identity():
     params = ShearParams(2, 0.1)
     image = shear((1, 0), params)

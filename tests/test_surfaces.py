@@ -131,6 +131,22 @@ def test_hyperplane_quadrature_cross_check():
         assert abs(quad.value - closed) <= quad.error_bound + 1e-9, n
 
 
+def test_float_sums_add_left_to_right():
+    # each value differs in its last bits where sum() is compensated, as it
+    # is from CPython 3.12 on
+    assert graph_value(Hyperplane(4), (0.1, 0.2, 0.9)).hex() == "0x1.9999999999998p-1"
+    x = (0.1, 0.2, 0.3)
+    assert graph_value(LpSphere(4, 1), x).hex() == "0x1.9999999999998p-2"
+    assert graph_value(LinearGraph((1.0, 1.0, 1.0)), x).hex() == "0x1.3333333333334p-1"
+    hyperplane = surface_measure_quadrature(Hyperplane(5), 1e-2)
+    assert hyperplane.error_bound.hex() == "0x1.4deb635869d56p-8"
+    sphere = surface_measure(LpSphere(4, 4), tol=0.5)
+    assert (sphere.value.hex(), sphere.error_bound.hex()) == (
+        "0x1.2d835a13412a6p+1",
+        "0x1.74855d8588757p-5",
+    )
+
+
 def test_hyperplane_projections():
     est = projection_measure(Hyperplane(2), 1)
     assert est.value == pytest.approx(1.0, abs=1e-12)
