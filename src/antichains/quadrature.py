@@ -14,6 +14,14 @@ region test; the surface families map their domains to full boxes.  A cell
 that stops unresolved, at ``max_depth`` or because ``max_evals`` ran out,
 keeps ``s`` and is charged the full ``|s - est|``.  Evaluation order is
 fixed, so results are bit-reproducible.
+
+A cell's ``s`` adds its children's estimates left to right from 0.0
+(``estimate._sum_in_order``), and so do the sums inside the surface
+families' integrands: the l^p sphere's surface element for n >= 3 adds its
+two power sums from 0.0 in one pass over the simplex point.  The values
+pinned bit for bit on CPython 3.11 rest on that order; ``sum()`` of floats
+is compensated from 3.12 on and would change them.  Only the final value
+and the error bound are totals of ``fsum``, which is correctly rounded.
 """
 
 import heapq

@@ -48,7 +48,14 @@ class ShearParams:
 
     @property
     def inverse_lipschitz(self) -> float:
-        """Lipschitz constant of the inverse map."""
+        """Lipschitz constant of the inverse map: 1/sqrt(1 - 2n*epsilon).
+
+        It is a valid bound but not a tight one.  The shear is the symmetric
+        map I - epsilon * 11^T, whose eigenvalues are 1 and 1 - n*epsilon, so
+        the inverse's exact constant is 1/(1 - n*epsilon), which is smaller;
+        sampled ratios reach it along the diagonal.  Reports print this
+        value, so it stays as it is.
+        """
         return 1.0 / math.sqrt(1.0 - 2 * self.n * self.epsilon)
 
 

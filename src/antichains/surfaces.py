@@ -174,7 +174,10 @@ class LpSphere:
         ||v||_p)^(2p-2)) / ||v||_p^n, which is bounded because ||v||_p >=
         n^(1/p - 1) on the simplex.  Its bounds at large p are still
         heuristic: the element turns sharply at the ridges where max(v)
-        changes coordinate, and a coarse grid can miss that.
+        changes coordinate, and a coarse grid can miss that.  Its two sums,
+        of (v_i / max(v))^(2p-2) and of (v_i / max(v))^p, each start at 0.0
+        and add i = 1..n left to right; the values pinned bit for bit on
+        CPython 3.11 rest on that order.
 
         For n = 2 the arc splits into two congruent graph pieces about
         x = y.  The piece over [0, 2^(-1/p)] has slope^2 u = (w / (1 -
@@ -212,7 +215,8 @@ class LpSphere:
                 # jac collects prod_{i<j} (1 - t_i) for every j, which is the
                 # Duffy Jacobian.  With w = v / max(v), so that no power of a
                 # coordinate underflows for large p, the surface element is
-                # sqrt(sum w^(2p-2)) * (sum w^p)^(-(n+p-1)/p) / max(v)^n.
+                # sqrt(sum w^(2p-2)) * (sum w^p)^(-(n+p-1)/p) / max(v)^n;
+                # one pass over v divides by max(v) and adds both sums.
                 rest = jac = 1.0
                 v = []
                 for c in t:
@@ -221,11 +225,12 @@ class LpSphere:
                     rest *= 1.0 - c
                 v.append(rest)
                 top = max(v)
-                w = [c / top for c in v]
-                return (
-                    jac * math.sqrt(_sum_in_order(c**q for c in w))
-                    * _sum_in_order(c**p for c in w) ** scale / top**n
-                )
+                sq = sp = 0.0
+                for c in v:
+                    c /= top
+                    sq += c**q
+                    sp += c**p
+                return jac * math.sqrt(sq) * sp**scale / top**n
 
         res = integrate_adaptive(integrand, box, tol / pieces)
         return MeasureEstimate(
@@ -356,7 +361,11 @@ class TabulatedMonotone:
         return self.dim
 
     def _value(self, x) -> float:
-        return monotone_extension(self, x)
+        best = 1.0
+        for pt, val in self.samples:
+            if val < best and all(a <= b for a, b in zip(pt, x)):
+                best = val
+        return best
 
     def _measure(self, tol: float) -> MeasureEstimate:
         # the step extension is flat off a null set, so the graph measures
@@ -407,9 +416,7 @@ class SingularStaircase:
         return 2
 
     def _value(self, x) -> float:
-        x = x[0]
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("staircase argument outside [0,1]")
+        (x,) = x
         _, x0, y0, x1, y1 = _staircase_x_segment(self.depth, x)
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
@@ -606,27 +613,40 @@ def _polyline_length(vertices) -> float:
 # graph evaluation
 
 
+def _base_point(x, dim: int) -> tuple:
+    """``x`` as a tuple, once checked to be a point of the base cube [0,1]^(dim-1).
+
+    A point needs dim - 1 coordinates (else ValueError), each finite (else
+    NonFiniteError) and in [0, 1] (else ValueError).
+    """
+    x = tuple(x)
+    if len(x) != dim - 1:
+        raise ValueError(f"point {x} must have {dim - 1} coordinates")
+    require_finite("point coordinates", *x)
+    if not all(0.0 <= c <= 1.0 for c in x):
+        raise ValueError(f"point {x} outside the unit cube")
+    return x
+
+
 def monotone_extension(samples: TabulatedMonotone, x) -> float:
     """Step extension of the tabulated function: min over samples below ``x``.
 
     With no sample below ``x`` the value is 1, so the extension is total on
-    the unit cube and still order-reversing.
+    the unit cube and still order-reversing.  ``x`` must be a point of the
+    base cube, as for :func:`graph_value`.
     """
-    x = tuple(x)
-    if len(x) != samples.dim - 1:
-        raise ValueError(f"point {x} must have {samples.dim - 1} coordinates")
-    if not all(0.0 <= c <= 1.0 for c in x):
-        raise ValueError(f"point {x} outside the unit cube")
-    best = 1.0
-    for pt, val in samples.samples:
-        if val < best and all(a <= b for a, b in zip(pt, x)):
-            best = val
-    return best
+    return samples._value(_base_point(x, samples.dim))
 
 
 def graph_value(s: Surface, x) -> float:
-    """Value of the base-to-last-coordinate function of a graph-type surface."""
-    return _surface(s)._value(tuple(x))
+    """Value of the base-to-last-coordinate function of a graph-type surface.
+
+    ``x`` must be a point of the base cube [0,1]^(n-1): n - 1 coordinates
+    (else ValueError), each finite (else NonFiniteError) and in [0, 1]
+    (else ValueError).
+    """
+    s = _surface(s)
+    return s._value(_base_point(x, s._dim()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,18 @@ different problems.
 ``_previous_integrate_adaptive`` is the global-adaptive loop as it was
 before its tables and per-child calls were taken out, also verbatim but for
 its sums, which add left to right; the current loop must return
-bit-identical results.  Run as a script,
+bit-identical results.  ``_previous_sphere_integrand`` is the l^p sphere's
+Duffy-mapped surface element for n >= 3 as it was before its two sums
+moved into one pass, verbatim; the current one must return bit-identical
+values.  Run as a script,
 
     PYTHONPATH=src python tests/test_quadrature_kernel.py 2000
 
-checks that on 2,000 seeded random problems outside tier-1: smooth, kinked
-and step integrands on random boxes in d = 1..4, with random tolerances,
-budgets and depths.
+checks the loop on 2,000 seeded random problems outside tier-1: smooth,
+kinked and step integrands on random boxes in d = 1..4, with random
+tolerances, budgets and depths.  It then checks the surface element on
+2,000 seeded random points for each n = 3, 4, 5 and each of the eight
+exponents p that tier-1 covers.
 """
 
 import heapq
@@ -680,6 +685,95 @@ def test_offset_boxes_bit_identical_to_previous_loop(box):
 
 
 # ---------------------------------------------------------------------------
+# the sphere's surface element against its previous form: bit-identical values
+
+
+def _previous_sphere_integrand(n, p):
+    """The Duffy-mapped surface element of ``LpSphere(n, p)``, n >= 3, as it
+    was before its two sums moved into one pass over v, verbatim."""
+    inv_p = 1.0 / p
+    q, scale = 2.0 * (p - 1.0), -(n + p - 1.0) * inv_p
+
+    def integrand(t):
+        rest = jac = 1.0
+        v = []
+        for c in t:
+            v.append(c * rest)
+            jac *= rest
+            rest *= 1.0 - c
+        v.append(rest)
+        top = max(v)
+        w = [c / top for c in v]
+        return (
+            jac * math.sqrt(_sum_in_order(c**q for c in w))
+            * _sum_in_order(c**p for c in w) ** scale / top**n
+        )
+
+    return integrand
+
+
+_SPHERE_NS = (3, 4, 5)
+_SPHERE_PS = (1, 1.1, 1.5, 2, 4, 8, 64, 1000)
+
+
+def _simplex_point(t) -> list[float]:
+    # the Duffy map as the integrand computes it, so ties are ties in floats
+    rest, v = 1.0, []
+    for c in t:
+        v.append(c * rest)
+        rest *= 1.0 - c
+    return v + [rest]
+
+
+def _special_points(n) -> list[tuple[float, ...]]:
+    """Every point of [0,1]^(n-1) with coordinates in {0, 1/4, 1/3, 1/2, 1}:
+    the faces where some t_i is 0 or 1, and simplex points whose max(v) is
+    attained more than once, such as t = (1/2, 0) with v = (1/2, 0, 1/2) or
+    t = (1/4, 1/3, 1/2) with v = (1/4, 1/4, 1/4, 1/4)."""
+    return list(product((0.0, 0.25, 1 / 3, 0.5, 1.0), repeat=n - 1))
+
+
+def _assert_sphere_integrands_agree(n, p, points) -> None:
+    f = _problem(surfaces.LpSphere(n, p), 1e-2)[0]
+    old = _previous_sphere_integrand(n, p)
+    for t in points:
+        # repr round-trips every float exactly, signed zeros included
+        assert repr(f(t)) == repr(old(t)), (n, p, t)
+
+
+def test_special_points_reach_ties():
+    for n in _SPHERE_NS:
+        points = _special_points(n)
+        tied = [t for t in points if _simplex_point(t).count(max(_simplex_point(t))) > 1]
+        assert len(tied) >= 5, n
+    assert _simplex_point((0.25, 1 / 3, 0.5)) == [0.25] * 4
+
+
+@pytest.mark.parametrize("n", _SPHERE_NS)
+@pytest.mark.parametrize("p", _SPHERE_PS)
+def test_sphere_integrand_bit_identical_to_previous(n, p):
+    rng = random.Random(n * 10_007 + _SPHERE_PS.index(p))
+    points = [tuple(rng.random() for _ in range(n - 1)) for _ in range(300)]
+    _assert_sphere_integrands_agree(n, p, points + _special_points(n))
+
+
+@pytest.mark.parametrize("n, p, tol", [(3, 1.1, 1e-2), (4, 8, 1.0), (5, 2, 2.0)])
+def test_sphere_integrals_bit_identical_to_previous_integrand(n, p, tol):
+    f, box, tol, kwargs = _problem(surfaces.LpSphere(n, p), tol)
+    new = integrate_adaptive(f, box, tol, **kwargs, max_evals=20_000)
+    old = integrate_adaptive(_previous_sphere_integrand(n, p), box, tol, **kwargs, max_evals=20_000)
+    assert repr(astuple(new)) == repr(astuple(old))
+
+
+def _integrand_sweep(points: int) -> None:
+    rng = random.Random(33)
+    for n in _SPHERE_NS:
+        for p in _SPHERE_PS:
+            ts = [tuple(rng.random() for _ in range(n - 1)) for _ in range(points)]
+            _assert_sphere_integrands_agree(n, p, ts)
+
+
+# ---------------------------------------------------------------------------
 # the contract the benchmark's tracer relies on: f is called once per
 # counted evaluation, with a tuple
 
@@ -842,3 +936,8 @@ if __name__ == "__main__":
     problems = int(sys.argv[1])
     _sweep(problems)
     print(f"{problems} random problems: bit-identical to the previous loop")
+    _integrand_sweep(problems)
+    print(
+        f"{problems} random points per sphere (n, p), n = 3..5, 8 exponents: "
+        "bit-identical to the previous surface element"
+    )

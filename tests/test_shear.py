@@ -130,6 +130,18 @@ def test_lipschitz_check_shear_inverse():
     assert 0 < worst <= params.inverse_lipschitz * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("n, epsilon", [(2, 0.2), (3, 0.1)])
+def test_shear_inverse_sampled_ratio_is_the_exact_constant(n, epsilon):
+    # the shear is I - epsilon * 11^T, with eigenvalues 1 and 1 - n*epsilon,
+    # so its inverse's exact Lipschitz constant is 1/(1 - n*epsilon), below
+    # inverse_lipschitz; the sampled maximum stays under it and reaches it
+    params = ShearParams(n, epsilon)
+    exact = 1 / (1 - n * epsilon)
+    assert exact < params.inverse_lipschitz
+    worst = lipschitz_sample_check(SHEAR_INVERSE, exact, 2000, seed=0, params=params)
+    assert 0.98 * exact <= worst <= exact * (1 + 1e-12)
+
+
 def test_lipschitz_check_skew_inverse_2d():
     worst = lipschitz_sample_check(SKEW_INVERSE_2D, 1.0, 2000, seed=1)
     assert 0 < worst <= 1.0 + 1e-12

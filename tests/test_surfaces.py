@@ -147,6 +147,43 @@ def test_float_sums_add_left_to_right():
     )
 
 
+# one surface of each family over the base cube [0,1]^2, but the staircase over [0,1]
+_GRAPHS = [
+    Hyperplane(3),
+    LpSphere(3, 2),
+    LinearGraph((1.0, -0.5)),
+    TabulatedMonotone(3, (((0.2, 0.3), 0.5),)),
+    SingularStaircase(2),
+]
+
+
+@pytest.mark.parametrize("s", _GRAPHS, ids=lambda s: type(s).__name__)
+def test_graph_value_checks_its_point(s):
+    d = surface_dim(s) - 1
+    for x in ((0.0,) * d, (1.0,) * d, (0.5,) * d):
+        assert math.isfinite(graph_value(s, x))
+    for x in ((), (0.5,) * (d - 1), (0.5,) * (d + 1)):
+        with pytest.raises(ValueError, match=f"must have {d} coordinates$"):
+            graph_value(s, x)
+    for bad in (-0.1, 1.5, -1e-300, 1.0000000000000002):
+        with pytest.raises(ValueError, match="outside the unit cube$") as info:
+            graph_value(s, (0.5,) * (d - 1) + (bad,))
+        assert not isinstance(info.value, NonFiniteError)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteError, match="^point coordinates must be finite$"):
+            graph_value(s, (bad,) + (0.5,) * (d - 1))
+
+
+def test_monotone_extension_checks_its_point():
+    t = TabulatedMonotone(2, (((0.2,), 0.8),))
+    with pytest.raises(ValueError, match="must have 1 coordinates$"):
+        monotone_extension(t, (0.5, 0.5))
+    with pytest.raises(ValueError, match="outside the unit cube$"):
+        monotone_extension(t, (1.5,))
+    with pytest.raises(NonFiniteError):
+        monotone_extension(t, (math.nan,))
+
+
 def test_hyperplane_projections():
     est = projection_measure(Hyperplane(2), 1)
     assert est.value == pytest.approx(1.0, abs=1e-12)
