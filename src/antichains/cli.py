@@ -7,10 +7,10 @@ produce byte-identical output.  Exit codes: 0 success, 1 operation error,
 measure missed the tolerance), 64 bad usage.  A flag value that argparse or
 the library rejects is bad usage, and its subcommand's usage line follows the
 message; a non-finite number the library rejects (a surface parameter,
-``slab --c``, ``shear --epsilon``), a file's contents and an exceeded budget
-are operation errors.  ``--m``/``--m-list``, ``--n``/``--n-list`` and
-``--size``/``--size-list`` are each one flag taking a comma-separated integer
-list.
+``slab --c``, ``shear --epsilon``), a file's contents, an exceeded budget
+and an arithmetic overflow are operation errors.  ``--m``/``--m-list``,
+``--n``/``--n-list`` and ``--size``/``--size-list`` are each one flag taking
+a comma-separated integer list.
 """
 
 import argparse
@@ -597,7 +597,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         (exc.parser or args.parser).print_usage(sys.stderr)
         return USAGE_EXIT
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 2

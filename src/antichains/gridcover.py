@@ -22,24 +22,27 @@ it cell by cell.  The hyperplane and the sphere are level sets of a sum of
 one increasing function per coordinate, so one walk serves both: on a table
 of that function at the faces, each run end only moves down as the last base
 coordinate grows and walks down from the previous base cell's, tested on
-sums built axis by axis.  A linear graph's run goes from the row of its
-attained interval's lower end to the row of its upper end, both bisected on
-the faces, and is settled in closed form: the exact interval test decides
-only the top row of a column whose interval is a point, starts at or above
-1, or ends on a face or below 0.  A tabulated graph's values are the step
-extension at a base cell's corners, read from per-axis bitsets of the
-samples below each corner.  The staircase's polyline crosses each inner face
-once per axis, so its cover is the lattice path that steps right or down at
-each crossing in the order they occur; an x crossing is found by walking
-down the staircase's construction and a y crossing by arithmetic on its
-dyadic ordinates, so a cover costs O(m*depth) and builds no vertex list.
+sums built axis by axis for one head (a base cell of the first n-2 axes) at
+a time.  A linear graph's run goes from the row of its attained interval's
+lower end to the row of its upper end, both bisected on the faces, and is
+settled in closed form: the exact interval test decides only the top row of
+a column whose interval is a point, starts at or above 1, or ends on a face
+or below 0.  A tabulated graph's values are the step extension at a base
+cell's corners, read from per-axis bitsets of the samples below each corner,
+the prefix ORs of one sorted pass over the axis's sample coordinates, ANDed
+head by head.  The staircase's polyline crosses each inner face once per
+axis, so its cover is the lattice path that steps right or down at each
+crossing in the order they occur; an x crossing is found by walking down the
+staircase's construction and a y crossing by arithmetic on its dyadic
+ordinates, so a cover costs O(m*depth) and builds no vertex list.
 """
 
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from operator import or_
 
 from .estimate import (
     COVERING,
@@ -172,6 +175,7 @@ class PointCloud:
 
     def __post_init__(self):
         require_int("dim", self.dim, 1)
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} has dimension {len(p)}, expected {self.dim}")
@@ -202,23 +206,20 @@ def _level_cells(n: int, m: int, power, level):
     # the cells meeting a level set {phi(x_1) + ... + phi(x_n) = level} of a
     # strictly increasing phi, tabled on the faces as power[j] = phi(j/m):
     # the sum increases in every coordinate, so the half-open cell d meets
-    # it iff sum power[d_i - 1] <= level < sum power[d_i].  The base cell's
-    # sums are built axis by axis in coordinate order from the int 0, the
-    # head axes once for every last base row: an integer table stays in
+    # it iff sum power[d_i - 1] <= level < sum power[d_i].  Each head (a
+    # base cell of the first n-2 axes) is summed in turn, axis by axis from
+    # the int 0, once for every last base row: an integer table stays in
     # ints, and 0 + x is x for a float.  Over a base cell the rows with
     # s_hi + power[j] > level >= s_lo + power[j-1] form one run.  Both sums
     # grow with the last base row (power never decreases, float addition is
     # monotone), so each end only moves down: it walks down from the
     # previous base row's, on the cell test's sums
     rows = range(1, m + 1)
-    partial = [((), 0, 0)]
-    for _ in range(n - 2):
-        partial = [
-            (base + (di,), s_hi + power[di], s_lo + power[di - 1])
-            for base, s_hi, s_lo in partial
-            for di in rows
-        ]
-    for head, hi0, lo0 in partial:
+    for head in product(rows, repeat=n - 2):
+        hi0 = lo0 = 0
+        for di in head:
+            hi0 += power[di]
+            lo0 += power[di - 1]
         lo, hi = m + 1, m
         for di in rows:
             s_hi = hi0 + power[di]
@@ -329,44 +330,33 @@ def _tabulated_cells(s: TabulatedMonotone, m: int):
     # corner, so the values attained on a base cell are exactly the
     # extension at the cell's lower corner and the cuts inside it.  With
     # the samples sorted by value, bit k of an axis mask marks sample k at
-    # or below a corner coordinate; the AND over the axes marks the samples
-    # below the corner, its lowest bit the minimum, which is the extension
-    # (1 where no bit is set).  Each value lies in one row
+    # or below a corner coordinate (prefix ORs over the sorted coordinates,
+    # bisected), and a row's set takes the masks at its lower face and at
+    # each coordinate in it.  The AND over the axes, head axes first, marks
+    # the samples below the corner, its lowest bit the minimum, which is the
+    # extension (1 where no bit is set).  Each value lies in one row
     samples = sorted(s.samples, key=lambda sample: sample[1])
     value_rows = [_row(val, m) for _, val in samples]
     everything = (1 << len(samples)) - 1
+    rows = range(1, m + 1)
     row_masks = []
     for i in range(s.dim - 1):
-        order = sorted(range(len(samples)), key=lambda k: samples[k][0][i])
-        coords = [samples[k][0][i] for k in order]
-        at_or_below = [0]
-        for k in order:
-            at_or_below.append(at_or_below[-1] | 1 << k)
-        positions = [None] + [[(di - 1) / m] for di in range(1, m + 1)]
-        for c in sorted(set(coords)):
-            corners = positions[_row(c, m)]
-            if c > corners[0]:
-                corners.append(c)
-        row_masks.append(
-            [None]
-            + [
-                {at_or_below[bisect_right(coords, x)] for x in positions[di]}
-                for di in range(1, m + 1)
-            ]
-        )
+        pairs = sorted((pt[i], 1 << k) for k, (pt, _) in enumerate(samples))
+        coords = [c for c, _ in pairs]
+        at_or_below = list(accumulate((bit for _, bit in pairs), or_, initial=0))
+        per_row = [None] + [{at_or_below[bisect_right(coords, (di - 1) / m)]} for di in rows]
+        for c in coords:
+            per_row[_row(c, m)].add(at_or_below[bisect_right(coords, c)])
+        row_masks.append(per_row)
 
     *heads, last = row_masks
-    partial = [((), {everything})]
-    for per_row in heads:
-        partial = [
-            (base + (di,), {a & b for a in masks for b in per_row[di]})
-            for base, masks in partial
-            for di in range(1, m + 1)
-        ]
-    for base, head_masks in partial:
-        for di in range(1, m + 1):
+    for head in product(rows, repeat=s.dim - 2):
+        head_masks = {everything}
+        for per_row, di in zip(heads, head):
+            head_masks = {a & b for a in head_masks for b in per_row[di]}
+        for di in rows:
             for mask in {a & b for a in head_masks for b in last[di]}:
-                yield base + (di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
+                yield head + (di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
 
 
 def _staircase_cells(s: SingularStaircase, m: int):

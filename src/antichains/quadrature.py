@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from itertools import product
 from math import fsum, prod
 
-from .estimate import _sum_in_order, require_finite, require_int, require_tolerance
+from .estimate import (
+    BudgetExceededError,
+    _sum_in_order,
+    require_finite,
+    require_int,
+    require_tolerance,
+)
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "INSIDE", "OUTSIDE", "STRADDLE"]
 
@@ -37,6 +43,8 @@ __all__ = ["QuadratureResult", "integrate_adaptive", "INSIDE", "OUTSIDE", "STRAD
 INSIDE, OUTSIDE, STRADDLE = 1, -1, 0
 
 Box = tuple[tuple[float, float], ...]
+
+_DEFAULT_MAX_EVALS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,7 @@ def integrate_adaptive(
     *,
     max_depth: int = 26,
     min_depth: int = 2,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Integrate ``f`` over ``box`` to an absolute tolerance.
 
@@ -68,7 +76,12 @@ def integrate_adaptive(
     cell at ``max_depth`` never is.
     Refinement stops once the summed charge is at most ``tol``, once
     ``max_evals`` evaluations are spent, or once no cell that carries a
-    charge can be split.  Every unresolved cell charges its error to the
+    charge can be split.  ``max_evals`` is checked before each split, and
+    a split costs 4^d evaluations, so a run overshoots it by at most the
+    splits in progress (the forced ones shallower than ``min_depth`` nest).
+    A box with 4^d above both ``max_evals`` and the default budget of
+    4,000,000 (d >= 11 at the default) raises BudgetExceededError before
+    anything is evaluated.  Every unresolved cell charges its error to the
     reported bound; callers should treat a bound above ``tol`` as a
     flagged, not failed, estimate.
     """
@@ -89,6 +102,13 @@ def integrate_adaptive(
     vol_total = float(prod(widths))
     if vol_total <= 0:
         return QuadratureResult(0.0, 0.0, 0, True)
+    # the budget is checked before each split, and one split costs 4^d
+    # evaluations and keeps 2^d cells of 2^d estimates each
+    if 4**d > max(max_evals, _DEFAULT_MAX_EVALS):
+        raise BudgetExceededError(
+            f"a split of a {d}-axis box costs 4^{d} = {4**d} evaluations, above both"
+            f" max_evals ({max_evals}) and the default budget {_DEFAULT_MAX_EVALS}"
+        )
 
     # A cell is named by its depth k and a packed integer index: axis j's
     # coordinate i_j (the cell spans ticks i_j and i_j + 1 of depth k) sits

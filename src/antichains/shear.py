@@ -115,12 +115,16 @@ def lipschitz_sample_check(
     ||inverse(a) - inverse(b)|| / ||a - b||; explicit pairs may be supplied
     instead of a count.  For ``skew-inverse-2d``, decreasing plane pairs are
     sampled and compared against their skewed projections.  Coincident
-    pairs record no ratio.  Raises :class:`LipschitzBoundExceeded` if any
-    ratio exceeds the bound beyond floating-point slack.
+    pairs record no ratio.  A count must be an int of at least 1, a bool
+    not counting as one (else ValueError).  Raises
+    :class:`LipschitzBoundExceeded` if any ratio exceeds the bound beyond
+    floating-point slack.
     """
     require_finite("bound", bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
+    if isinstance(pairs, int):
+        require_int("pairs", pairs, 1)
     rng = random.Random(seed)
     ratios: list[float] = []
 

@@ -10,6 +10,7 @@ measure, its projection measures, and enough analytic structure for the
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import pairwise
 from typing import get_args
 
@@ -268,13 +269,16 @@ class LinearGraph:
     offset: float = 0.0
 
     def __post_init__(self):
+        # the sequences given are stored as nested tuples, so the graph
+        # hashes and compares by value
+        object.__setattr__(self, "gradient", tuple(self.gradient))
         if not self.gradient:
             raise ValueError("gradient must have at least one component")
         require_finite("gradient components", *self.gradient)
         require_finite("offset", self.offset)
         d = len(self.gradient)
-        if self.base is None:
-            object.__setattr__(self, "base", (((0.0, 1.0),) * d,))
+        base = (((0.0, 1.0),) * d,) if self.base is None else self.base
+        object.__setattr__(self, "base", tuple(tuple(map(tuple, box)) for box in base))
         for box in self.base:
             if len(box) != d:
                 raise ValueError("base boxes must match the gradient dimension")
@@ -339,6 +343,7 @@ class TabulatedMonotone:
         require_int("dim", self.dim)
         if self.dim < 2:
             raise ValueError("tabulated surface needs dimension >= 2")
+        object.__setattr__(self, "samples", tuple((tuple(pt), val) for pt, val in self.samples))
         seen = set()
         for pt, val in self.samples:
             if len(pt) != self.dim - 1:
@@ -475,11 +480,40 @@ def _tolerance(s: Surface, tol: float | None) -> float:
 # closed-form helpers
 
 
+# the largest n the exact sums below take: at n = 1000 a sum at a float
+# with a full 53-bit mantissa takes about 0.25 s, and at n = 2000 about 2 s
+# (CPython 3.11.7 on a 2-CPU x86-64 VM)
+_IRWIN_HALL_MAX_N = 1000
+
+
+def _irwin_hall(n: int, num: int, den: int) -> tuple[int, int]:
+    """F_n(num/den), 0 <= num/den <= n, exactly: an integer numerator over den^n * n!.
+
+    Inclusion-exclusion over the corners of the cube cut off by the plane
+    of constant coordinate sum, in integers, so no term cancels in
+    rounding.  F_n is symmetric about n/2, so the sum runs over the corners
+    below the nearer of t and n - t.
+    """
+    if n > _IRWIN_HALL_MAX_N:
+        raise ValueError(
+            f"an exact Irwin-Hall sum of {n} uniforms exceeds the limit of {_IRWIN_HALL_MAX_N}"
+        )
+    scale = den**n * math.factorial(n)
+    flip = 2 * num > n * den
+    if flip:
+        num = n * den - num
+    total = 0
+    for k in range(num // den + 1):
+        term = math.comb(n, k) * (num - k * den) ** n
+        total += -term if k % 2 else term
+    return (scale - total if flip else total), scale
+
+
 def irwin_hall_cdf(n: int, t: float) -> float:
     """CDF of a sum of n independent uniform [0,1] variables.
 
-    Inclusion-exclusion over the corners of the cube cut off by the plane
-    of constant coordinate sum.
+    Summed exactly on the float ``t`` and rounded once, so the value is
+    the correctly rounded CDF; n above 1000 is a ValueError.
     """
     require_int("n", n, 1)
     require_finite("t", t)
@@ -487,19 +521,23 @@ def irwin_hall_cdf(n: int, t: float) -> float:
         return 0.0
     if t >= n:
         return 1.0
-    total = 0.0
-    for k in range(int(t) + 1):
-        total += (-1) ** k * math.comb(n, k) * (t - k) ** n
-    return total / math.factorial(n)
+    num, scale = _irwin_hall(n, *t.as_integer_ratio())
+    return num / scale
 
 
 def slab_volume(n: int, c: float) -> float:
-    """Volume of {x in [0,1]^n : (n-c)/2 <= sum x_i < (n+c)/2}."""
+    """Volume of {x in [0,1]^n : (n-c)/2 <= sum x_i < (n+c)/2}.
+
+    By symmetry it is 1 - 2 F_n((n-c)/2), summed exactly and rounded once,
+    so the value is correctly rounded; n above 1000 is a ValueError.
+    """
     require_int("n", n, 1)
     require_finite("c", c)
     if not 0.0 <= c <= n:
         raise ValueError(f"c must be in [0, {n}]")
-    return irwin_hall_cdf(n, (n + c) / 2) - irwin_hall_cdf(n, (n - c) / 2)
+    a, b = c.as_integer_ratio()
+    num, scale = _irwin_hall(n, n * b - a, 2 * b)
+    return (scale - 2 * num) / scale
 
 
 def facet_union_measure(n: int) -> float:
@@ -513,9 +551,12 @@ def _orthant_ball_volume(d: int, p: float) -> float:
     return math.gamma(1 + 1 / p) ** d / math.gamma(1 + d / p)
 
 
+@cache
 def _hyperplane_base_measure(n: int) -> float:
-    # base region of the graph form: {x in [0,1]^(n-1): n/2 - 1 <= sum <= n/2}
-    return irwin_hall_cdf(n - 1, n / 2) - irwin_hall_cdf(n - 1, n / 2 - 1)
+    # base region of the graph form: {x in [0,1]^(n-1): n/2 - 1 <= sum <= n/2};
+    # a verification asks for it once per axis, so it is kept per n (at most
+    # one entry for each n the exact sums take)
+    return slab_volume(n - 1, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,39 @@ def test_operation_errors_exit_1(points_file, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # alpha's math.gamma, then the orthant volume's, overflow
+        (["cover", "--surface", "hyperplane", "--n", "402", "--m", "1"], "math range error"),
+        (["measure", "--surface", "lpsphere", "--n", "400", "--p", "1", "--axis", "1"], "math range error"),
+        # a split of the 13-axis sphere integral costs 4^13 evaluations
+        (["measure", "--surface", "lpsphere", "--n", "14", "--p", "2"], "4^13 = 67108864"),
+        (["measure", "--surface", "hyperplane", "--n", "1002"], "exceeds the limit of 1000"),
+    ],
+)
+def test_overflows_and_unaffordable_sums_are_operation_errors(argv, message, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_large_n_closed_forms_are_exact(capsys):
+    # the float inclusion-exclusion printed a surface 23% high, a negative
+    # slab and an OverflowError traceback for these
+    code, report = run_json(capsys, ["verify", "--surface", "hyperplane", "--n", "100"])
+    assert code == 0 and report["passes"]
+    assert report["surface"]["value"] == 1.3799020407550002
+    assert {p["value"] for p in report["projections"]} == {0.13799020407550003}
+    assert run_json(capsys, ["slab", "--n", "120", "--c", "2"]) == (
+        0,
+        {"c": 2.0, "n": 120, "volume": 0.24788010680775246},
+    )
+    code, slab = run_json(capsys, ["slab", "--n", "200", "--c", "1"])
+    assert code == 0 and 0 < slab["volume"] < 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cover", "--surface", "linear", "--gradient=-0.5,nan", "--offset", "0.9", "--m", "4"],

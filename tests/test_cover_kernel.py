@@ -21,7 +21,11 @@ the polyline's coordinates before it was found by descent; the descent
 must yield that kernel's path in the same order.  So are the staircase's x
 and y segment descents that replayed the construction's halvings before
 the ordinates were computed from the leaf index; the readers must return
-their tuples.
+their tuples.  So is the tabulated kernel that built its per-row corner
+masks through a sample order, prefix ORs, corner positions and their
+bisections, and each head's masks in a list over every head, before both
+came from one sorted pass and a walk over the heads; the covers must be
+the same sets.
 
     PYTHONPATH=src python tests/test_cover_kernel.py 10
 
@@ -37,8 +41,10 @@ spheres and 3-D tabulated tables over m = 1..48, 10 random 4-D spheres and
 tables over m = 1..16, the 3-D sphere against the exact oracle over
 m = 1..48 for every exponent of SPHERE_PS, and the hyperplane's covers
 against its per-sum table kernel at n = 2 over m = 1..1000 and n = 3 over
-m = 1..128, outside tier-1.  grid_cover builds its covers without GridCover's index check, so
-each swept cover is also rebuilt through it.
+m = 1..128, and 400, 200 and 20 random 2-, 3- and 4-D tables against the
+previous tabulated kernel over m = 1..32, outside tier-1.  grid_cover
+builds its covers without GridCover's index check, so each cover swept
+against an oracle is also rebuilt through it.
 """
 
 import decimal
@@ -67,7 +73,7 @@ from antichains import (
     surface_dim,
 )
 from antichains import gridcover
-from antichains.gridcover import _interval_overlap
+from antichains.gridcover import _interval_overlap, _row
 from antichains.surfaces import _staircase_x_segment, _staircase_y_segment
 
 # ---------------------------------------------------------------------------
@@ -127,6 +133,52 @@ def _table_hyperplane_cells(s: Hyperplane, m: int):
         for di, run in zip(rows, by_sum[sh + 1 : sh + m + 1]):
             for j in run:
                 yield (*head, di, j)
+
+
+def _previous_tabulated_cells(s: TabulatedMonotone, m: int):
+    # the step extension is constant on the arrangement pieces cut by the
+    # sample coordinates, and each piece's value appears at its lower
+    # corner, so the values attained on a base cell are exactly the
+    # extension at the cell's lower corner and the cuts inside it.  With
+    # the samples sorted by value, bit k of an axis mask marks sample k at
+    # or below a corner coordinate; the AND over the axes marks the samples
+    # below the corner, its lowest bit the minimum, which is the extension
+    # (1 where no bit is set).  Each value lies in one row
+    samples = sorted(s.samples, key=lambda sample: sample[1])
+    value_rows = [_row(val, m) for _, val in samples]
+    everything = (1 << len(samples)) - 1
+    row_masks = []
+    for i in range(s.dim - 1):
+        order = sorted(range(len(samples)), key=lambda k: samples[k][0][i])
+        coords = [samples[k][0][i] for k in order]
+        at_or_below = [0]
+        for k in order:
+            at_or_below.append(at_or_below[-1] | 1 << k)
+        positions = [None] + [[(di - 1) / m] for di in range(1, m + 1)]
+        for c in sorted(set(coords)):
+            corners = positions[_row(c, m)]
+            if c > corners[0]:
+                corners.append(c)
+        row_masks.append(
+            [None]
+            + [
+                {at_or_below[bisect_right(coords, x)] for x in positions[di]}
+                for di in range(1, m + 1)
+            ]
+        )
+
+    *heads, last = row_masks
+    partial = [((), {everything})]
+    for per_row in heads:
+        partial = [
+            (base + (di,), {a & b for a in masks for b in per_row[di]})
+            for base, masks in partial
+            for di in range(1, m + 1)
+        ]
+    for base, head_masks in partial:
+        for di in range(1, m + 1):
+            for mask in {a & b for a in head_masks for b in last[di]}:
+                yield base + (di, value_rows[(mask & -mask).bit_length() - 1] if mask else m)
 
 
 def _oracle_linear_cells(s, m):
@@ -558,6 +610,50 @@ def test_hyperplane_walk_matches_sum_table(n, top):
     _assert_hyperplane_matches_table(n, range(1, top + 1))
 
 
+def _corner_table(rng, dim):
+    """An order-reversing table of up to 8 samples drawn from a small pool of
+    coordinates: 0.0, 1.0, three faces j/k of grids with k <= 32 and two
+    random floats, so samples share coordinates on an axis and sit on the
+    faces of the grids swept; values are a decreasing affine function
+    clipped to [0, 1] and rounded, so they tie and reach 0.0 and 1.0."""
+    pool = [0.0, 1.0, rng.random(), rng.random()]
+    pool += [rng.randrange(k + 1) / k for k in rng.sample(range(1, 33), 3)]
+    weights = [rng.uniform(0.0, 1.0) for _ in range(dim - 1)]
+    top = rng.uniform(0.5, 1.5)
+    samples = {}
+    for _ in range(rng.randrange(9)):
+        pt = tuple(rng.choice(pool) for _ in range(dim - 1))
+        value = top - math.fsum(w * c for w, c in zip(weights, pt))
+        samples[pt] = round(min(max(value, 0.0), 1.0) * 24) / 24
+    return TabulatedMonotone(dim, tuple(samples.items()))
+
+
+def _assert_tabulated_matches_previous(tables, ms):
+    # the draws hold coordinates 0.0 and 1.0 and, from three dimensions on
+    # (two samples of a 2-D table never share their one coordinate), a
+    # coordinate that two samples share on one axis
+    coords = [c for table in tables for pt, _ in table.samples for c in pt]
+    assert 0.0 in coords and 1.0 in coords
+    assert tables[0].dim == 2 or any(
+        len({pt[i] for pt, _ in table.samples}) < len(table.samples)
+        for table in tables
+        for i in range(table.dim - 1)
+    )
+    for table in tables:
+        for m in ms:
+            assert frozenset(gridcover._tabulated_cells(table, m)) == frozenset(
+                _previous_tabulated_cells(table, m)
+            ), (table, m)
+
+
+@pytest.mark.parametrize("dim, count", [(2, 60), (3, 25), (4, 3)])
+def test_tabulated_masks_match_previous_kernel(dim, count):
+    # the per-row mask sets from one sorted pass against the four-structure
+    # build they replaced, on every m = 1..32
+    rng = random.Random(dim)
+    _assert_tabulated_matches_previous([_corner_table(rng, dim) for _ in range(count)], range(1, 33))
+
+
 def _assert_staircase_is_monotone(depth):
     # the crossing walk's order and denominators rest on this
     verts = staircase_polyline(depth)
@@ -719,8 +815,10 @@ def _sweep(surfaces: int) -> None:
     linear graphs, spheres and 3-D tables at m = 1..48, as many 4-D spheres
     and tables at m = 1..16, the 3-D sphere against the exact oracle at
     m = 1..48 over SPHERE_PS, and the hyperplane against its per-sum table
-    kernel at n = 2 and m = 1..1000 and at n = 3 and m = 1..128; every
-    cover is also rebuilt through GridCover's index check."""
+    kernel at n = 2 and m = 1..1000 and at n = 3 and m = 1..128, and
+    40, 20 and 2 times ``surfaces`` random 2-, 3- and 4-D tables against the
+    previous tabulated kernel at m = 1..32; every cover but those last is
+    also rebuilt through GridCover's index check."""
     for depth in range(15, 21):
         _assert_staircase_is_monotone(depth)
     _assert_descent_matches_bisect(range(15, 21), (1000, 4096))
@@ -746,6 +844,10 @@ def _sweep(surfaces: int) -> None:
     _assert_sphere_exponents_match_oracle(3, range(1, 49))
     _assert_hyperplane_matches_table(2, range(1, 1001))
     _assert_hyperplane_matches_table(3, range(1, 129))
+    rng = random.Random(34)
+    for dim, count in ((2, 40), (3, 20), (4, 2)):
+        tables = [_corner_table(rng, dim) for _ in range(count * surfaces)]
+        _assert_tabulated_matches_previous(tables, range(1, 33))
 
 
 if __name__ == "__main__":
@@ -758,5 +860,7 @@ if __name__ == "__main__":
         " (3-D, and 4-D spheres and tables): covers agree; 3-D spheres agree"
         " with the exact oracle up to m = 48 for 12 exponents; hyperplane walk"
         " agrees with the per-sum table up to m = 1000 (n = 2) and 128 (n = 3);"
-        " every cover passes GridCover's index check"
+        f" {40 * surfaces}, {20 * surfaces} and {2 * surfaces} random 2-, 3- and 4-D"
+        " tables agree with the previous tabulated kernel up to m = 32;"
+        " every oracle-checked cover passes GridCover's index check"
     )

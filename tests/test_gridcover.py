@@ -119,6 +119,13 @@ def test_point_cloud_covers():
     assert corner.exact
 
 
+def test_point_cloud_stores_tuples():
+    cloud = PointCloud(2, [[0.5, 0.25], (1.0, 0.0)])
+    assert cloud.points == ((0.5, 0.25), (1.0, 0.0))
+    assert cloud == PointCloud(2, ((0.5, 0.25), (1.0, 0.0)))
+    assert hash(cloud) == hash(PointCloud(2, cloud.points))
+
+
 def test_antidiagonal_cover_m2_by_hand():
     cov = grid_cover(ANTIDIAG, 2)
     assert cov.indices == {(1, 2), (2, 2), (2, 1)}

@@ -42,7 +42,7 @@ from math import fsum, prod
 import pytest
 
 from antichains import surfaces
-from antichains.estimate import NonFiniteError, _sum_in_order, require_tolerance
+from antichains.estimate import BudgetExceededError, NonFiniteError, _sum_in_order, require_tolerance
 from antichains.quadrature import QuadratureResult, integrate_adaptive
 
 # the region labels of the previous classifiers, defined here so the oracle stands alone
@@ -873,6 +873,29 @@ def test_zero_knobs_are_accepted(knob):
         assert res.evaluations == len(calls) >= 1 + 2**d
         if knob != "min_depth":
             assert res.evaluations == 1 + 2**d
+
+
+def test_unaffordable_split_is_refused_before_any_evaluation(monkeypatch):
+    # a split costs 4^d evaluations; 4^11 exceeds the default budget of
+    # 4,000,000, so LpSphere(12, 2) (d = 11) raises before its integrand
+    # runs, where LpSphere(14, 2) used to plan 2^26 evaluations
+    calls = []
+
+    def counted_integrator(f, box, tol, **kwargs):
+        g, seen = _counted(f)
+        calls.append(seen)
+        return integrate_adaptive(g, box, tol, **kwargs)
+
+    monkeypatch.setattr(surfaces, "integrate_adaptive", counted_integrator)
+    with pytest.raises(BudgetExceededError, match=r"4\^11 = 4194304 evaluations"):
+        surfaces.surface_measure(surfaces.LpSphere(12, 2.0), 0.5)
+    assert len(calls) == 1 and not calls[0]
+    g, seen = _counted(_smooth)
+    with pytest.raises(BudgetExceededError):
+        integrate_adaptive(g, ((0.0, 1.0),) * 11, 1e-3, max_evals=4**11 - 1)
+    assert not seen
+    # d = 10 is below the default budget, so a starved run goes ahead
+    assert integrate_adaptive(g, ((0.0, 1.0),) * 10, 1e-3, max_evals=0).evaluations == 1 + 2**10
 
 
 @pytest.mark.parametrize("box", [((0.5, 0.5),), ((0.0, 1.0), (2.0, 2.0)), ((3, 3), (0, 1))])

@@ -185,6 +185,14 @@ def test_lipschitz_check_rejects_non_finite_bound(bound):
             lipschitz_sample_check(kind, bound, 50, **kwargs)
 
 
+@pytest.mark.parametrize("kind", [SHEAR_INVERSE, SKEW_INVERSE_2D])
+@pytest.mark.parametrize("pairs", [0, -5, True, False])
+def test_lipschitz_check_refuses_pair_counts_below_one(kind, pairs):
+    # a count of 0 or less used to return 0.0 having checked nothing
+    with pytest.raises(ValueError, match="^pairs must be"):
+        lipschitz_sample_check(kind, 10.0, pairs, params=ShearParams(2, 0.1))
+
+
 def test_lipschitz_check_argument_validation():
     with pytest.raises(ValueError):
         lipschitz_sample_check("mystery-map", 1.0, 10)

@@ -13,6 +13,7 @@ import re
 import tracemalloc
 from array import array
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -75,6 +76,55 @@ def test_slab_volume_examples():
     assert slab_volume(1, 0.5) == pytest.approx(0.5)
     assert slab_volume(2, 1.0) == 0.75
     assert slab_volume(2, 2.0) == pytest.approx(1.0)
+
+
+def _exact_irwin_hall(n, t):
+    # the inclusion-exclusion sum in fractions, the rounding left to float()
+    t = Fraction(t)
+    if t <= 0:
+        return Fraction(0)
+    if t >= n:
+        return Fraction(1)
+    terms = ((-1) ** k * math.comb(n, k) * (t - k) ** n for k in range(math.floor(t) + 1))
+    return sum(terms) / math.factorial(n)
+
+
+def test_irwin_hall_sums_are_correctly_rounded():
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randrange(1, 60)
+        t = rng.choice((rng.uniform(-1.0, n + 1.0), rng.randrange(2 * n + 1) / 2))
+        assert irwin_hall_cdf(n, t) == float(_exact_irwin_hall(n, t)), (n, t)
+        c = rng.choice((rng.uniform(0.0, n), float(rng.randrange(n + 1)), 1.0, 0.0))
+        exact = _exact_irwin_hall(n, (n + Fraction(c)) / 2) - _exact_irwin_hall(
+            n, (n - Fraction(c)) / 2
+        )
+        assert slab_volume(n, c) == float(exact), (n, c)
+
+
+def test_irwin_hall_sums_do_not_cancel_at_large_n():
+    # the float inclusion-exclusion printed 1.694291718123469 here (23%
+    # high), -17424.848185166087 for the slab, and overflowed at n = 200
+    assert surface_measure(Hyperplane(100)).value == 1.3799020407550002
+    assert projection_measure(Hyperplane(100), 1).value == 0.13799020407550003
+    assert slab_volume(120, 2.0) == 0.24788010680775246
+    assert 0 < slab_volume(200, 1.0) < 1
+    assert 0 < surface_measure(Hyperplane(1001)).value < 2
+    assert surfaces._hyperplane_base_measure(4) == 2 / 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: irwin_hall_cdf(1001, 0.5),
+        lambda: slab_volume(1001, 1.0),
+        lambda: surface_measure(Hyperplane(1002)),
+        lambda: projection_measure(Hyperplane(1002), 1),
+    ],
+)
+def test_irwin_hall_sums_refuse_n_above_their_limit(call):
+    with pytest.raises(ValueError, match="exceeds the limit of 1000$"):
+        call()
 
 
 def test_slab_volume_range_check():
@@ -210,6 +260,19 @@ def test_linear_graph_multi_box_base():
     assert surface_measure(s).value == pytest.approx(math.sqrt(5) * vol)
     assert projection_measure(s, 1).value == pytest.approx(2 * vol)
     assert projection_measure(s, 3).value == pytest.approx(vol)
+
+
+def test_constructors_store_tuples():
+    # lists given to the constructors are stored as nested tuples, so the
+    # surfaces hash, compare equal to their tuple twins and pass the checks
+    # that compare with tuples
+    graph = LinearGraph([-0.5], base=[[[0.0, 1.0]]], offset=0.9)
+    assert graph == LinearGraph((-0.5,), offset=0.9)
+    assert hash(graph) == hash(LinearGraph((-0.5,), offset=0.9))
+    assert skew_measures_2d(graph).passes
+    table = TabulatedMonotone(3, [([0.2, 0.3], 0.5), ([0.6, 0.1], 0.4)])
+    assert table.samples == (((0.2, 0.3), 0.5), ((0.6, 0.1), 0.4))
+    assert hash(table) == hash(TabulatedMonotone(3, table.samples))
 
 
 def test_linear_graph_overlapping_base_rejected():
