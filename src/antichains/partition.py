@@ -92,6 +92,11 @@ def projection_size(points: PointSet, axis: int) -> int:
 #: with the box, and the scan computes each cell's values when it takes it
 _TABLE_CAP = 1 << 22
 
+#: largest per-cell memo, in bits, that the sampler keeps: k**n blocked masks
+#: of k**n bits each, so [0,8)^4 fits (2 MB when full); one box's memo is live
+#: at a time, and bigger boxes compute each accepted cell's mask afresh
+_MEMO_CAP = 1 << 24
+
 
 def _axis_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per axis, the cells with coordinate < v and those with coordinate > v, v in range(k)."""
@@ -140,9 +145,16 @@ def _mask_table(n: int, k: int):
 
 
 def _strong_cells(j: int, groups) -> int:
-    """Cells strictly below or strictly above cell ``j`` in every coordinate."""
-    below = above = -1
-    for shift, radix, lo, hi in groups:
+    """Cells strictly below or strictly above cell ``j`` in every coordinate.
+
+    Starts from the first group's masks and ANDs in the rest, so a box with
+    a single group takes no AND at all.
+    """
+    rest = iter(groups)
+    shift, radix, lo, hi = next(rest)
+    d = j // shift % radix
+    below, above = lo[d], hi[d]
+    for shift, radix, lo, hi in rest:
         d = j // shift % radix
         below &= lo[d]
         above &= hi[d]
@@ -163,6 +175,18 @@ def _cell_values(n: int, k: int):
         return _strong_cells(j, groups), lines
 
     return values
+
+
+@lru_cache(maxsize=1)
+def _blocked_memo(n: int, k: int) -> list:
+    """The sampler's per-cell memo for the box [0,k)^n, filled as cells are accepted.
+
+    Entry j, once set, is ``_strong_cells(j, groups) | 1 << j``, the cells
+    that accepting cell j rules out; it is the same under either grouping
+    of the axes, so it depends on the box alone.  Only the last box's memo
+    is kept, within ``_MEMO_CAP`` bits.
+    """
+    return [None] * k**n
 
 
 @lru_cache(maxsize=8)
@@ -192,17 +216,19 @@ class PartitionCertificate:
         total = 0
         for i, (part, key) in enumerate(zip(self.parts, _deleters(n)), start=1):
             pts = part.points
-            total += len(pts)
-            if not (source.issuperset(pts) and seen.isdisjoint(pts)):
-                # name the first offending point
-                for p in pts:
-                    if p not in source:
-                        raise ValueError(f"part {i} contains {p} not in the source")
-                    if p in seen:
-                        raise ValueError(f"point {p} appears in two parts")
-            seen.update(pts)
-            if len(set(map(key, pts))) != len(pts):
-                raise ValueError(f"deleting coordinate {i} is not injective on part {i}")
+            # an empty part is a subset, disjoint and injective: only its size is checked
+            if pts:
+                total += len(pts)
+                if not (source.issuperset(pts) and seen.isdisjoint(pts)):
+                    # name the first offending point
+                    for p in pts:
+                        if p not in source:
+                            raise ValueError(f"part {i} contains {p} not in the source")
+                        if p in seen:
+                            raise ValueError(f"point {p} appears in two parts")
+                seen.update(pts)
+                if len(set(map(key, pts))) != len(pts):
+                    raise ValueError(f"deleting coordinate {i} is not injective on part {i}")
             if self.per_part_projection_sizes[i - 1] != len(pts):
                 raise ValueError("recorded projection sizes disagree with the parts")
         if total != len(self.source):
@@ -253,7 +279,7 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
     parts += [PointSet._trusted(n, ())] * (n - len(parts))
     # part i holds one point per fiber along axis i, so deleting coordinate
     # i is injective on it and its image has one element per point
-    sizes = tuple(len(part) for part in parts)
+    sizes = tuple(map(len, parts))
     return PartitionCertificate(source=A, parts=tuple(parts), per_part_projection_sizes=sizes)
 
 
@@ -424,13 +450,17 @@ def random_weak_antichain(
     out so far are kept as a bitset, so a candidate costs one bit test, and
     an accepted cell's strongly comparable cells come from masks tabled per
     pair of axes (per single axis where the pair tables would not fit).
-    Every accepted point has been tested against all earlier ones, so the
-    result is proved a weak antichain and carries ``_weak``, which lets
-    :func:`greedy_partition` skip its screen.
+    Where the box's k**n masks of k**n bits fit ``_MEMO_CAP``, each cell's
+    mask, with the cell itself, is memoised on its first acceptance, for the
+    box sampled last, so later samples of the box OR it in with no AND.
+    ``seed`` must be an int.  Every accepted point has been tested against
+    all earlier ones, so the result is proved a weak antichain and carries
+    ``_weak``, which lets :func:`greedy_partition` skip its screen.
     """
     require_int("n", n)
     require_int("k", k)
     require_int("size", size)
+    require_int("seed", seed)
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     capacity = k**n - (k - 1) ** n
@@ -448,7 +478,11 @@ def random_weak_antichain(
     bits = k.bit_length()
     # the bitset path's table holds at least 2*n*k masks of k**n bits
     groups = _mask_table(n, k) if 2 * n * k ** (n + 1) <= _TABLE_CAP else None
-    cells = _box_cells(n, k) if groups is not None else None
+    cells = memo = None
+    if groups is not None:
+        cells = _box_cells(n, k)
+        if k ** (2 * n) <= _MEMO_CAP:
+            memo = _blocked_memo(n, k)
     blocked = 0  # bitset path: cells taken or strongly comparable to one
     have: set[Point] = set()  # pairwise path
     chosen: list[Point] = []
@@ -463,7 +497,13 @@ def random_weak_antichain(
         if groups is not None:
             if blocked >> idx & 1:
                 continue
-            blocked |= _strong_cells(idx, groups) | 1 << idx
+            if memo is None:
+                blocked |= _strong_cells(idx, groups) | 1 << idx
+            else:
+                mask = memo[idx]
+                if mask is None:
+                    mask = memo[idx] = _strong_cells(idx, groups) | 1 << idx
+                blocked |= mask
             cand = cells[idx]
         else:
             cand = _cell(idx, n, k)
@@ -485,7 +525,11 @@ def random_weak_antichain(
 
 
 def random_gap_scan(n: int, k: int, size: int, samples: int, seed: int = 0) -> GapScanResult:
-    """Minimum observed gap over sampled weak antichains (no optimality claim)."""
+    """Minimum observed gap over sampled weak antichains (no optimality claim).
+
+    Sample t uses seed ``seed + t``; ``seed`` must be an int.
+    """
+    require_int("seed", seed)
     require_int("samples", samples, 1)
     best_gap: int | None = None
     best_witness: PointSet | None = None

@@ -20,6 +20,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations, product
 from operator import lt
 
@@ -297,14 +298,33 @@ def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k, monkeypatch
         for size in _sampler_sizes(n, k)
         for seed in range(50)
     }
-    for cap in caps:
+
+    def check(cap):
         monkeypatch.setattr(partition, "_TABLE_CAP", cap)
         for (size, seed), want in expected.items():
             assert _outcome(random_weak_antichain, n, k, size, seed) == want, (size, seed, cap)
 
+    # the per-cell memo depends on the box alone: one filled fresh under the
+    # pair tables, or under the single-axis ones where the box has them,
+    # serves every cap
+    assert k ** (2 * n) <= partition._MEMO_CAP
+    for fill_cap in sorted({max(joint, fits), max(joint - 1, fits)}):
+        partition._blocked_memo.cache_clear()
+        check(fill_cap)
+        memo = partition._blocked_memo(n, k)
+        assert any(mask is not None for mask in memo)
+        for cap in caps:
+            check(cap)
+        assert partition._blocked_memo(n, k) is memo
+        for width in (1, 2):
+            groups = partition._joint_masks(n, k, width)
+            for j, mask in enumerate(memo):
+                assert mask in (None, partition._strong_cells(j, groups) | 1 << j), (width, j)
+
 
 def test_sampler_above_the_table_cap_uses_no_masks():
     partition._joint_masks.cache_clear()
+    partition._blocked_memo.cache_clear()
     n, k = 2, 1_000_000
     assert 2 * n * k ** (n + 1) > partition._TABLE_CAP
     for seed in range(20):
@@ -312,6 +332,59 @@ def test_sampler_above_the_table_cap_uses_no_masks():
             n, k, 12, seed
         )
     assert partition._joint_masks.cache_info().currsize == 0
+    assert partition._blocked_memo.cache_info().currsize == 0
+
+
+def test_sampler_above_the_memo_cap_keeps_masks_without_a_memo(monkeypatch):
+    # [0,9)^4 is on the bitset path, but its memo would take 9**8 bits
+    n, k = 4, 9
+    assert 2 * n * k ** (n + 1) <= partition._TABLE_CAP
+    assert k ** (2 * n) > partition._MEMO_CAP
+    strong_cells = partition._strong_cells
+    calls = []
+
+    def counted(j, groups):
+        calls.append(j)
+        return strong_cells(j, groups)
+
+    monkeypatch.setattr(partition, "_strong_cells", counted)
+    partition._blocked_memo.cache_clear()
+    for size in _sampler_sizes(n, k):
+        for seed in range(20):
+            expected = _outcome(_oracle_random_weak_antichain, n, k, size, seed)
+            assert _outcome(random_weak_antichain, n, k, size, seed) == expected, (size, seed)
+    assert partition._blocked_memo.cache_info().currsize == 0
+    # every accepted cell's mask is computed afresh: 20 samples of each size
+    assert len(calls) == 20 * sum(_sampler_sizes(n, k))
+
+
+def test_sampler_memo_stays_within_its_bound():
+    # drawing every cell of [0,8)^4 fills its memo: 4096 masks of at most
+    # 4096 bits, _MEMO_CAP bits in all, plus each int's header and digit
+    # padding (about 2.0 MB on CPython 3.11); sampling another box drops it,
+    # so one memo is live at a time
+    n, k = 4, 8
+    assert k ** (2 * n) == partition._MEMO_CAP
+    random_weak_antichain(n, k, 1)  # mask tables and cells, outside the trace
+    random_weak_antichain(3, 16, 1)
+    tracemalloc.start()
+    try:
+        memo = partition._blocked_memo(n, k)
+        seed = 0
+        # a sample of one point accepts its first draw
+        while None in memo and seed < 1 << 17:
+            for _ in range(4096):
+                random_weak_antichain(n, k, 1, seed)
+                seed += 1
+        assert None not in memo, seed
+        _, peak = tracemalloc.get_traced_memory()
+        del memo
+        random_weak_antichain(3, 16, 1)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= partition._MEMO_CAP // 8 * 5 // 4, peak
+    assert current <= partition._MEMO_CAP // 8 // 16, current
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 8)])

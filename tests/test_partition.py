@@ -265,6 +265,23 @@ def test_non_int_budget_and_max_tries_are_rejected(bad):
             random_weak_antichain(2, 3, size, max_tries=bad)
 
 
+@pytest.mark.parametrize("bad", [None, "a", 1.5, True, [1]])
+def test_non_int_seeds_are_rejected(bad):
+    # seed=None used to seed from OS entropy, so two calls drew different
+    # sets; "a", 1.5 and True were accepted, and [1] raised a raw TypeError
+    message = f"^seed must be an int, got {re.escape(repr(bad))}$"
+    for size in (0, 2):
+        with pytest.raises(ValueError, match=message):
+            random_weak_antichain(2, 3, size, seed=bad)
+    with pytest.raises(ValueError, match=message):
+        random_gap_scan(2, 3, 2, 1, seed=bad)
+
+
+def test_any_int_seed_is_deterministic():
+    for seed in (-7, 0, 2**70):
+        assert random_weak_antichain(4, 8, 6, seed) == random_weak_antichain(4, 8, 6, seed)
+
+
 def test_exhaustive_gap_scan_above_capacity_builds_nothing(monkeypatch):
     # no weak antichain exceeds k^n - (k-1)^n cells, so no mask is tabled;
     # at k = 500 the single-axis masks alone took about 80 MB
