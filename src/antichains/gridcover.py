@@ -79,7 +79,12 @@ __all__ = [
 
 
 def alpha(s: float) -> float:
-    """Volume of an s-dimensional ball of radius 1/2 (the measure normaliser)."""
+    """Volume of an s-dimensional ball of radius 1/2 (the measure normaliser).
+
+    ``s`` is a number, a bool not counting as one (else ValueError).
+    """
+    if isinstance(s, bool):
+        raise ValueError(f"s must be a number, got {s!r}")
     require_finite("s", s)
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -447,6 +452,7 @@ def covering_bound(cover: GridCover, s: int | None = None) -> MeasureEstimate:
     H^s <= lim inf over m of the sums holds.  ``upper_bound_only`` keeps it
     apart from two-sided values.  The default exponent dim-1 is the
     antichain case; pass ``s=dim`` for the measure of a projection image.
+    ``s`` is checked as :func:`alpha` checks it, so a bool raises ValueError.
     """
     if s is None:
         if cover.dim < 2:

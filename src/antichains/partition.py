@@ -77,15 +77,12 @@ def projection_size(points: PointSet, axis: int) -> int:
 # k*run bits, a block of v*run bits: (R << v*run) - R, where R has one bit at
 # the start of each period, R = (2**(k**n) - 1) // (2**(k*run) - 1).  The
 # cells strongly comparable to cell j are the AND over the axes of these
-# masks, or of their upper counterparts.  The masks are tabled per group of
-# adjacent axes, ANDed within the group and indexed by the group's digits of
-# j, j // k**(n-g-w) % k**w for the group of w axes from axis g: pairs of
-# axes, k*k masks per side and pair, halve the ANDs per cell, and single
-# axes, k masks per side and axis, serve boxes whose pair tables would
-# outgrow _TABLE_CAP.  The cells that share p's image along axis i, the line
-# through p, are a comb of k bits spaced run apart,
-# (2**(k*run) - 1) // (2**run - 1), shifted to the line's first cell
-# j - p[i]*run.  The gap scan tables both per cell where they fit _TABLE_CAP.
+# masks, or of their upper counterparts, tabled k per side and axis and
+# indexed by j's coordinate on the axis, j // run % k.  The cells that share
+# p's image along axis i, the line through p, are a comb of k bits spaced
+# run apart, (2**(k*run) - 1) // (2**run - 1), shifted to the line's first
+# cell j - p[i]*run.  The gap scan tables both per cell where they fit
+# _TABLE_CAP.
 
 #: largest table, in bits, that the sampler or the gap scan builds; in bigger
 #: boxes the sampler tests candidates pairwise, in memory that does not grow
@@ -114,65 +111,47 @@ def _axis_masks(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=8)
-def _joint_masks(n: int, k: int, width: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
-    """The mask table over groups of ``width`` (1 or 2) adjacent axes.
+def _mask_table(n: int, k: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
+    """Per axis, ``(run, k, below, above)``: cell j's coordinate on the axis is
+    ``v = j // run % k``, and ``below[v]`` (``above[v]``) holds the cells with
+    a smaller (larger) coordinate there, from :func:`_axis_masks`.
 
-    Per group, ``(shift, radix, below, above)``: cell j's digits on the
-    group are ``d = j // shift % radix``, and ``below[d]`` (``above[d]``)
-    holds the cells strictly below (above) cell j on every axis of the
-    group.  An odd axis left over by pairs forms a group of its own.
+    The table holds 2*n*k masks of k**n bits.
     """
-    axes = _axis_masks(n, k)
-    groups = []
-    for g in range(0, n, width):
-        lo, hi = axes[g]
-        w = min(width, n - g)
-        if w == 2:
-            lo2, hi2 = axes[g + 1]
-            lo = tuple(a & b for a in lo for b in lo2)
-            hi = tuple(a & b for a in hi for b in hi2)
-        groups.append((k ** (n - g - w), k**w, lo, hi))
-    return tuple(groups)
+    return tuple((k ** (n - 1 - i), k, lo, hi) for i, (lo, hi) in enumerate(_axis_masks(n, k)))
 
 
-def _mask_table(n: int, k: int):
-    """:func:`_joint_masks` over pairs of axes if their tables fit ``_TABLE_CAP``, else single axes.
-
-    The pair tables hold 2*k*k masks of k**n bits per pair, counting an odd
-    axis left over as a pair.
-    """
-    return _joint_masks(n, k, 2 if 2 * -(-n // 2) * k ** (n + 2) <= _TABLE_CAP else 1)
-
-
-def _strong_cells(j: int, groups) -> int:
+def _strong_cells(j: int, table) -> int:
     """Cells strictly below or strictly above cell ``j`` in every coordinate.
 
-    Starts from the first group's masks and ANDs in the rest, so a box with
-    a single group takes no AND at all.
+    Starts from the first axis's masks and ANDs in the rest, so a box with a
+    single axis takes no AND at all.
     """
-    rest = iter(groups)
-    shift, radix, lo, hi = next(rest)
-    d = j // shift % radix
-    below, above = lo[d], hi[d]
-    for shift, radix, lo, hi in rest:
-        d = j // shift % radix
-        below &= lo[d]
-        above &= hi[d]
+    rest = iter(table)
+    run, k, lo, hi = next(rest)
+    v = j // run % k
+    below, above = lo[v], hi[v]
+    for run, k, lo, hi in rest:
+        v = j // run % k
+        below &= lo[v]
+        above &= hi[v]
     return below | above
 
 
 def _cell_values(n: int, k: int):
     """``values(j)``: cell j's strongly comparable cells, and the lines through
     it packed into one int, axis i's comb in the k**n-bit field at i*k**n."""
-    groups = _mask_table(n, k)
-    runs = [k ** (n - 1 - i) for i in range(n)]
-    combs = [(r, ((1 << k * r) - 1) // ((1 << r) - 1) << i * k**n) for i, r in enumerate(runs)]
+    table = _mask_table(n, k)
+    combs = [
+        (run, ((1 << k * run) - 1) // ((1 << run) - 1) << i * k**n)
+        for i, (run, _, _, _) in enumerate(table)
+    ]
 
     def values(j: int) -> tuple[int, int]:
         lines = 0
         for run, comb in combs:
             lines |= comb << j - j // run % k * run
-        return _strong_cells(j, groups), lines
+        return _strong_cells(j, table), lines
 
     return values
 
@@ -181,10 +160,9 @@ def _cell_values(n: int, k: int):
 def _blocked_memo(n: int, k: int) -> list:
     """The sampler's per-cell memo for the box [0,k)^n, filled as cells are accepted.
 
-    Entry j, once set, is ``_strong_cells(j, groups) | 1 << j``, the cells
-    that accepting cell j rules out; it is the same under either grouping
-    of the axes, so it depends on the box alone.  Only the last box's memo
-    is kept, within ``_MEMO_CAP`` bits.
+    Entry j, once set, is ``_strong_cells(j, _mask_table(n, k)) | 1 << j``,
+    the cells that accepting cell j rules out.  Only the last box's memo is
+    kept, within ``_MEMO_CAP`` bits.
     """
     return [None] * k**n
 
@@ -449,10 +427,10 @@ def random_weak_antichain(
     the box is too large for its mask table (``_TABLE_CAP``), the cells ruled
     out so far are kept as a bitset, so a candidate costs one bit test, and
     an accepted cell's strongly comparable cells come from masks tabled per
-    pair of axes (per single axis where the pair tables would not fit).
-    Where the box's k**n masks of k**n bits fit ``_MEMO_CAP``, each cell's
-    mask, with the cell itself, is memoised on its first acceptance, for the
-    box sampled last, so later samples of the box OR it in with no AND.
+    axis.  Where the box's k**n masks of k**n bits fit ``_MEMO_CAP``, each
+    cell's mask, with the cell itself, is memoised on its first acceptance,
+    for the box sampled last, so later samples of the box OR it in with no
+    AND.
     ``seed`` must be an int.  Every accepted point has been tested against
     all earlier ones, so the result is proved a weak antichain and carries
     ``_weak``, which lets :func:`greedy_partition` skip its screen.
@@ -476,10 +454,10 @@ def random_weak_antichain(
     # randrange(k) on CPython 3.10-3.13, inlined: draw bits until one is below k
     getrandbits = random.Random(seed).getrandbits
     bits = k.bit_length()
-    # the bitset path's table holds at least 2*n*k masks of k**n bits
-    groups = _mask_table(n, k) if 2 * n * k ** (n + 1) <= _TABLE_CAP else None
+    # the bitset path's table holds 2*n*k masks of k**n bits
+    table = _mask_table(n, k) if 2 * n * k ** (n + 1) <= _TABLE_CAP else None
     cells = memo = None
-    if groups is not None:
+    if table is not None:
         cells = _box_cells(n, k)
         if k ** (2 * n) <= _MEMO_CAP:
             memo = _blocked_memo(n, k)
@@ -494,15 +472,15 @@ def random_weak_antichain(
             while r >= k:
                 r = getrandbits(bits)
             idx = idx * k + r
-        if groups is not None:
+        if table is not None:
             if blocked >> idx & 1:
                 continue
             if memo is None:
-                blocked |= _strong_cells(idx, groups) | 1 << idx
+                blocked |= _strong_cells(idx, table) | 1 << idx
             else:
                 mask = memo[idx]
                 if mask is None:
-                    mask = memo[idx] = _strong_cells(idx, groups) | 1 << idx
+                    mask = memo[idx] = _strong_cells(idx, table) | 1 << idx
                 blocked |= mask
             cand = cells[idx]
         else:

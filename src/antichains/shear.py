@@ -63,6 +63,7 @@ def shear(x: Sequence[float], params: ShearParams) -> tuple[float, ...]:
     """Subtract epsilon times the coordinate sum from every coordinate."""
     if len(x) != params.n:
         raise ValueError(f"point has dimension {len(x)}, expected {params.n}")
+    require_finite("point", *x)
     s = _sum_in_order(x)
     return tuple(c - params.epsilon * s for c in x)
 
@@ -71,6 +72,7 @@ def shear_inverse(y: Sequence[float], params: ShearParams) -> tuple[float, ...]:
     """Exact inverse: coordinate sums scale by 1 - n*epsilon, so they recover first."""
     if len(y) != params.n:
         raise ValueError(f"point has dimension {len(y)}, expected {params.n}")
+    require_finite("point", *y)
     s = _sum_in_order(y) / (1.0 - params.n * params.epsilon)
     return tuple(c + params.epsilon * s for c in y)
 
@@ -116,7 +118,10 @@ def lipschitz_sample_check(
     instead of a count.  For ``skew-inverse-2d``, decreasing plane pairs are
     sampled and compared against their skewed projections.  Coincident
     pairs record no ratio.  A count must be an int of at least 1, a bool
-    not counting as one (else ValueError).  Raises
+    not counting as one (else ValueError).  A pair with a non-finite
+    coordinate, or whose ratio is not finite (points so far apart that
+    their distance overflows), raises NonFiniteError: the ratio is not
+    checked, so the pair is not skipped.  Raises
     :class:`LipschitzBoundExceeded` if any ratio exceeds the bound beyond
     floating-point slack.
     """
@@ -142,10 +147,14 @@ def lipschitz_sample_check(
         else:
             pair_iter = ((tuple(a), tuple(b)) for a, b in pairs)
         for a, b in pair_iter:
+            # a non-finite coordinate makes den NaN or inf, never 0.0, so
+            # shear_inverse's check refuses the pair before its ratio forms
             den = math.dist(a, b)
             if den == 0.0:
                 continue
-            ratios.append(math.dist(shear_inverse(a, params), shear_inverse(b, params)) / den)
+            ratio = math.dist(shear_inverse(a, params), shear_inverse(b, params)) / den
+            require_finite(f"ratio of the pair {a}, {b}", ratio)
+            ratios.append(ratio)
     elif map_kind == SKEW_INVERSE_2D:
         if not isinstance(pairs, int):
             raise ValueError("skew-inverse-2d samples its own pairs; pass a count")

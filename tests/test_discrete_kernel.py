@@ -281,18 +281,12 @@ def test_sampler_matches_oracle(n, k):
     "n,k", sorted({(1, 6), (2, 3), (3, 5)} | set(product(range(1, 5), (1, 2, 3, 5, 8))))
 )
 def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k, monkeypatch):
-    # the bitset path runs under any cap the box fits, with masks over pairs
-    # of axes from the joint tables' size up and over single axes below it,
-    # the pairwise path under cap 0; all draw n randrange(k) per candidate,
-    # coordinate by coordinate
+    # the bitset path runs under any cap its mask table fits, the pairwise
+    # path under any cap below that, 0 included; all draw n randrange(k) per
+    # candidate, coordinate by coordinate
     fits = 2 * n * k ** (n + 1)
-    joint = 2 * -(-n // 2) * k ** (n + 2)
-    assert max(fits, joint) <= partition._TABLE_CAP
-    caps = (partition._TABLE_CAP, joint, joint - 1, fits, fits - 1, 0)
-    monkeypatch.setattr(partition, "_TABLE_CAP", joint)
-    assert partition._mask_table(n, k) is partition._joint_masks(n, k, 2)
-    monkeypatch.setattr(partition, "_TABLE_CAP", joint - 1)
-    assert partition._mask_table(n, k) is partition._joint_masks(n, k, 1)
+    assert fits <= partition._TABLE_CAP
+    caps = (partition._TABLE_CAP, fits, fits - 1, 0)
     expected = {
         (size, seed): _outcome(_oracle_random_weak_antichain, n, k, size, seed)
         for size in _sampler_sizes(n, k)
@@ -304,26 +298,23 @@ def test_sampler_matches_oracle_on_both_sides_of_the_table_cap(n, k, monkeypatch
         for (size, seed), want in expected.items():
             assert _outcome(random_weak_antichain, n, k, size, seed) == want, (size, seed, cap)
 
-    # the per-cell memo depends on the box alone: one filled fresh under the
-    # pair tables, or under the single-axis ones where the box has them,
-    # serves every cap
+    # the per-cell memo depends on the box alone: one filled fresh at the
+    # smallest cap the table fits serves every cap, and is kept across them
     assert k ** (2 * n) <= partition._MEMO_CAP
-    for fill_cap in sorted({max(joint, fits), max(joint - 1, fits)}):
-        partition._blocked_memo.cache_clear()
-        check(fill_cap)
-        memo = partition._blocked_memo(n, k)
-        assert any(mask is not None for mask in memo)
-        for cap in caps:
-            check(cap)
-        assert partition._blocked_memo(n, k) is memo
-        for width in (1, 2):
-            groups = partition._joint_masks(n, k, width)
-            for j, mask in enumerate(memo):
-                assert mask in (None, partition._strong_cells(j, groups) | 1 << j), (width, j)
+    partition._blocked_memo.cache_clear()
+    check(fits)
+    memo = partition._blocked_memo(n, k)
+    assert any(mask is not None for mask in memo)
+    for cap in caps:
+        check(cap)
+    assert partition._blocked_memo(n, k) is memo
+    table = partition._mask_table(n, k)
+    for j, mask in enumerate(memo):
+        assert mask in (None, partition._strong_cells(j, table) | 1 << j), j
 
 
 def test_sampler_above_the_table_cap_uses_no_masks():
-    partition._joint_masks.cache_clear()
+    partition._mask_table.cache_clear()
     partition._blocked_memo.cache_clear()
     n, k = 2, 1_000_000
     assert 2 * n * k ** (n + 1) > partition._TABLE_CAP
@@ -331,7 +322,7 @@ def test_sampler_above_the_table_cap_uses_no_masks():
         assert random_weak_antichain(n, k, 12, seed) == _oracle_random_weak_antichain(
             n, k, 12, seed
         )
-    assert partition._joint_masks.cache_info().currsize == 0
+    assert partition._mask_table.cache_info().currsize == 0
     assert partition._blocked_memo.cache_info().currsize == 0
 
 
@@ -412,17 +403,18 @@ def test_sampler_rejects_bad_boxes_like_oracle():
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3), (4, 2), (3, 5)])
 def test_strong_mask_matches_definition(n, k):
     pool = partition.box_points(n, k)
-    for width in (1, 2):
-        groups = partition._joint_masks(n, k, width)
-        radixes = [k ** min(width, n - g) for g in range(0, n, width)]
-        assert [radix for _, radix, _, _ in groups] == radixes
-        for j, p in enumerate(pool):
-            expected = sum(
-                1 << i
-                for i, q in enumerate(pool)
-                if all(a < b for a, b in zip(p, q)) or all(b < a for a, b in zip(p, q))
-            )
-            assert partition._strong_cells(j, groups) == expected, (width, p)
+    table = partition._mask_table(n, k)
+    runs = [k ** (n - 1 - i) for i in range(n)]
+    assert [(run, radix) for run, radix, _, _ in table] == [(run, k) for run in runs]
+    for j, p in enumerate(pool):
+        # the table's run and radix fields decode cell j's coordinates
+        assert tuple(j // run % radix for run, radix, _, _ in table) == p
+        expected = sum(
+            1 << i
+            for i, q in enumerate(pool)
+            if all(a < b for a, b in zip(p, q)) or all(b < a for a, b in zip(p, q))
+        )
+        assert partition._strong_cells(j, table) == expected, p
 
 
 def test_inlined_draw_is_randrange():

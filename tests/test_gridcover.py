@@ -51,6 +51,20 @@ def test_alpha_rejects_non_finite_exponents(s):
         covering_bound(GridCover(2, 2, frozenset({(1, 1)})), s=s)
 
 
+@pytest.mark.parametrize("s", [True, False])
+def test_alpha_rejects_bool_exponents(s):
+    # alpha(True) and covering_bound(cover, s=True) used to read True as s = 1
+    with pytest.raises(ValueError, match=f"^s must be a number, got {s!r}$"):
+        alpha(s)
+    with pytest.raises(ValueError, match=f"^s must be a number, got {s!r}$"):
+        covering_bound(GridCover(2, 2, frozenset({(1, 1)})), s=s)
+    # an int or float exponent of the same value is unchanged
+    cover = GridCover(2, 2, frozenset({(1, 1)}))
+    assert alpha(int(s)) == alpha(float(s))
+    assert covering_bound(cover, s=int(s)) == covering_bound(cover, s=float(s))
+    assert covering_bound(cover, s=1).value == pytest.approx(math.sqrt(2) / 2)
+
+
 def test_d_const_values():
     assert abs(d_const(1) - 1.0) < 1e-12
     assert abs(d_const(2) - math.sqrt(2)) < 1e-12

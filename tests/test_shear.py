@@ -105,6 +105,20 @@ def test_shear_dimension_mismatch():
         shear((1, 2, 3), ShearParams(2, 0.1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shear_and_inverse_reject_non_finite_points(bad):
+    # shear((nan, 0.2), p) used to return (nan, nan) and
+    # shear_inverse((inf, 0.2), p) (inf, inf)
+    params = ShearParams(2, 0.1)
+    for f in (shear, shear_inverse):
+        for x in ((bad, 0.2), (0.2, bad)):
+            with pytest.raises(NonFiniteError, match="^point must be finite$"):
+                f(x, params)
+        # the length check still comes first
+        with pytest.raises(ValueError, match="^point has dimension 3, expected 2$"):
+            f((bad, 0.2, 0.3), params)
+
+
 def test_sheared_weak_antichains_become_antichains():
     for seed in range(60):
         n = 2 + seed % 2
@@ -172,6 +186,44 @@ def test_lipschitz_check_explicit_pairs_and_coincident_pairs():
         params=params,
     )
     assert worst > 0
+
+
+@pytest.mark.parametrize(
+    "bad_pair",
+    [
+        ((math.nan, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (0.0, math.inf)),
+        ((-math.inf, 0.0), (-math.inf, 0.0)),
+    ],
+)
+def test_lipschitz_check_rejects_non_finite_pairs(bad_pair):
+    # a NaN ratio listed first used to come back from max() as the result,
+    # passing the bound and hiding the violating pair's ratio of 1.25
+    params = ShearParams(2, 0.1)
+    violating = ((0.0, 0.0), (0.5, 0.5))
+    with pytest.raises(LipschitzBoundExceeded, match="1.25"):
+        lipschitz_sample_check(SHEAR_INVERSE, 1.0, [violating], params=params)
+    for pairs in ([bad_pair, violating], [violating, bad_pair]):
+        with pytest.raises(NonFiniteError, match="^point must be finite$"):
+            lipschitz_sample_check(SHEAR_INVERSE, 1.0, pairs, params=params)
+
+
+def test_lipschitz_check_rejects_a_non_finite_ratio_of_finite_points():
+    # the points are finite, but their distance overflows to inf and the
+    # ratio is inf/inf; raised, not skipped, since no ratio was checked
+    params = ShearParams(2, 0.1)
+    violating = ((0.0, 0.0), (0.5, 0.5))
+    overflow = ((1e308, 0.0), (-1e308, 0.0))
+    for pairs in ([overflow, violating], [violating, overflow]):
+        with pytest.raises(NonFiniteError, match=r"^ratio of the pair .* must be finite$"):
+            lipschitz_sample_check(SHEAR_INVERSE, 1.0, pairs, params=params)
+    # a large but finite pair still records its ratio, the map being linear
+    bound = params.inverse_lipschitz
+    large, unit = (
+        lipschitz_sample_check(SHEAR_INVERSE, bound, [((c, 0.0), (-c, 0.0))], params=params)
+        for c in (1e300, 1.0)
+    )
+    assert large == pytest.approx(unit, rel=1e-12)
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
