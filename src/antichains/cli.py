@@ -6,11 +6,12 @@ produce byte-identical output.  Exit codes: 0 success, 1 operation error,
 2 computed fine but a verification did not pass (also when its surface
 measure missed the tolerance), 64 bad usage.  A flag value that argparse or
 the library rejects is bad usage, and its subcommand's usage line follows the
-message; a non-finite number the library rejects (a surface parameter,
-``slab --c``, ``shear --epsilon``), a file's contents, an exceeded budget
-and an arithmetic overflow are operation errors.  ``--m``/``--m-list``,
-``--n``/``--n-list`` and ``--size``/``--size-list`` are each one flag taking
-a comma-separated integer list.
+message; so is a surface flag that the family does not take, or any surface
+flag beside a descriptor path.  A non-finite number the library rejects (a
+surface parameter, ``slab --c``, ``shear --epsilon``), a file's contents, an
+exceeded budget and an arithmetic overflow are operation errors.
+``--m``/``--m-list``, ``--n``/``--n-list`` and ``--size``/``--size-list`` are
+each one flag taking a comma-separated integer list.
 """
 
 import argparse
@@ -27,12 +28,7 @@ from .estimate import MeasureEstimate, NonFiniteError, require_int
 from .extremal import GridPoset, layer_construct, layer_size, max_antichain, middle_layer_index, wn_construct
 from .gridcover import PointCloud, covering_bound, grid_cover
 from .lattice import Order, PointSet, classify, load_point_set
-from .partition import (
-    exhaustive_gap_scan,
-    greedy_partition,
-    projection_gap,
-    random_gap_scan,
-)
+from .partition import exhaustive_gap_scan, greedy_partition, projection_gap, random_gap_scan
 from .shear import ShearParams, rescale_to_unit, shear_points
 from .surfaces import (
     _FAMILIES,
@@ -107,13 +103,17 @@ def _surface_from_args(args) -> object:
 
     The surface flags are named after the descriptor keys, so an inline
     surface becomes descriptor entries for the one descriptor parser.
-    Invalid inline parameters are usage errors, except non-finite numbers,
+    Invalid inline parameters (a flag the family does not take, or any flag
+    beside a descriptor path) are usage errors, except non-finite numbers,
     which the family rejects as an operation error; a broken descriptor
     file is a data problem and surfaces as an operation error too.
     """
     name = args.surface
     family = _FAMILIES.get(name)
+    given = [key for key in _SURFACE_FLAGS if getattr(args, key) is not None]
     if family is None:
+        if given:
+            raise UsageError(f"a surface descriptor takes no --{given[0]}")
         try:
             with open(name, "r", encoding="utf-8") as fh:
                 return parse_surface_descriptor(fh.read())
@@ -122,11 +122,10 @@ def _surface_from_args(args) -> object:
     if any(getattr(args, key) in (None, "") for key in family._required):
         raise UsageError(f"{name} needs " + " and ".join(f"--{k}" for k in family._required))
     entries = [("family", name)]
-    for key in _SURFACE_FLAGS:
+    for key in given:
         value = getattr(args, key)
         for item in value if isinstance(value, list) else [value]:
-            if item is not None:
-                entries.append((key, item if isinstance(item, str) else repr(item)))
+            entries.append((key, item if isinstance(item, str) else repr(item)))
     with _as_usage():
         return _surface_from_fields(entries)
 
@@ -437,123 +436,98 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, default=None):
-        # a subcommand that has a CSV table passes its default format
-        p.add_argument("--output", help="write to this path instead of stdout")
-        formats = ("json",) if default is None else ("json", "csv")
-        p.add_argument("--format", choices=formats, default=default or "json")
+    def command(name, handler, help, table=None):
+        # table: the default format where CSV is offered; parser: what a usage error prints
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, parser=p, format=table)
+        return p
 
-    p = sub.add_parser("check", help="classify a point set")
+    p = command("check", _cmd_check, "classify a point set")
     p.add_argument("--points", required=True)
     p.add_argument("--expect", choices=("antichain", "weak-antichain"))
-    common(p)
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("partition", help="greedy partition certificate of a weak antichain")
+    p = command("partition", _cmd_partition, "greedy partition certificate of a weak antichain")
     p.add_argument("--points", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_partition)
 
-    p = sub.add_parser("gap", help="projection sizes and gap of a point set")
+    p = command("gap", _cmd_gap, "projection sizes and gap of a point set")
     p.add_argument("--points", required=True)
     p.add_argument("--min-gap", type=int, dest="min_gap")
-    common(p)
-    p.set_defaults(handler=_cmd_gap)
 
-    p = sub.add_parser("gap-scan", help="minimum gap over weak antichains in a box")
+    p = command("gap-scan", _cmd_gap_scan, "minimum gap over weak antichains in a box", "csv")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--size", "--size-list", type=_int_list, required=True)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--sample", type=int, help="sample this many random weak antichains instead")
     p.add_argument("--seed", type=int, default=0)
-    common(p, "csv")
-    p.set_defaults(handler=_cmd_gap_scan)
 
-    p = sub.add_parser("width", help="maximum antichain of a grid poset")
+    p = command("width", _cmd_width, "maximum antichain of a grid poset", "json")
     p.add_argument("--n", "--n-list", type=_int_list, required=True, help="dimensions")
     p.add_argument("--m", "--m-list", type=_int_list, required=True, help="chain lengths")
     p.add_argument("--order", choices=("antichain", "weak"), default="antichain")
     # the slowest grids within the default, (16,2) and (10,3) under the weak
     # order, take about 1 s each, most of it printing a 60k-point witness
     p.add_argument("--budget", type=int, default=65_536)
-    common(p, "json")
-    p.set_defaults(handler=_cmd_width)
 
-    p = sub.add_parser("layer", help="a constant-coordinate-sum layer of the grid")
+    p = command("layer", _cmd_layer, "a constant-coordinate-sum layer of the grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int)
-    common(p)
-    p.set_defaults(handler=_cmd_layer)
 
-    p = sub.add_parser("wn", help="the zero-coordinate maximum weak antichain of the grid")
+    p = command("wn", _cmd_wn, "the zero-coordinate maximum weak antichain of the grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_wn)
 
-    p = sub.add_parser("cover", help="grid cells meeting a point set or surface")
+    p = command("cover", _cmd_cover, "grid cells meeting a point set or surface", "json")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--points")
     target.add_argument("--surface")
     p.add_argument("--m", "--m-list", type=_int_list, required=True, help="grid resolutions")
     p.add_argument("--budget", type=int, default=2_000_000)
     _surface_flags(p)
-    common(p, "json")
-    p.set_defaults(handler=_cmd_cover)
 
-    p = sub.add_parser("measure", help="surface or projection measure of a surface")
+    p = command("measure", _cmd_measure, "surface or projection measure of a surface")
     p.add_argument("--surface", required=True)
     p.add_argument("--axis", type=int, help="projection axis; omit for the surface measure")
     p.add_argument("--tol", type=_tolerance)
     _surface_flags(p)
-    common(p)
-    p.set_defaults(handler=_cmd_measure)
 
-    p = sub.add_parser("verify", help="check the projection inequality for a surface")
+    p = command("verify", _cmd_verify, "check the projection inequality for a surface")
     p.add_argument("--surface", required=True)
     p.add_argument("--tol", type=_tolerance)
     _surface_flags(p)
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("skew2d", help="skewed-projection measures in the plane")
+    p = command("skew2d", _cmd_skew2d, "skewed-projection measures in the plane")
     p.add_argument("--surface", required=True)
     p.add_argument("--tol", type=_tolerance)
     _surface_flags(p)
-    common(p)
-    p.set_defaults(handler=_cmd_skew2d)
 
-    p = sub.add_parser("shear", help="shear a point set into an antichain")
+    p = command("shear", _cmd_shear, "shear a point set into an antichain")
     p.add_argument("--points", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--scale", type=int, help="divide coordinates by this (default: max+1)")
-    common(p)
-    p.set_defaults(handler=_cmd_shear)
 
-    p = sub.add_parser("slab", help="volume of the centred coordinate-sum slab")
+    p = command("slab", _cmd_slab, "volume of the centred coordinate-sum slab")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_slab)
 
-    p = sub.add_parser("staircase", help="singular staircase approximation and its length")
+    p = command(
+        "staircase", _cmd_staircase, "singular staircase approximation and its length", "json"
+    )
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--vertices", action="store_true", help="include the polyline in JSON")
-    common(p, "json")
-    p.set_defaults(handler=_cmd_staircase)
 
-    p = sub.add_parser("p-sweep", help="sphere measures for a list of p values")
+    p = command("p-sweep", _cmd_p_sweep, "sphere measures for a list of p values", "csv")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--p-list", dest="p_list", required=True)
     p.add_argument("--tol", type=_tolerance)
-    common(p, "csv")
-    p.set_defaults(handler=_cmd_p_sweep)
 
-    # a handler's usage error prints the usage line of its subcommand
+    # every subcommand ends with --output and --format
     for p in sub.choices.values():
-        p.set_defaults(parser=p)
+        table = p.get_default("format")
+        p.add_argument("--output", help="write to this path instead of stdout")
+        formats = ("json",) if table is None else ("json", "csv")
+        p.add_argument("--format", choices=formats, default=table or "json")
     return parser
 
 
@@ -564,21 +538,20 @@ def _parser() -> _Parser:
 
 
 # the descriptor keys of the surface families, each given by the flag of its name
-_SURFACE_FLAGS = ("n", "p", "gradient", "offset", "box", "sample", "depth")
+_SURFACE_FLAGS = {
+    "n": dict(type=int, help="surface dimension (hyperplane/lpsphere/tabulated)"),
+    "p": dict(type=float, help="sphere exponent"),
+    "gradient": dict(help="comma-separated gradient of a linear graph"),
+    "offset": dict(type=float, help="linear graph offset"),
+    "box": dict(action="append", help="base box lo:hi per axis, comma separated; repeatable"),
+    "sample": dict(action="append", help="tabulated sample: coordinates then value"),
+    "depth": dict(type=int, help="staircase depth"),
+}
 
 
 def _surface_flags(p) -> None:
-    p.add_argument("--n", type=int, help="surface dimension (hyperplane/lpsphere/tabulated)")
-    p.add_argument("--p", type=float, help="sphere exponent")
-    p.add_argument("--gradient", help="comma-separated gradient of a linear graph")
-    p.add_argument("--offset", type=float, default=0.0, help="linear graph offset")
-    p.add_argument(
-        "--box", action="append", help="base box lo:hi per axis, comma separated; repeatable"
-    )
-    p.add_argument(
-        "--sample", action="append", help="tabulated sample: coordinates then value"
-    )
-    p.add_argument("--depth", type=int, help="staircase depth")
+    for key, spec in _SURFACE_FLAGS.items():
+        p.add_argument(f"--{key}", **spec)
 
 
 def main(argv=None) -> int:

@@ -83,7 +83,8 @@ def integrate_adaptive(
     4,000,000 (d >= 11 at the default) raises BudgetExceededError before
     anything is evaluated.  Every unresolved cell charges its error to the
     reported bound; callers should treat a bound above ``tol`` as a
-    flagged, not failed, estimate.
+    flagged, not failed, estimate.  An integrand value that is NaN or
+    infinite raises NonFiniteError once refinement stops.
     """
     require_tolerance(tol)
     knobs = {"max_depth": max_depth, "min_depth": min_depth, "max_evals": max_evals}
@@ -182,6 +183,9 @@ def integrate_adaptive(
     del split
 
     error = error_bound()
+    # every evaluation enters some cell's |s - est|, so a NaN or infinite
+    # value of f leaves this bound non-finite
+    require_finite("integrand values", error)
     accepted = error <= tol * (1 + 1e-9)
     values = [s for s, _ in final]
     for _, k, _, est, ests in heap:

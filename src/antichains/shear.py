@@ -82,9 +82,11 @@ def shear_points(points: Iterable[Sequence[float]], params: ShearParams) -> list
 
 
 def rescale_to_unit(points: Iterable[Sequence[int]], k: int) -> list[tuple[float, ...]]:
-    """Map integer points of [0,k)^n into the unit cube by dividing by k."""
+    """Map integer points of [0,k)^n into the unit cube by dividing by k; NaN or inf raises."""
     require_int("k", k, 1)
-    return [tuple(c / k for c in p) for p in points]
+    unit = [tuple(c / k for c in p) for p in points]
+    require_finite("point coordinates", *(c for p in unit for c in p))
+    return unit
 
 
 def _skew_pair_2d(rng: random.Random):

@@ -74,8 +74,8 @@ def _box(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(box)
 
 
-# Each family names its descriptor family and the keys its command-line
-# flags must give, and implements what the public functions delegate to:
+# Each family names its descriptor family, the keys it must be given and
+# the keys it may be given, and implements what the public functions delegate to:
 # _dim, _value, _measure, _quadrature, _projection, _fields, _from_fields.
 
 
@@ -85,6 +85,7 @@ class Hyperplane:
 
     _family = "hyperplane"
     _required = ("n",)
+    _optional = ()
     n: int
 
     def __post_init__(self):
@@ -145,6 +146,7 @@ class LpSphere:
 
     _family = "lpsphere"
     _required = ("n", "p")
+    _optional = ()
     n: int
     p: float
 
@@ -264,6 +266,7 @@ class LinearGraph:
 
     _family = "linear"
     _required = ("gradient",)
+    _optional = ("offset", "box")
     gradient: tuple[float, ...]
     base: Boxes | None = None
     offset: float = 0.0
@@ -336,6 +339,7 @@ class TabulatedMonotone:
 
     _family = "tabulated"
     _required = ("n", "sample")
+    _optional = ()
     dim: int
     samples: tuple[tuple[tuple[float, ...], float], ...]
 
@@ -412,6 +416,7 @@ class SingularStaircase:
 
     _family = "staircase"
     _required = ("depth",)
+    _optional = ()
     depth: int
 
     def __post_init__(self):
@@ -862,16 +867,23 @@ def _surface_from_fields(entries: list[tuple[str, str]]) -> Surface:
     family = fields.get("family")
     if family is None:
         raise ValueError("descriptor is missing the family line")
-    if family not in _FAMILIES:
+    cls = _FAMILIES.get(family)
+    if cls is None:
         raise ValueError(f"unknown surface family {family!r}")
+    for key in fields:
+        if key != "family" and key not in cls._required + cls._optional:
+            raise ValueError(f"{family} surface takes no {key!r}")
     try:
-        return _FAMILIES[family]._from_fields(fields, entries)
+        return cls._from_fields(fields, entries)
     except KeyError as exc:
         raise ValueError(f"descriptor is missing field {exc.args[0]!r}") from None
 
 
 def parse_surface_descriptor(text: str) -> Surface:
-    """Parse the key=value descriptor format produced by format_surface_descriptor."""
+    """Parse the key=value descriptor format produced by format_surface_descriptor.
+
+    A key that the family does not take raises ValueError naming it.
+    """
     entries: list[tuple[str, str]] = []
     for raw in text.splitlines():
         line = raw.strip()

@@ -482,6 +482,55 @@ def test_non_finite_descriptor_is_operation_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--surface", "hyperplane", "--n", "3", "--p", "7"],
+            "hyperplane surface takes no 'p'",
+        ),
+        (
+            ["measure", "--surface", "lpsphere", "--n", "2", "--p", "2", "--offset", "0.5"],
+            "lpsphere surface takes no 'offset'",
+        ),
+        (
+            ["cover", "--surface", "staircase", "--depth", "2", "--gradient", "1", "--m", "4"],
+            "staircase surface takes no 'gradient'",
+        ),
+        (
+            ["skew2d", "--surface", "{desc}", "--depth", "2"],
+            "a surface descriptor takes no --depth",
+        ),
+        (
+            ["measure", "--surface", "{desc}", "--n", "4", "--box", "0:1"],
+            "a surface descriptor takes no --n",
+        ),
+    ],
+)
+def test_surface_flags_the_surface_does_not_take_are_usage_errors(
+    argv, message, tmp_path, capsys
+):
+    # these flags used to be dropped without a word
+    desc = tmp_path / "surface.txt"
+    desc.write_text("family=hyperplane\nn=3\n")
+    assert main([a.replace("{desc}", str(desc)) for a in argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: {message}\nusage: antichains {argv[0]} ")
+
+
+def test_descriptor_key_the_family_does_not_take_is_operation_error(tmp_path, capsys):
+    desc = tmp_path / "typo.txt"
+    desc.write_text("family=linear\ngradient=-0.5\nofset=0.9\n")
+    assert main(["verify", "--surface", str(desc)]) == 1
+    assert capsys.readouterr() == ("", "error: linear surface takes no 'ofset'\n")
+
+
+def test_linear_graph_offset_defaults_to_zero_without_the_flag():
+    args = build_parser().parse_args(["measure", "--surface", "linear", "--gradient=-0.5"])
+    assert args.offset is None
+    assert _surface_from_args(args) == LinearGraph((-0.5,), offset=0.0)
+
+
 def test_byte_identical_outputs(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -906,6 +906,33 @@ def test_flat_box_has_zero_integral(box):
 
 
 # ---------------------------------------------------------------------------
+# integrand values
+
+
+def _halves(left, right):
+    return lambda x: left if x[0] < 0.5 else right
+
+
+@pytest.mark.parametrize(
+    "f, box",
+    [
+        (lambda x: math.nan, ((0.0, 1.0),)),
+        (lambda x: math.inf, ((0.0, 1.0),)),
+        (lambda x: -math.inf, ((0.0, 1.0), (0.0, 1.0))),
+        (_halves(math.inf, -math.inf), ((0.0, 1.0),)),
+        (_halves(-math.inf, math.inf), ((0.0, 1.0),)),
+        (_halves(math.nan, 1.0), ((0.0, 1.0), (0.0, 1.0))),
+    ],
+    ids=["nan", "inf", "-inf-2d", "inf|-inf", "-inf|inf", "nan|1-2d"],
+)
+def test_rejects_non_finite_integrand_values(f, box):
+    # NaN used to return a NaN value marked unconverged, and +-inf on the two
+    # halves a raw ValueError from fsum
+    with pytest.raises(NonFiniteError, match="^integrand values must be finite$"):
+        integrate_adaptive(f, box, 1e-3)
+
+
+# ---------------------------------------------------------------------------
 # the wider differential sweep, outside tier-1
 
 

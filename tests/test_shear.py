@@ -100,6 +100,13 @@ def test_non_int_dimension_and_side_are_rejected(bad):
         rescale_to_unit([(1,)], bad)
 
 
+@pytest.mark.parametrize("point", [(math.nan,), (1, math.inf), (-math.inf, 0)])
+def test_rescale_rejects_non_finite_coordinates(point):
+    # [(nan,)] used to come back as [(nan,)]
+    with pytest.raises(NonFiniteError, match="^point coordinates must be finite$"):
+        rescale_to_unit([(0, 1), point], 2)
+
+
 def test_shear_dimension_mismatch():
     with pytest.raises(ValueError):
         shear((1, 2, 3), ShearParams(2, 0.1))

@@ -829,6 +829,23 @@ def test_surface_descriptor_errors():
         parse_surface_descriptor("family=linear\ngradient=-0.5,a\n")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("family=linear\ngradient=-0.5\nofset=0.9\n", "ofset"),
+        ("family=hyperplane\nn=3\np=7\n", "p"),
+        ("family=lpsphere\nn=2\np=2\noffset=0.5\n", "offset"),
+        ("family=tabulated\nn=2\nsample=0.2,0.8\nbox=0:1\n", "box"),
+        ("family=staircase\ndepth=2\nn=2\n", "n"),
+    ],
+)
+def test_descriptor_refuses_a_key_the_family_does_not_take(text, key):
+    # such keys used to be ignored, so the misspelt ofset=0.9 built offset 0
+    family = text.split("\n")[0].removeprefix("family=")
+    with pytest.raises(ValueError, match=f"^{family} surface takes no '{key}'$"):
+        parse_surface_descriptor(text)
+
+
 def test_descriptor_number_lists_skip_empty_items():
     # as the inline --gradient and --sample flags always have
     linear = parse_surface_descriptor("family=linear\ngradient=-0.5,\noffset=0.9\n")
