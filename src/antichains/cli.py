@@ -7,8 +7,9 @@ produce byte-identical output.  Exit codes: 0 success, 1 operation error,
 measure missed the tolerance), 64 bad usage.  A flag value that argparse or
 the library rejects is bad usage, and its subcommand's usage line follows the
 message; so is a surface flag that the family does not take, or any surface
-flag beside a descriptor path.  A non-finite number the library rejects (a
-surface parameter, ``slab --c``, ``shear --epsilon``), a file's contents, an
+flag beside a descriptor path or beside ``cover --points``.  A non-finite
+number the library rejects (a surface parameter, ``slab --c``, ``shear
+--epsilon``), a file's contents (a repeated descriptor key among them), an
 exceeded budget and an arithmetic overflow are operation errors.
 ``--m``/``--m-list``, ``--n``/``--n-list`` and ``--size``/``--size-list`` are
 each one flag taking a comma-separated integer list.
@@ -98,6 +99,17 @@ def _derived_scale(ps: PointSet) -> int:
     return max(max((max(p) for p in ps), default=0) + 1, 1)
 
 
+def _given_surface_flags(args) -> list[str]:
+    return [key for key in _SURFACE_FLAGS if getattr(args, key) is not None]
+
+
+def _refuse_surface_flags(args, target: str) -> None:
+    """A surface flag beside ``target``, which takes none, is a usage error."""
+    given = _given_surface_flags(args)
+    if given:
+        raise UsageError(f"{target} takes no --{given[0]}")
+
+
 def _surface_from_args(args) -> object:
     """Build a surface from --surface: a family name plus flags, or a descriptor path.
 
@@ -110,10 +122,8 @@ def _surface_from_args(args) -> object:
     """
     name = args.surface
     family = _FAMILIES.get(name)
-    given = [key for key in _SURFACE_FLAGS if getattr(args, key) is not None]
     if family is None:
-        if given:
-            raise UsageError(f"a surface descriptor takes no --{given[0]}")
+        _refuse_surface_flags(args, "a surface descriptor")
         try:
             with open(name, "r", encoding="utf-8") as fh:
                 return parse_surface_descriptor(fh.read())
@@ -122,7 +132,7 @@ def _surface_from_args(args) -> object:
     if any(getattr(args, key) in (None, "") for key in family._required):
         raise UsageError(f"{name} needs " + " and ".join(f"--{k}" for k in family._required))
     entries = [("family", name)]
-    for key in given:
+    for key in _given_surface_flags(args):
         value = getattr(args, key)
         for item in value if isinstance(value, list) else [value]:
             entries.append((key, item if isinstance(item, str) else repr(item)))
@@ -309,6 +319,7 @@ def _cmd_wn(args):
 
 def _cmd_cover(args):
     if args.points is not None:
+        _refuse_surface_flags(args, "--points")
         ps = load_point_set(args.points)
         target = PointCloud(ps.dim, tuple(rescale_to_unit(ps, _derived_scale(ps))))
     else:

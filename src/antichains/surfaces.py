@@ -861,8 +861,14 @@ def format_surface_descriptor(s: Surface) -> str:
 def _surface_from_fields(entries: list[tuple[str, str]]) -> Surface:
     """Build a surface from descriptor (key, value) pairs; ``box`` and ``sample`` repeat.
 
-    Descriptor files and the inline command-line flags both come here.
+    Descriptor files and the inline command-line flags both come here.  Any
+    other repeated key raises ValueError naming it.
     """
+    seen = set()
+    for key, _ in entries:
+        if key in seen and key not in ("box", "sample"):
+            raise ValueError(f"descriptor repeats the key {key!r}")
+        seen.add(key)
     fields = dict(entries)
     family = fields.get("family")
     if family is None:
@@ -882,7 +888,8 @@ def _surface_from_fields(entries: list[tuple[str, str]]) -> Surface:
 def parse_surface_descriptor(text: str) -> Surface:
     """Parse the key=value descriptor format produced by format_surface_descriptor.
 
-    A key that the family does not take raises ValueError naming it.
+    A key that the family does not take, or a repeated key other than
+    ``box`` and ``sample``, raises ValueError naming it.
     """
     entries: list[tuple[str, str]] = []
     for raw in text.splitlines():

@@ -505,6 +505,10 @@ def test_non_finite_descriptor_is_operation_error(tmp_path, capsys):
             ["measure", "--surface", "{desc}", "--n", "4", "--box", "0:1"],
             "a surface descriptor takes no --n",
         ),
+        (
+            ["cover", "--points", "{points}", "--m", "4", "--n", "3", "--p", "7"],
+            "--points takes no --n",
+        ),
     ],
 )
 def test_surface_flags_the_surface_does_not_take_are_usage_errors(
@@ -513,7 +517,10 @@ def test_surface_flags_the_surface_does_not_take_are_usage_errors(
     # these flags used to be dropped without a word
     desc = tmp_path / "surface.txt"
     desc.write_text("family=hyperplane\nn=3\n")
-    assert main([a.replace("{desc}", str(desc)) for a in argv]) == 64
+    points = tmp_path / "points.txt"
+    points.write_text("dim=2\n0,1\n1,0\n")
+    argv_in = [a.replace("{desc}", str(desc)).replace("{points}", str(points)) for a in argv]
+    assert main(argv_in) == 64
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage error: {message}\nusage: antichains {argv[0]} ")
 
@@ -523,6 +530,14 @@ def test_descriptor_key_the_family_does_not_take_is_operation_error(tmp_path, ca
     desc.write_text("family=linear\ngradient=-0.5\nofset=0.9\n")
     assert main(["verify", "--surface", str(desc)]) == 1
     assert capsys.readouterr() == ("", "error: linear surface takes no 'ofset'\n")
+
+
+def test_descriptor_repeating_a_key_is_operation_error(tmp_path, capsys):
+    # the last n used to win, so this verified Hyperplane(4)
+    desc = tmp_path / "twice.txt"
+    desc.write_text("family=hyperplane\nn=3\nn=4\n")
+    assert main(["verify", "--surface", str(desc)]) == 1
+    assert capsys.readouterr() == ("", "error: descriptor repeats the key 'n'\n")
 
 
 def test_linear_graph_offset_defaults_to_zero_without_the_flag():

@@ -804,6 +804,28 @@ def test_starved_run_calls_f_once_per_evaluation():
     assert res.evaluations == len(calls)
 
 
+# boxes of one axis run their own split; these budgets and depths stop it
+# mid-split, in the forced splits below min_depth or at max_depth
+@pytest.mark.parametrize(
+    "box", [((0.0, 1.0),), ((0, 3),), ((1, 2**60),), ((-0.3, 0.7),), ((1e-3, 2.0),)]
+)
+@pytest.mark.parametrize("max_evals", [40, 41, 2_000])
+@pytest.mark.parametrize("min_depth", [0, 2, 5])
+@pytest.mark.parametrize("max_depth", [0, 1, 3, 26])
+def test_one_axis_calls_f_in_the_previous_order(box, max_evals, min_depth, max_depth):
+    # equal results could hide points that are called in another order
+    kwargs = {"max_evals": max_evals, "min_depth": min_depth, "max_depth": max_depth}
+    tol = 1e-6 * (box[0][1] - box[0][0])
+    for f in (_kinked, _step):
+        g, calls = _counted(f)
+        g_old, calls_old = _counted(f)
+        new = integrate_adaptive(g, box, tol, **kwargs)
+        old = _previous_integrate_adaptive(g_old, box, tol, **kwargs)
+        assert new.evaluations == len(calls) == len(calls_old) == old.evaluations
+        # repr round-trips every float exactly, signed zeros included
+        assert repr(calls) == repr(calls_old), (f.__name__, box, kwargs)
+
+
 # ---------------------------------------------------------------------------
 # boxes
 
@@ -930,6 +952,31 @@ def test_rejects_non_finite_integrand_values(f, box):
     # halves a raw ValueError from fsum
     with pytest.raises(NonFiniteError, match="^integrand values must be finite$"):
         integrate_adaptive(f, box, 1e-3)
+
+
+def _alternating(big):
+    # +big at the quarter points of unit cells and -big at their midpoints,
+    # so a unit cell's est and s have opposite signs
+    return lambda x: -big if x[0] % 1 == 0.5 else big
+
+
+@pytest.mark.parametrize(
+    "f, box, max_evals, message",
+    [
+        (lambda x: 1e308, ((0.0, 4.0),), 4_000_000, "integral"),
+        (lambda x: 1e308 if x[0] < 2.0 else -1e308, ((0.0, 4.0),), 4_000_000, "integral"),
+        (lambda x: -1e308 if x[0] < 2.0 else 1e308, ((0.0, 4.0),), 4_000_000, "integral"),
+        (lambda x: 1e308, ((0.0, 2.0), (0.0, 2.0)), 4_000_000, "integral"),
+        (_alternating(0.85e308), ((0.0, 4.0),), 20, "error bound"),
+    ],
+    ids=["1e308", "1e308|-1e308", "-1e308|1e308", "1e308-2d", "charges"],
+)
+def test_overflowed_integrals_raise(f, box, max_evals, message):
+    # a finite integrand whose sum passes the largest float used to return
+    # value inf marked converged (1-D), or raise a raw ValueError ("-inf +
+    # inf in fsum") or OverflowError ("intermediate overflow in fsum")
+    with pytest.raises(NonFiniteError, match=f"^{message} must be finite$"):
+        integrate_adaptive(f, box, 1e-3, max_evals=max_evals)
 
 
 # ---------------------------------------------------------------------------

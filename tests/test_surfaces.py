@@ -846,6 +846,24 @@ def test_descriptor_refuses_a_key_the_family_does_not_take(text, key):
         parse_surface_descriptor(text)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("family=hyperplane\nn=3\nn=4\n", "n"),
+        ("family=linear\ngradient=-0.5\ngradient=0.5\n", "gradient"),
+        ("family=linear\ngradient=-0.5\noffset=0.1\noffset=0.1\n", "offset"),
+        ("family=lpsphere\nn=2\np=2\np=3\n", "p"),
+        ("family=tabulated\nn=2\nn=2\nsample=0.2,0.8\n", "n"),
+        ("family=staircase\nfamily=staircase\ndepth=2\n", "family"),
+    ],
+)
+def test_descriptor_refuses_a_repeated_key(text, key):
+    # the last value used to win, so n=3 then n=4 built Hyperplane(4); box
+    # and sample still repeat (the round trip above writes several of each)
+    with pytest.raises(ValueError, match=f"^descriptor repeats the key '{key}'$"):
+        parse_surface_descriptor(text)
+
+
 def test_descriptor_number_lists_skip_empty_items():
     # as the inline --gradient and --sample flags always have
     linear = parse_surface_descriptor("family=linear\ngradient=-0.5,\noffset=0.9\n")
