@@ -84,9 +84,16 @@ class PointSet:
     does not screen them again.  Every other set, built here or by
     ``_trusted``, read from a file, projected, or a certificate's part or a
     scan's witness, has it False and is screened.
+
+    ``_sizes`` is None until ``partition._image_sizes`` fills it with the n
+    image sizes, the size after deleting each coordinate in turn, so that
+    ``greedy_partition``, ``PartitionCertificate.validate`` and
+    ``projection_gap`` build each image once per set.  ``points`` never
+    changes, so the cache cannot go stale; equality, hashing and ``repr``
+    do not read it.
     """
 
-    __slots__ = ("dim", "points", "_weak")
+    __slots__ = ("dim", "points", "_weak", "_sizes")
 
     def __init__(self, dim: int, points: Iterable[Sequence[int]] = ()):
         require_int("dim", dim, 1)
@@ -103,6 +110,7 @@ class PointSet:
         self.dim = dim
         self.points = tuple(sorted(seen))
         self._weak = False
+        self._sizes = None
 
     @classmethod
     def _trusted(cls, dim: int, points: Iterable[Point]) -> "PointSet":
@@ -116,6 +124,7 @@ class PointSet:
         self.dim = dim
         self.points = tuple(sorted(points))
         self._weak = False
+        self._sizes = None
         return self
 
     @classmethod

@@ -67,7 +67,26 @@ def projection_size(points: PointSet, axis: int) -> int:
     so the size is 1 for non-empty sets and 0 otherwise.
     """
     require_axis(axis, points.dim)
-    return len(set(map(_deleters(points.dim)[axis - 1], points.points)))
+    return _image_sizes(points)[axis - 1]
+
+
+def _image_sizes(A: PointSet) -> tuple[int, ...]:
+    """Per axis, the size of ``A``'s image with that coordinate deleted.
+
+    Computed on the first call and kept in the set's ``_sizes`` slot, so the
+    partition, its check and the gap report of one set build each image once.
+    """
+    sizes = A._sizes
+    if sizes is None:
+        pts = A.points
+        sizes = A._sizes = tuple([len(set(map(key, pts))) for key in _deleters(A.dim)])
+    return sizes
+
+
+@lru_cache(maxsize=16)
+def _empty_parts(n: int) -> tuple[PointSet, ...]:
+    """The n - 1 empty parts after a one-part certificate's first, one shared set."""
+    return (PointSet._trusted(n, ()),) * (n - 1)
 
 
 # Bitset kernel.  Cell j of the box [0,k)^n is box_points(n, k)[j], the
@@ -182,34 +201,56 @@ class PartitionCertificate:
     per_part_projection_sizes: tuple[int, ...]
 
     def validate(self) -> None:
-        """Re-check all certificate invariants; raises ValueError on failure."""
-        n = self.source.dim
-        if len(self.parts) != n or len(self.per_part_projection_sizes) != n:
+        """Re-check all certificate invariants; raises ValueError on failure.
+
+        The source and the parts must be PointSets and the recorded sizes of
+        type int, so neither ``2.0`` nor ``True`` passes as a size.  A
+        certificate whose first part is the source itself, whose other parts
+        are empty and whose sizes are ``(len(source), 0, ..., 0)``, as
+        :func:`greedy_partition` returns for a set injective along axis 1,
+        holds exactly when the source is injective along axis 1, so the
+        source's cached image size decides it.
+        """
+        source, parts, sizes = self.source, self.parts, self.per_part_projection_sizes
+        if not isinstance(source, PointSet):
+            raise ValueError(f"certificate source is not a PointSet: {source!r}")
+        n = source.dim
+        if len(parts) != n or len(sizes) != n:
             raise ValueError("certificate must carry one part per coordinate")
-        for i, part in enumerate(self.parts, start=1):
+        for i, part in enumerate(parts, start=1):
+            if not isinstance(part, PointSet):
+                raise ValueError(f"part {i} is not a PointSet: {part!r}")
             if part.dim != n:
                 raise ValueError(f"part {i} has dimension {part.dim}, expected {n}")
-        source = set(self.source.points)
+        for size in sizes:
+            if type(size) is not int:
+                raise ValueError(f"recorded projection size {size!r} is not an int")
+        m = len(source.points)
+        if parts[0] is source and sizes == (m,) + (0,) * (n - 1) and parts[1:] == _empty_parts(n):
+            if _image_sizes(source)[0] != m:
+                raise ValueError("deleting coordinate 1 is not injective on part 1")
+            return
+        points = set(source.points)
         seen: set[Point] = set()
         total = 0
-        for i, (part, key) in enumerate(zip(self.parts, _deleters(n)), start=1):
+        for i, (part, key) in enumerate(zip(parts, _deleters(n)), start=1):
             pts = part.points
             # an empty part is a subset, disjoint and injective: only its size is checked
             if pts:
                 total += len(pts)
-                if not (source.issuperset(pts) and seen.isdisjoint(pts)):
+                if not (points.issuperset(pts) and seen.isdisjoint(pts)):
                     # name the first offending point
                     for p in pts:
-                        if p not in source:
+                        if p not in points:
                             raise ValueError(f"part {i} contains {p} not in the source")
                         if p in seen:
                             raise ValueError(f"point {p} appears in two parts")
                 seen.update(pts)
                 if len(set(map(key, pts))) != len(pts):
                     raise ValueError(f"deleting coordinate {i} is not injective on part {i}")
-            if self.per_part_projection_sizes[i - 1] != len(pts):
+            if sizes[i - 1] != len(pts):
                 raise ValueError("recorded projection sizes disagree with the parts")
-        if total != len(self.source):
+        if total != m:
             raise ValueError("parts do not cover the source set")
 
 
@@ -231,13 +272,19 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
         if bad is not None:
             raise NotWeakAntichainError(*bad)
     n = A.dim
-    keys = _deleters(n)
     remaining = A.points
+    m = len(remaining)
+    # round 0 reads axis 1's image size from the set's cache, which
+    # validate and projection_gap read too; later rounds count what remains
+    if _image_sizes(A)[0] == m:
+        # every fiber holds one point, so round 0 takes them all
+        return PartitionCertificate(A, (A, *_empty_parts(n)), (m,) + (0,) * (n - 1))
     parts: list[PointSet] = []
-    for i, key in enumerate(keys):
-        if len(set(map(key, remaining))) == len(remaining):
+    for i, key in enumerate(_deleters(n)):
+        # round 0 was counted above and is not injective
+        if i and len(set(map(key, remaining))) == len(remaining):
             # every fiber holds one point, so the round takes them all
-            parts.append(A if remaining is A.points else PointSet._trusted(n, remaining))
+            parts.append(PointSet._trusted(n, remaining))
             remaining = ()
             break
         fiber_min: dict[object, Point] = {}
@@ -254,7 +301,7 @@ def greedy_partition(A: PointSet, check: bool = True) -> PartitionCertificate:
         if bad is None:
             raise RuntimeError("leftover points without a strongly ordered pair")
         raise NotWeakAntichainError(*bad)
-    parts += [PointSet._trusted(n, ())] * (n - len(parts))
+    parts += _empty_parts(n)[: n - len(parts)]
     # part i holds one point per fiber along axis i, so deleting coordinate
     # i is injective on it and its image has one element per point
     sizes = tuple(map(len, parts))
@@ -271,9 +318,9 @@ class GapReport:
 
 
 def projection_gap(A: PointSet) -> GapReport:
-    pts = A.points
-    sizes = tuple(len(set(map(key, pts))) for key in _deleters(A.dim))
-    return GapReport(len(A), sizes, sum(sizes) - len(A))
+    sizes = _image_sizes(A)
+    m = len(A.points)
+    return GapReport(m, sizes, sum(sizes) - m)
 
 
 def _check_box(n: int, k: int) -> None:

@@ -17,6 +17,7 @@ scan's per-cell tables and once with the table cap at 0.
 """
 
 import math
+import pickle
 import random
 import sys
 import time
@@ -195,9 +196,17 @@ def _oracle_projection_size(points: PointSet, axis: int) -> int:
 
 
 def _oracle_validate(self) -> None:
+    if not isinstance(self.source, PointSet):
+        raise ValueError(f"certificate source is not a PointSet: {self.source!r}")
     n = self.source.dim
     if len(self.parts) != n or len(self.per_part_projection_sizes) != n:
         raise ValueError("certificate must carry one part per coordinate")
+    for i, part in enumerate(self.parts, start=1):
+        if not isinstance(part, PointSet):
+            raise ValueError(f"part {i} is not a PointSet: {part!r}")
+    for size in self.per_part_projection_sizes:
+        if type(size) is not int:
+            raise ValueError(f"recorded projection size {size!r} is not an int")
     seen: set[Point] = set()
     total = 0
     for i, part in enumerate(self.parts, start=1):
@@ -580,6 +589,36 @@ def _tamper(cert: PartitionCertificate, rng: random.Random) -> PartitionCertific
     return PartitionCertificate(cert.source, tuple(PointSet(n, p) for p in parts), tuple(sizes))
 
 
+def _tamper_one_part(A: PointSet, rng: random.Random) -> PartitionCertificate:
+    """The one-part certificate ``(A, empty, ..., empty)`` of sizes
+    ``(len(A), 0, ..., 0)``, with part 1 kept as ``A`` itself, and up to two
+    defects: a wrong size, a point in a later part, a size that is a float or
+    a bool of the right value, or a part or source that is a list."""
+    n = A.dim
+    source: object = A
+    parts: list[object] = [A, *[PointSet._trusted(n, ())] * (n - 1)]
+    sizes: list[object] = [len(A), *[0] * (n - 1)]
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.randrange(5)
+        j = rng.randrange(n)
+        if kind == 0:
+            sizes[j] += rng.choice((-1, 1))
+        elif kind == 1 and n > 1:
+            j = rng.randrange(1, n)
+            pool = [*A, tuple(rng.randint(-6, 6) for _ in range(n))]
+            parts[j] = PointSet(n, {*parts[j], rng.choice(pool)})
+        elif kind == 2:
+            sizes[j] = float(sizes[j])
+        elif kind == 3 and sizes[j] in (0, 1):
+            sizes[j] = bool(sizes[j])
+        elif kind == 4 and rng.random() < 0.2:
+            if rng.random() < 0.5:
+                source = list(A)
+            else:
+                parts[j] = list(parts[j])
+    return PartitionCertificate(source, tuple(parts), tuple(sizes))
+
+
 def test_greedy_partition_matches_oracle():
     seen = set()
     for A in _random_point_sets(11, 4000):
@@ -604,6 +643,111 @@ def test_validate_matches_oracle_on_tampered_certificates():
             messages.add(expected[1].split()[0])
     # every message: "certificate", "part", "point", "deleting", "recorded", "parts"
     assert len(messages) == 6, messages
+
+
+def test_one_part_shortcut_matches_oracle():
+    # certificates whose part 1 is the source object take validate's
+    # shortcut when every later part and size is empty; the shortcut must
+    # raise what the general loop raises, message for message
+    rng = random.Random(6)
+    messages = set()
+    taken = 0
+    for A in _random_point_sets(14, 4000):
+        cert = _tamper_one_part(A, rng)
+        expected = _validate_outcome(_oracle_validate, cert)
+        assert _validate_outcome(PartitionCertificate.validate, cert) == expected, cert
+        if expected is not None:
+            messages.add(expected[1])
+        if cert.parts[0] is cert.source and not any(map(len, cert.parts[1:])):
+            taken += 1
+    assert taken > 1000
+    # the shortcut's own message, the type rules, and the general loop's
+    # messages for the certificates that leave the shortcut
+    for want in [
+        "deleting coordinate 1 is not injective on part 1",
+        "certificate source is not a PointSet: ",
+        "part 2 is not a PointSet: ",
+        "recorded projection size 1.0 is not an int",
+        "recorded projection size False is not an int",
+        "recorded projection sizes disagree with the parts",
+        "appears in two parts",
+        "not in the source",
+    ]:
+        assert any(want in m for m in messages), want
+
+
+def test_validate_refuses_malformed_certificates():
+    A = PointSet(2, [(0, 1), (1, 0)])
+    one = PointSet(2, [(0, 1)])
+    cases = [
+        # sizes equal to the right ones but not ints, on both paths
+        (A, (A, PointSet(2)), (2.0, 0), "recorded projection size 2.0 is not an int"),
+        (one, (one, PointSet(2)), (True, False), "recorded projection size True is not an int"),
+        (A, (PointSet(2, A), PointSet(2)), (2, 0.0), "recorded projection size 0.0 is not an int"),
+        # a source or a part that is not a PointSet
+        ([(0, 1), (1, 0)], (A, PointSet(2)), (2, 0), "certificate source is not a PointSet"),
+        (A, (A, [(0, 1)]), (2, 0), "part 2 is not a PointSet"),
+        # the shortcut: a source that is not injective along axis 1
+        (
+            PointSet(2, [(0, 0), (1, 0)]),
+            None,
+            (2, 0),
+            "deleting coordinate 1 is not injective on part 1",
+        ),
+    ]
+    for source, parts, sizes, message in cases:
+        if parts is None:
+            parts = (source, PointSet(2))
+        cert = PartitionCertificate(source, parts, sizes)
+        with pytest.raises(ValueError) as err:
+            cert.validate()
+        assert str(err.value).startswith(message), (str(err.value), message)
+        assert _validate_outcome(_oracle_validate, cert) == (ValueError, str(err.value))
+    # the well-formed one-part and two-part certificates still hold
+    PartitionCertificate(A, (A, PointSet(2)), (2, 0)).validate()
+    greedy_partition(PointSet(2, [(0, 0), (0, 1), (1, 0)])).validate()
+
+
+def test_image_size_cache_is_a_recount():
+    # every way a set is built starts with an empty cache, and the cache,
+    # once filled, holds each axis's recount and is what later calls read
+    A = random_weak_antichain(3, 4, 6, seed=3)
+    built = [
+        A,
+        random_weak_antichain(4, 8, 12, seed=9),
+        random_weak_antichain(3, 30, 10, seed=2),  # the sampler's pairwise path
+        random_weak_antichain(2, 5, 0, seed=1),
+        PointSet(3, A.points),
+        PointSet(1, [(4,), (7,)]),
+        PointSet._trusted(3, A.points),
+        PointSet.in_box(3, 4, A.points),
+        project(A, 1),
+        project(A, 3),
+        # parts that greedy_partition builds, none of them the source
+        *greedy_partition(PointSet(2, [(0, 0), (0, 1), (1, 0)])).parts,
+    ]
+    for S in built:
+        assert S._sizes is None, S
+        want = tuple(_oracle_projection_size(S, i) for i in range(1, S.dim + 1))
+        sizes = partition._image_sizes(S)
+        assert sizes == want and S._sizes is sizes, S
+        assert partition._image_sizes(S) is sizes
+        assert projection_gap(S) == _oracle_projection_gap(S)
+        assert [projection_size(S, i) for i in range(1, S.dim + 1)] == list(want)
+
+
+def test_image_size_cache_is_invisible():
+    for A in _random_point_sets(15, 200):
+        cold = PointSet(A.dim, A.points)
+        projection_gap(A)
+        assert A._sizes is not None and cold._sizes is None
+        assert A == cold and cold == A and hash(A) == hash(cold)
+        assert repr(A) == repr(cold)
+        for S in (A, cold):
+            back = pickle.loads(pickle.dumps(S))
+            assert back == A and hash(back) == hash(A) and repr(back) == repr(A)
+            assert back._sizes in (None, A._sizes)
+            assert projection_gap(back) == projection_gap(A)
 
 
 def test_projection_sizes_match_oracle():

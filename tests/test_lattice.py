@@ -489,7 +489,7 @@ def test_point_set_membership_of_odd_probes():
 
 def test_point_set_stores_one_sorted_tuple():
     s = PointSet(2, [(1, 0), (0, 1)])
-    assert PointSet.__slots__ == ("dim", "points", "_weak")
+    assert PointSet.__slots__ == ("dim", "points", "_weak", "_sizes")
     assert s.points == ((0, 1), (1, 0))
     assert s == PointSet._trusted(2, [(1, 0), (0, 1)])
     assert s != PointSet(3, [(1, 0, 0), (0, 1, 0)]) and PointSet(1) != PointSet(2)
