@@ -82,15 +82,16 @@ class PointSet:
     ``_weak`` is True only on the sets ``random_weak_antichain`` returns,
     which its sampler has proved weak antichains, so ``greedy_partition``
     does not screen them again.  Every other set, built here or by
-    ``_trusted``, read from a file, projected, or a certificate's part or a
-    scan's witness, has it False and is screened.
+    ``_trusted``, read from a file or a pickle, projected, or a
+    certificate's part or a scan's witness, has it False and is screened.
 
     ``_sizes`` is None until ``partition._image_sizes`` fills it with the n
     image sizes, the size after deleting each coordinate in turn, so that
     ``greedy_partition``, ``PartitionCertificate.validate`` and
     ``projection_gap`` build each image once per set.  ``points`` never
     changes, so the cache cannot go stale; equality, hashing and ``repr``
-    do not read it.
+    do not read it.  A pickle carries ``dim`` and ``points`` only, checked
+    again when loaded, so an unpickled set starts with neither cache.
     """
 
     __slots__ = ("dim", "points", "_weak", "_sizes")
@@ -168,6 +169,20 @@ class PointSet:
         if len(self.points) > 6:
             body += f", ... {len(self.points) - 6} more"
         return f"PointSet(dim={self.dim}, [{body}])"
+
+    def __getstate__(self):
+        """The slots-only pickle state, without the private caches."""
+        return None, {"dim": self.dim, "points": self.points}
+
+    def __setstate__(self, state) -> None:
+        """Load a pickled state, with or without the private slots.
+
+        The dimension and points are checked like any outside input, and
+        neither the sampler's proof nor the image sizes is taken from the
+        pickle, which may predate either slot or carry a forged value.
+        """
+        slots = state[1]
+        self.__init__(slots["dim"], slots["points"])
 
 
 class Classification(NamedTuple):

@@ -373,9 +373,13 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     cells (:func:`_cell_values`); every line holds k cells, so the head has
     ``seen.bit_count() // k`` images.  A completion's gap is that count plus
     n - size minus the number of axis fields holding it, so bit-sliced
-    counters over the completions give the best one, and a head whose count
-    plus n - size minus n cannot beat the best gap so far is skipped.  The
-    cells' values are tabled per box where their (n+1)*k^(2n) bits fit
+    counters over the completions give the best one.  Two cuts skip a head
+    that cannot strictly beat the best gap so far before the counters run:
+    one popcount against ``cut = k*(best_gap + size)``, reached exactly when
+    the count plus n - size minus n is at least the best gap, and then the
+    same bound with n replaced by the number of fields that hold any
+    completion at all, the only fields the counters then read.  The cells'
+    values are tabled per box where their (n+1)*k^(2n) bits fit
     ``_TABLE_CAP`` and computed when a cell is taken otherwise.
     """
     require_int("size", size, 0)
@@ -398,7 +402,7 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
     tabled = (n + 1) * cells * cells <= _TABLE_CAP
     values = _scan_table(n, k).__getitem__ if tabled else _cell_values(n, k)
     fields = range(0, n * cells, cells)
-    best_gap: int | None = None
+    best_gap = cut = math.inf
     best_cells = None
     weak_count = 0
     head: list[int] = []
@@ -435,28 +439,39 @@ def exhaustive_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> G
                 continue
             weak_count += last.bit_count()
             seen = head_seen | lines
-            # gap of head + (idx, q) is base minus the fields holding q, at most n
-            base = seen.bit_count() // k + n - size
-            if best_gap is not None and base - n >= best_gap:
+            # gap of head + (idx, q) is base minus the fields holding q, at
+            # most n, so at the cut (base - n >= best_gap) none can improve
+            count = seen.bit_count()
+            if count >= cut:
                 continue
-            # at_least[c]: the completions held by at least c of the fields
-            at_least = [last]
+            # nor below it when no completion can be held by enough fields:
+            # only the fields that hold some completion can hold any
+            held = []
             for field in fields:
                 s = seen >> field & last
+                if s:
+                    held.append(s)
+            base = count // k + n - size
+            c = len(held)
+            if base - c >= best_gap:
+                continue
+            # at_least[c]: the completions held by at least c of those fields
+            at_least = [last]
+            for s in held:
                 at_least.append(at_least[-1] & s)
-                for c in range(len(at_least) - 2, 0, -1):
-                    at_least[c] |= at_least[c - 1] & s
-            c = n
+                for i in range(len(at_least) - 2, 0, -1):
+                    at_least[i] |= at_least[i - 1] & s
             while not at_least[c]:
                 c -= 1
-            if best_gap is None or base - c < best_gap:
+            if base - c < best_gap:
                 best_gap = base - c
+                cut = k * (best_gap + size)
                 # the lowest such completion is the first minimiser of this head
                 first = at_least[c] & -at_least[c]
                 best_cells = (*head, idx, first.bit_length() - 1)
-    witness = None
-    if best_cells is not None:
-        witness = PointSet._trusted(n, [_cell(j, n, k) for j in best_cells])
+    if best_cells is None:
+        return GapScanResult(n, k, size, None, None, weak_count)
+    witness = PointSet._trusted(n, [_cell(j, n, k) for j in best_cells])
     return GapScanResult(n, k, size, best_gap, witness, weak_count)
 
 

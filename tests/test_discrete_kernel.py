@@ -1,10 +1,11 @@
 """Differential tests: the discrete kernel against the code it replaced.
 
 The oracles below are the earlier implementations of the sampler, the
-strong-pair check and its per-axis mask, the exhaustive gap scan (over ``combinations``, and the
-depth-first search that tests each completion's images one by one), the
-greedy partition, the certificate check and the projection sizes, kept
-verbatim apart from their names.  The kernel must reproduce their results exactly: the same sampled
+strong-pair check and its per-axis mask, the exhaustive gap scan (over
+``combinations``, the depth-first search that tests each completion's
+images one by one, and the bit-sliced scan before its two cuts), the greedy
+partition, the certificate check and the projection sizes, kept verbatim
+apart from their names.  The kernel must reproduce their results exactly: the same sampled
 sets for the same seeds, the same retry failures, the same minimum gap,
 witness and weak count for every scanned box, the same certificates and
 gap reports, and the same errors with the same messages.
@@ -12,8 +13,9 @@ gap reports, and the same errors with the same messages.
 Run as a script, ``python tests/test_discrete_kernel.py TRIALS`` compares
 the first TRIALS certificates of the criterion-2 stream (100,000 in the
 acceptance suite) against the oracles, then every gap scan of
-``_scan_sweep_cases`` against the per-completion loop oracle, once with the
-scan's per-cell tables and once with the table cap at 0.
+``_scan_sweep_cases`` against the per-completion loop oracle and the
+previous bit-sliced scan, once with the scan's per-cell tables and once with
+the table cap at 0.
 """
 
 import math
@@ -45,6 +47,7 @@ from antichains import (
 )
 from antichains import partition
 from antichains.cli import main
+from antichains.estimate import require_int
 from antichains.lattice import Point, _comparable_pair, project
 from antichains.partition import GapScanResult, _axis_masks, _deleters, box_points
 
@@ -184,6 +187,94 @@ def _oracle_loop_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) ->
                 best_gap = g
                 best_witness = (*points, q)
     witness = PointSet._trusted(n, best_witness) if best_witness is not None else None
+    return GapScanResult(n, k, size, best_gap, witness, weak_count)
+
+
+def _previous_gap_scan(n: int, k: int, size: int, budget: int = 2_000_000) -> GapScanResult:
+    """The bit-sliced scan that scored every pair its head's image count did not rule out.
+
+    It reads the module's table cap, tables and helpers, so a monkeypatched
+    cap or table reaches it as it reaches the scan.
+    """
+    require_int("size", size, 0)
+    partition._check_box(n, k)
+    require_int("budget", budget, 0)
+    cells = k**n
+    total = math.comb(cells, size)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} subsets of size {size} exceed budget {budget}; "
+            "use random_gap_scan instead"
+        )
+    if size > cells - (k - 1) ** n:
+        # above the box's capacity: no weak antichain, so nothing to table
+        return GapScanResult(n, k, size, None, None, 0)
+    if size == 0:
+        return GapScanResult(n, k, 0, 0, PointSet._trusted(n, ()), 1)
+    if size == 1:
+        return GapScanResult(n, k, 1, n - 1, PointSet._trusted(n, [(0,) * n]), cells)
+    tabled = (n + 1) * cells * cells <= partition._TABLE_CAP
+    values = partition._scan_table(n, k).__getitem__ if tabled else partition._cell_values(n, k)
+    fields = range(0, n * cells, cells)
+    best_gap: int | None = None
+    best_cells = None
+    weak_count = 0
+    head: list[int] = []
+    frees = [(1 << cells) - 1]
+    seens = [0]
+    while frees:
+        free = frees[-1]
+        need = size - len(head)
+        if free.bit_count() < need:
+            frees.pop()
+            seens.pop()
+            if head:
+                head.pop()
+            continue
+        if need > 2:
+            low = free & -free
+            frees[-1] = free = free ^ low
+            idx = low.bit_length() - 1
+            strong, lines = values(idx)
+            head.append(idx)
+            frees.append(free & ~strong)
+            seens.append(seens[-1] | lines)
+            continue
+        # the head's last cell: score each choice that leaves a completion
+        frees[-1] = 0
+        head_seen = seens[-1]
+        while free:
+            low = free & -free
+            free ^= low
+            idx = low.bit_length() - 1
+            strong, lines = values(idx)
+            last = free & ~strong
+            if not last:
+                continue
+            weak_count += last.bit_count()
+            seen = head_seen | lines
+            # gap of head + (idx, q) is base minus the fields holding q, at most n
+            base = seen.bit_count() // k + n - size
+            if best_gap is not None and base - n >= best_gap:
+                continue
+            # at_least[c]: the completions held by at least c of the fields
+            at_least = [last]
+            for field in fields:
+                s = seen >> field & last
+                at_least.append(at_least[-1] & s)
+                for c in range(len(at_least) - 2, 0, -1):
+                    at_least[c] |= at_least[c - 1] & s
+            c = n
+            while not at_least[c]:
+                c -= 1
+            if best_gap is None or base - c < best_gap:
+                best_gap = base - c
+                # the lowest such completion is the first minimiser of this head
+                first = at_least[c] & -at_least[c]
+                best_cells = (*head, idx, first.bit_length() - 1)
+    witness = None
+    if best_cells is not None:
+        witness = PointSet._trusted(n, [partition._cell(j, n, k) for j in best_cells])
     return GapScanResult(n, k, size, best_gap, witness, weak_count)
 
 
@@ -750,6 +841,51 @@ def test_image_size_cache_is_invisible():
             assert projection_gap(back) == projection_gap(A)
 
 
+def _load_state(slots: dict) -> PointSet:
+    """Unpickle a set pickled with the slots-only state ``(None, slots)``, as older
+    versions wrote it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PointSet, "__getstate__", lambda self: (None, slots))
+        data = pickle.dumps(PointSet._trusted(slots["dim"], ()))
+    return pickle.loads(data)
+
+
+def test_pickles_from_before_the_private_slots_load_and_certify():
+    base = {"dim": 2, "points": ((0, 1), (1, 0))}
+    for extra in [{}, {"_weak": False}, {"_weak": True}, {"_weak": False, "_sizes": (2, 2)}]:
+        A = _load_state({**base, **extra})
+        assert A == PointSet(2, [(0, 1), (1, 0)]) and (A._weak, A._sizes) == (False, None)
+        cert = greedy_partition(A)
+        cert.validate()
+        assert cert.per_part_projection_sizes == (2, 0)
+        assert projection_gap(A) == GapReport(2, (2, 2), 2)
+
+
+def test_pickled_states_are_not_trusted():
+    # forged image sizes would be printed as the gap, and a forged proof would
+    # let a strongly ordered pair past the partition's screen
+    forged = _load_state({"dim": 2, "points": ((0, 0), (1, 1)), "_weak": True, "_sizes": (0, 0)})
+    assert projection_gap(forged) == GapReport(2, (2, 2), 2)
+    with pytest.raises(NotWeakAntichainError):
+        greedy_partition(forged)
+    # the points are checked and sorted like any outside input
+    shuffled = _load_state({"dim": 2, "points": ((1, 0), (0, 1))})
+    assert shuffled.points == ((0, 1), (1, 0)) and (1, 0) in shuffled
+    for points in [((0, 1), (0, 1)), ((0, 1, 2),), ((0, 1.5),)]:
+        with pytest.raises(ValueError):
+            _load_state({"dim": 2, "points": points})
+
+
+def test_sampled_sets_round_trip_without_their_proof():
+    for size in range(6):
+        A = random_weak_antichain(3, 4, size, seed=size)
+        projection_gap(A)
+        assert A._weak and A._sizes is not None
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(A, protocol))
+            assert back == A and (back._weak, back._sizes) == (False, None), (size, protocol)
+
+
 def test_projection_sizes_match_oracle():
     for A in _random_point_sets(13, 2000):
         assert projection_gap(A) == _oracle_projection_gap(A), A.points
@@ -905,6 +1041,32 @@ def test_gap_scan_value_sources_match_oracles(tabled, monkeypatch):
     assert scans > 40
 
 
+@pytest.mark.parametrize("tabled", [False, True], ids=["on-demand", "tabled"])
+def test_gap_scan_matches_previous_scan(tabled, monkeypatch):
+    # the two cuts skip only pairs that cannot strictly improve, so the
+    # minimum, the witness and the weak count are the previous scan's
+    if not tabled:
+        monkeypatch.setattr(partition, "_TABLE_CAP", 0)
+    scans = 0
+    for n, k, size in _scan_sweep_cases(max_subsets=200_000):
+        res = exhaustive_gap_scan(n, k, size)
+        assert res == _previous_gap_scan(n, k, size), (n, k, size)
+        scans += res.min_gap is not None
+    assert scans > 80
+
+
+def test_gap_scan_keeps_an_improvement_one_below_the_bound():
+    # the one box found where the best gap improves at a head whose bound,
+    # its image count plus n - size minus the fields holding a completion,
+    # is exactly one below the best gap (7, then 6), so a cut one too eager
+    # reports 7; the loop oracle and the previous scan give these values, and
+    # the script sweep checks them again
+    res = exhaustive_gap_scan(3, 3, 10, budget=math.comb(27, 10))
+    block = [p for p in product(range(2), range(2), range(3)) if p[:2] != (1, 1)]
+    witness = PointSet(3, [*block, (1, 1, 0)])
+    assert (res.min_gap, res.witness, res.weak_count) == (6, witness, 723008)
+
+
 @pytest.mark.parametrize("n,k,size", [(3, 3, 5), (4, 3, 3), (2, 6, 4)])
 def test_gap_scan_without_tables_matches_loop_oracle_above_the_combinations_cap(
     n, k, size, monkeypatch
@@ -989,10 +1151,14 @@ def _scan_sweep_cases(max_subsets: int = 2_000_000):
 
 
 def _scan_sweep() -> int:
-    """Every case of ``_scan_sweep_cases`` against the loop oracle."""
+    """Every case of ``_scan_sweep_cases``, and the scan that improves at a
+    head one below its bound, against the loop oracle and the previous scan."""
     count = 0
-    for n, k, size in _scan_sweep_cases():
-        assert exhaustive_gap_scan(n, k, size) == _oracle_loop_gap_scan(n, k, size), (n, k, size)
+    cases = [(n, k, size, 2_000_000) for n, k, size in _scan_sweep_cases()]
+    for n, k, size, budget in cases + [(3, 3, 10, math.comb(27, 10))]:
+        res = exhaustive_gap_scan(n, k, size, budget)
+        assert res == _oracle_loop_gap_scan(n, k, size, budget), (n, k, size)
+        assert res == _previous_gap_scan(n, k, size, budget), (n, k, size)
         count += 1
     return count
 
@@ -1002,8 +1168,11 @@ if __name__ == "__main__":
     _criterion2_sweep(trials)
     print(f"{trials} criterion-2 certificates: sets, parts, checks and gaps agree")
     scans = _scan_sweep()
-    print(f"{scans} gap scans: minimum gaps, witnesses and weak counts agree with the loop")
+    print(
+        f"{scans} gap scans: minimum gaps, witnesses and weak counts agree with the loop"
+        " and the previous scan"
+    )
     # the same scans again with every cell's values computed when it is taken
     partition._TABLE_CAP = 0
     scans = _scan_sweep()
-    print(f"{scans} gap scans without per-cell tables agree with the loop")
+    print(f"{scans} gap scans without per-cell tables agree with the loop and the previous scan")
