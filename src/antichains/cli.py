@@ -23,6 +23,8 @@ import io
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .estimate import MeasureEstimate, NonFiniteError, require_int
@@ -156,6 +158,100 @@ def _estimate_json(est: MeasureEstimate) -> dict:
     return payload
 
 
+# JSON output is, to the byte, what json.dumps writes with sorted keys, an
+# indent of 2 and allow_nan=False.  json uses its C encoder only without an
+# indent, so an indented payload went through the pure-Python encoder one
+# value at a time; the writer below sends each point list, most of any large
+# output, through the C encoder in one pass.
+
+_INT_ROW_TYPES = {list, tuple}
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_scalar(obj) -> str:
+    """json's text of a value that is not a list, tuple or dict, in json's own type order."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    # a non-finite float or a type json does not write: json raises its own
+    # ValueError or TypeError; with an indent it takes the encoder that
+    # writes the payloads, whose message names the value
+    return json.dumps(obj, indent=0, allow_nan=False)
+
+
+def _json_int_rows(rows, newline: str) -> str | None:
+    """The indented text of ``rows`` if it is a list of non-empty rows of exact ints, else None.
+
+    The C encoder's compact text of such a list has a comma between two
+    numbers and "],[" between two rows and no other punctuation inside, so
+    two replacements put in the line breaks and indents.
+    """
+    if not (
+        set(map(type, rows)) <= _INT_ROW_TYPES
+        and all(rows)
+        and set(map(type, chain.from_iterable(rows))) == {int}
+    ):
+        return None
+    inner = newline + "  "
+    cell = inner + "  "
+    body = _compact_json(rows)[2:-2].replace(",", "," + cell)
+    body = body.replace("]," + cell + "[", inner + "]," + inner + "[" + cell)
+    return "[" + inner + "[" + cell + body + inner + "]" + newline + "]"
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of ``obj``, whose lines inside start with ``newline``."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        rows = _json_int_rows(obj, newline)
+        if rows is not None:
+            out.append(rows)
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # sorted as json sorts, before a key that is not a str gets json's
+        # text, or json's own TypeError for a type a key cannot have
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                number = isinstance(key, (int, float)) or key is None
+                key = _json_scalar(key) if number else json.dumps({key: 0}, indent=0)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_json_scalar(obj))
+
+
+def _json_text(payload) -> str:
+    """The text, or the error, of json.dumps with sorted keys, an indent of 2 and no NaN."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
 def _emit(args, payload, rows=None, header=None) -> None:
     """Write JSON or, where the subcommand offers it and it was requested, CSV."""
     if args.format == "csv":
@@ -165,7 +261,7 @@ def _emit(args, payload, rows=None, header=None) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -86,32 +86,80 @@ def middle_layer_index(n: int, m: int) -> int:
     return (n * (m - 1)) // 2
 
 
-def _grid_where(n: int, m: int, keep) -> PointSet:
-    """The grid points that ``keep`` accepts; ``product`` yields them distinct and sorted."""
-    return PointSet._trusted(n, filter(keep, product(range(m), repeat=n)))
-
-
 def layer_construct(n: int, m: int, ell: int) -> PointSet:
-    """The full layer of coordinate-sum ``ell``; a maximum antichain at the middle sum."""
+    """The full layer of coordinate-sum ``ell``; a maximum antichain at the middle sum.
+
+    Built in lexicographic order, first coordinate outermost: a first
+    coordinate a runs over max(0, ell - (m-1)(n-1)) .. min(m-1, ell), the
+    values the other n - 1 coordinates can make up to ``ell``, and prefixes
+    each point of their layer of sum ell - a.  Every partial point built
+    completes to a point of the layer, so the cost follows the layer's size,
+    at most n tuple steps per point, not the m^n points of the grid.  A sum
+    outside 0..n(m-1) gives the empty set.
+    """
     _check_grid(n, m)
     require_int("ell", ell)
-    return _grid_where(n, m, lambda p: sum(p) == ell)
+    top = m - 1
+    if not 0 <= ell <= n * top:
+        return PointSet._trusted(n, ())
+    # tails[s]: the k-coordinate tails with coordinate sum s, in lexicographic
+    # order, for each s that n - k more coordinates can complete to ell
+    tails = {s: [(s,)] for s in range(max(0, ell - (n - 1) * top), min(top, ell) + 1)}
+    for k in range(2, n + 1):
+        tails = {
+            s: [
+                (a,) + tail
+                for a in range(max(0, s - (k - 1) * top), min(top, s) + 1)
+                for tail in tails[s - a]
+            ]
+            for s in range(max(0, ell - (n - k) * top), min(k * top, ell) + 1)
+        }
+    return PointSet._trusted(n, tails[ell])
+
+
+def _with_coordinate(n: int, m: int, c: int) -> PointSet:
+    """The grid points with some coordinate equal to ``c``, built in lexicographic order.
+
+    On k + 1 coordinates the set is, for each first coordinate a in turn,
+    a prefixed to the whole k-grid when a == c and to the set on k
+    coordinates otherwise, so no point outside the set is made.
+    """
+    points = [(c,)]
+    for k in range(1, n):
+        points = [
+            (a,) + tail
+            for a in range(m)
+            for tail in (product(range(m), repeat=k) if a == c else points)
+        ]
+    return PointSet._trusted(n, points)
 
 
 def wn_construct(n: int, m: int) -> PointSet:
     """All grid points with at least one zero coordinate: m^n - (m-1)^n points.
 
-    This is a maximum weak antichain of the grid.
+    This is a maximum weak antichain of the grid.  It is built directly in
+    lexicographic order: 0 prefixed to the whole (n-1)-grid, then each other
+    first coordinate prefixed to the (n-1)-dimensional set, so the cost
+    follows the set's size.
     """
     _check_grid(n, m)
-    return _grid_where(n, m, lambda p: 0 in p)
+    return _with_coordinate(n, m, 0)
 
 
 @dataclass(frozen=True)
 class WidthResult:
+    """The width of a grid poset and a maximum (weak) antichain that attains it.
+
+    ``method`` is ``"matching"`` from :func:`max_antichain` and
+    ``"construction"`` from :func:`best_construction`.  ``max_antichain``
+    runs no matching: its witness is a closed form that a chain cover
+    certifies, and ``"matching"`` stays only because it is a value of the
+    CLI's output.
+    """
+
     width: int
     witness: PointSet
-    method: str  # "matching" or "construction"
+    method: str
 
 
 def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
@@ -126,6 +174,12 @@ def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
     serves as well as any point.  The chains' consecutive pairs are a
     maximum matching of the comparability graph, so ``method`` keeps
     reading ``"matching"``, a label of the public output.
+
+    Either witness is built directly in lexicographic order (see
+    :func:`layer_construct`; the chain tops are m - 1 prefixed to the whole
+    (n-1)-grid and each other first coordinate prefixed to the tops on n - 1
+    coordinates), so its cost follows the witness, not the grid; ``budget``
+    still bounds the grid's size.
     """
     require_int("budget", budget, 0)
     if poset.size > budget:
@@ -136,7 +190,7 @@ def max_antichain(poset: GridPoset, budget: int = 4096) -> WidthResult:
     if poset.order is Order.STRICT and n > 1:
         witness = layer_construct(n, m, (n * (m - 1) + 1) // 2)
     else:
-        witness = _grid_where(n, m, lambda p: m - 1 in p)
+        witness = _with_coordinate(n, m, m - 1)
     return WidthResult(width=len(witness), witness=witness, method="matching")
 
 

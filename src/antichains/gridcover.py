@@ -472,6 +472,13 @@ def volume_ratio_curve(target, m_list: Sequence[int]) -> list[float]:
 
 @dataclass(frozen=True)
 class BoxDimensionFit:
+    """A box-counting dimension fitted by :func:`box_dimension`.
+
+    ``dimension`` is the least-squares slope of log cell-count against log
+    resolution, ``residual`` the fit's largest absolute deviation, and
+    ``counts`` the cover sizes, one per resolution in the order given.
+    """
+
     dimension: float
     residual: float
     counts: tuple[int, ...]

@@ -186,6 +186,14 @@ class PointSet:
 
 
 class Classification(NamedTuple):
+    """The two antichain properties that :func:`classify` tests.
+
+    ``is_antichain`` holds when no two distinct points compare under
+    ``STRICT`` (one at most the other in every coordinate), and
+    ``is_weak_antichain`` when no two compare under ``STRONG`` (one below
+    the other in every coordinate); the first implies the second.
+    """
+
     is_antichain: bool
     is_weak_antichain: bool
 

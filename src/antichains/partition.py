@@ -347,6 +347,16 @@ def _cell(j: int, n: int, k: int) -> Point:
 
 @dataclass(frozen=True)
 class GapScanResult:
+    """The outcome of a gap scan over weak antichains of ``size`` points in [0,k)^n.
+
+    From :func:`exhaustive_gap_scan`, ``min_gap`` is the least projection
+    gap of any such set, ``witness`` the lexicographically least set that
+    attains it, and ``weak_count`` the number of such sets; ``min_gap`` and
+    ``witness`` are None when there is none.  From :func:`random_gap_scan`,
+    ``min_gap`` is the least gap among the sampled sets, ``witness`` one
+    set with it, and ``weak_count`` the number of samples.
+    """
+
     n: int
     k: int
     size: int

@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
-from math import fsum, prod
+from math import fsum, isfinite, prod
 
 from .estimate import (
     BudgetExceededError,
@@ -71,10 +71,42 @@ def _fsum(name: str, values: list[float]) -> float:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An integral, its error bound and the integrand evaluations it took.
+
+    ``converged`` is False when ``error_bound`` is above the requested
+    tolerance (the budget or the depth ran out first); the value is then
+    the plain sum of the cells, not the extrapolated one.
+    """
+
     value: float
     error_bound: float
     evaluations: int
     converged: bool
+
+
+def _raise_non_finite(heap, final, vol_total: float, d: int, max_depth: int) -> None:
+    """Raise NonFiniteError for a non-finite error bound, naming its cause.
+
+    An estimate is a value of f times its cell's volume, so it is NaN only
+    where f is NaN, and infinite for a finite f only at a volume above 1.  A
+    final cell keeps only its sum s and |s - est|, which a finite f keeps
+    within twice its volume times the largest float.  A bound that no kept
+    estimate or final cell traces to f overflowed from finite values of f.
+    """
+
+    def volume(k: int) -> float:
+        return vol_total * 0.5 ** (d * k)
+
+    def from_f(est: float, k: int) -> bool:
+        return est != est or (not isfinite(est) and volume(k) <= 1)
+
+    waiting = (
+        from_f(est, k) or any(from_f(e, k + 1) for e in ests) for _, k, _, est, _, ests in heap
+    )
+    finals = (not isfinite(diff) and volume(max_depth) <= 0.5 for _, diff in final)
+    if any(waiting) or any(finals):
+        raise NonFiniteError("integrand values must be finite")
+    raise NonFiniteError("error bound overflowed")
 
 
 def integrate_adaptive(
@@ -106,8 +138,11 @@ def integrate_adaptive(
     anything is evaluated.  Every unresolved cell charges its error to the
     reported bound; callers should treat a bound above ``tol`` as a
     flagged, not failed, estimate.  An integrand value that is NaN or
-    infinite raises NonFiniteError once refinement stops, and so does a
-    finite integrand whose integral or error bound overflows a float.
+    infinite in a cell kept to the end raises NonFiniteError once
+    refinement stops (a split cell keeps nothing of its own midpoint), and
+    so does a finite integrand whose integral or error bound overflows a
+    float; the message names the integrand values only where a kept cell
+    shows one.
     """
     require_tolerance(tol)
     knobs = {"max_depth": max_depth, "min_depth": min_depth, "max_evals": max_evals}
@@ -237,9 +272,8 @@ def integrate_adaptive(
     del split, settle
 
     error = error_bound()
-    # every evaluation enters some cell's |s - est|, so a NaN or infinite
-    # value of f leaves this bound non-finite
-    require_finite("integrand values", error)
+    if not isfinite(error):
+        _raise_non_finite(heap, final, vol_total, d, max_depth)
     accepted = error <= tol * (1 + 1e-9)
     values = [s for s, _ in final]
     for _, k, _, est, s, _ in heap:

@@ -775,6 +775,14 @@ def verify_projection_inequality(s: Surface, tol: float | None = None) -> Inequa
 
 @dataclass(frozen=True)
 class SkewReport:
+    """A planar surface measure against its two skewed-projection measures.
+
+    ``surface`` estimates the surface measure, ``delta_parts`` are the two
+    skewed images' measures and ``delta_total`` their sum; ``passes`` holds
+    when the surface measure converged and is at most ``delta_total`` plus
+    its error bound plus ``tolerance``.
+    """
+
     surface: MeasureEstimate
     delta_parts: tuple[MeasureEstimate, MeasureEstimate]
     delta_total: float

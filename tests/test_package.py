@@ -39,3 +39,16 @@ def test_each_name_is_its_defining_modules_object():
 def test_quadrature_names_stay_unexported():
     assert QUADRATURE.__all__
     assert _public().keys().isdisjoint(QUADRATURE.__all__)
+
+
+def test_public_classes_have_their_own_docstrings():
+    # dataclasses fills a missing docstring with the class's signature
+    classes = [
+        getattr(module, name)
+        for module in (*REPUBLISHED, QUADRATURE)
+        for name in module.__all__
+        if isinstance(getattr(module, name), type)
+    ]
+    assert len(classes) > 10
+    for cls in classes:
+        assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}("), cls.__name__

@@ -979,6 +979,31 @@ def test_overflowed_integrals_raise(f, box, max_evals, message):
         integrate_adaptive(f, box, 1e-3, max_evals=max_evals)
 
 
+@pytest.mark.parametrize(
+    "f, box, knobs, message",
+    [
+        (_alternating(0.85e308), ((0.0, 4.0),), {"max_evals": 0}, "^error bound overflowed$"),
+        (lambda x: math.nan, ((0.0, 4.0),), {"max_evals": 0}, "^integrand values must be finite$"),
+        (lambda x: math.nan, ((0.0, 1.0),), {}, "^integrand values must be finite$"),
+        (lambda x: math.inf, ((0.0, 4.0),), {}, "^integrand values must be finite$"),
+        # infinite only at the midpoint of a final cell, which keeps no estimate
+        (
+            lambda x: math.inf if x == (0.625,) else 1.0,
+            ((0.0, 1.0),),
+            {"max_depth": 2},
+            "^integrand values must be finite$",
+        ),
+    ],
+    ids=["overflow", "nan-root", "nan", "inf-wide", "inf-final"],
+)
+def test_non_finite_bound_names_its_cause(f, box, knobs, message):
+    # every value of the alternating integrand is finite, but the root's
+    # estimate (8.5e307 times a width of 4) and its children's sum overflow;
+    # that bound used to be blamed on the integrand values
+    with pytest.raises(NonFiniteError, match=message):
+        integrate_adaptive(f, box, 1e-3, **knobs)
+
+
 # ---------------------------------------------------------------------------
 # the wider differential sweep, outside tier-1
 
